@@ -34,7 +34,7 @@ def test_tab01_engine_instantiates_table(once):
     workload = build_bitcount(values=10)
     engine = once(lambda: ParaDoxSystem().engine(workload))
     config = table1_config()
-    assert len(engine.pool.cores) == config.checker.count == 16
+    assert len(engine.pool) == config.checker.count == 16
     assert engine.timing.config.rob_entries == 40
     assert engine.hierarchy.l2.config.size_bytes == 1 << 20
     assert engine.tracker.ways == 4  # L1D associativity governs buffering

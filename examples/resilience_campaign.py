@@ -8,7 +8,7 @@ Three acts:
 2. The same defect in *every* checker (a global stuck-at) cannot be
    scheduled around: the forward-progress guard escalates and finally
    surfaces a typed ``forward_progress_failure`` naming the faulty
-   unit — never a ``LivelockError``.
+   unit — never a bare livelock.
 3. A small crash-isolated campaign classifies a grid of seeded runs
    into the six-outcome taxonomy (masked / detected_recovered /
    degraded / sdc / hang / crash), persists every run to a SQLite

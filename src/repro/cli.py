@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import Callable, Dict, Optional
 
 from .config import table1_config
@@ -231,25 +230,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def resolve_run_timeout(args: argparse.Namespace) -> float:
-    """Single code path for the per-run watchdog flags.
-
-    ``--run-timeout`` is the canonical spelling; legacy ``--timeout``
-    still works but warns so scripts migrate before it is removed.
-    Precedence: ``--run-timeout`` > ``--timeout`` > the 60 s default.
-    """
-    if args.run_timeout is not None:
-        return args.run_timeout
-    if args.timeout is not None:
-        warnings.warn(
-            "--timeout is deprecated; use --run-timeout",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return args.timeout
-    return 60.0
-
-
 def campaign_spec_from_args(args: argparse.Namespace):
     """Build the :class:`CampaignSpec` a ``repro campaign`` invocation runs.
 
@@ -271,7 +251,6 @@ def campaign_spec_from_args(args: argparse.Namespace):
         if args.fault_model
         else tuple(args.models.split(","))
     )
-    timeout_s = resolve_run_timeout(args)
     return CampaignSpec(
         workload=args.workload,
         scale=args.scale,
@@ -283,7 +262,7 @@ def campaign_spec_from_args(args: argparse.Namespace):
         chip_seeds=args.chip_seeds,
         first_chip_seed=args.first_chip_seed,
         voltage=args.voltage,
-        timeout_s=timeout_s,
+        timeout_s=args.run_timeout,
         workers=args.workers,
         main_cores=args.main_cores,
         pool_policy=args.pool_policy if args.main_cores > 1 else None,
@@ -463,7 +442,7 @@ def explore_spec_from_args(args: argparse.Namespace):
         rate=args.rate,
         model=args.model,
         initial_margin=args.initial_margin,
-        timeout_s=resolve_run_timeout(args),
+        timeout_s=args.run_timeout,
         workers=args.workers,
     )
 
@@ -886,16 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--run-timeout",
         type=float,
-        default=None,
+        default=60.0,
         help="per-run wall-clock watchdog in seconds; a run exceeding it "
         "is terminated and classified 'hang' (timeout outcome) without "
         "stalling the sweep",
-    )
-    campaign.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="deprecated alias for --run-timeout (warns when used)",
     )
     campaign.add_argument("--workers", type=int, default=0, help="worker processes (0 = auto)")
     campaign.add_argument(
@@ -1046,15 +1019,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "--run-timeout",
         type=float,
-        default=None,
+        default=60.0,
         help="per-run wall-clock watchdog in seconds (see 'repro "
         "campaign --run-timeout')",
-    )
-    explore.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="deprecated alias for --run-timeout (warns when used)",
     )
     explore.add_argument(
         "--workers",

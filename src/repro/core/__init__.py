@@ -20,7 +20,7 @@ from ..resilience.guard import (
     ForwardProgressFailure,
     ResilienceConfig,
 )
-from .engine import EngineOptions, LivelockError, PendingCheck, SimulationEngine
+from .engine import EngineOptions, PendingCheck, SimulationEngine
 from .multicore import CoreSpec, MulticoreEngine, MulticoreResult, run_multicore
 from .systems import (
     BaselineSystem,
@@ -41,7 +41,6 @@ __all__ = [
     "EngineOptions",
     "ForwardProgressDiagnostics",
     "ForwardProgressFailure",
-    "LivelockError",
     "OverheadParameters",
     "ResilienceConfig",
     "ParaDoxSystem",

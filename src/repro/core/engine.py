@@ -67,17 +67,13 @@ from ..resilience.guard import (
     ResilienceConfig,
 )
 from ..resilience.health import CheckerHealthTracker
-from ..scheduling import CheckerPool, DispatchRecord, SchedulingPolicy
+from ..scheduling import CheckerPool, DispatchRecord, SchedulingPolicy, SharedPoolView
 from ..stats import RecoveryEvent, RunOutcome, RunResult, StallBreakdown, StallBucket
 from ..stats.timeline import EventKind, Timeline
 from ..telemetry import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..oracle.invariants import ParanoidChecker
-
-
-class LivelockError(RuntimeError):
-    """The run exceeded its total execution budget (recovery livelock)."""
 
 
 @dataclass
@@ -106,8 +102,8 @@ class EngineOptions:
     voltage_model: Optional[VoltageErrorModel] = None
     #: Skip functional replay of segments in which no fault can fire.
     fastpath: bool = True
-    #: Abort with LivelockError when total executed instructions exceed
-    #: this multiple of the useful budget.
+    #: End the run as RunOutcome.LIVELOCK when total executed
+    #: instructions exceed this multiple of the useful budget.
     livelock_factor: float = 64.0
     #: Use the constant voltage-decrease comparator of figure 11.
     dynamic_voltage_decrease: bool = True
@@ -188,38 +184,51 @@ class SimulationEngine:
         #: and None when disabled or under main-core fault injection.
         self.jit: Optional[SuperblockJit] = None
 
-        # Checker pool, optionally health-tracked (resilience layer).
+        # Checker pool.  Occupancy is physical and lives in the pool: a
+        # multicore harness passes the one it shares between its mains,
+        # otherwise the engine builds its private pool, the M=1 case.  Replay is
+        # program-bound, so the engine owns its checker-core models and
+        # its health view of them (resilience layer).
+        self.pool: Optional[CheckerPool] = None
+        #: What select/dispatch/abort go through: the pool itself, or a
+        #: view that takes the co-simulation turn for this main.
+        self.scheduler: "Optional[CheckerPool | SharedPoolView]" = None
+        self.checkers: List[CheckerCore] = []
         self.health: Optional[CheckerHealthTracker] = None
-        if options.checking and pool is not None:
-            # Injected (shared) pool: the multicore harness owns core
-            # construction and the anti-ageing rotation draw; each
-            # engine keeps a private health view of the shared cores.
-            if options.resilience is not None and options.resilience.quarantine_enabled:
-                self.health = CheckerHealthTracker(
-                    len(pool.cores),
-                    quarantine_vindications=options.resilience.quarantine_vindications,
-                )
-            pool.health = self.health
-            self.pool: Optional[CheckerPool] = pool
-        elif options.checking:
-            cores = [
-                CheckerCore(i, config.checker, program)
-                for i in range(config.checker.count)
-            ]
-            boot_offset = int(self.rng.integers(config.checker.count))
-            if options.resilience is not None and options.resilience.quarantine_enabled:
-                self.health = CheckerHealthTracker(
+        #: Checker of the previous dispatch, stored at the end of each
+        #: log segment for continuity (figure 5).
+        self._last_checker_id: Optional[int] = None
+        if options.checking:
+            if pool is None:
+                pool = CheckerPool(
                     config.checker.count,
+                    options.scheduling,
+                    boot_offset=int(self.rng.integers(config.checker.count)),
+                )
+            elif options.scheduling is not pool.scheduling:
+                raise ValueError(
+                    f"system {system_name!r} schedules its checkers "
+                    f"{options.scheduling.value} but its pool schedules "
+                    f"{pool.scheduling.value} (a shared pool arbitrates "
+                    "lowest-free-ID only)"
+                )
+            if not 0 <= main_id < pool.main_count:
+                raise ValueError(
+                    f"main core {main_id} is not one of the pool's "
+                    f"{pool.main_count} main cores"
+                )
+            self.pool = pool
+            self.scheduler = (
+                pool if pool.turnstile is None else SharedPoolView(pool, main_id)
+            )
+            self.checkers = [
+                CheckerCore(i, config.checker, program) for i in range(len(pool))
+            ]
+            if options.resilience is not None and options.resilience.quarantine_enabled:
+                self.health = CheckerHealthTracker(
+                    len(pool),
                     quarantine_vindications=options.resilience.quarantine_vindications,
                 )
-            self.pool = CheckerPool(
-                cores,
-                options.scheduling,
-                boot_offset=boot_offset,
-                health=self.health,
-            )
-        else:
-            self.pool = None
 
         # Controllers.
         self.length_controller = CheckpointLengthController(
@@ -296,8 +305,6 @@ class SimulationEngine:
                 seed=config.fault.seed,
             )
             self.length_controller.tracer = self.tracer
-            if self.pool is not None:
-                self.pool.tracer = self.tracer
             if self.dvfs is not None:
                 self.dvfs.tracer = self.tracer
             if self.injector is not None:
@@ -362,13 +369,12 @@ class SimulationEngine:
         granularity = self.options.granularity
         seq = self._next_seq
         self._next_seq += 1
-        prev_id = self.pool.last_core_id if self.pool is not None else None
         self._segment = LogSegment(
             seq=seq,
             granularity=granularity,
             capacity_bytes=self.config.checker.log_bytes_per_core,
             start_state=start_state,
-            prev_checker_id=prev_id,
+            prev_checker_id=self._last_checker_id,
             main_id=self.main_id,
         )
         self._segment.text_footprint_bytes = self.program.text_bytes
@@ -457,8 +463,6 @@ class SimulationEngine:
 
     # -------------------------------------------------------------- checking --
     def _dispatch(self, segment: LogSegment) -> None:
-        pool = self.pool
-        assert pool is not None
         # A retry of a rolled-back checkpoint is steered away from the
         # checker that reported the detection: its verdict on different
         # hardware attributes the fault (checker-local vs followed-the-work).
@@ -469,11 +473,14 @@ class SimulationEngine:
             and segment.start_state.instret == suspect[0]
         )
         avoid = {suspect[1]} if retrying else None
-        core, start_ns = pool.select(self.wall_ns, avoid=avoid)
+        core_id, start_ns = self.scheduler.select(
+            self.wall_ns, avoid=avoid, health=self.health
+        )
         if start_ns > self.wall_ns:
             self._stall_to_wall(start_ns, StallBucket.CHECKER_WAIT)
         start_ns = max(start_ns, self.wall_ns)
-        segment.checker_id = core.core_id
+        segment.checker_id = core_id
+        core = self.checkers[core_id]
 
         result = self._check(core, segment)
         if self.health is not None:
@@ -492,7 +499,19 @@ class SimulationEngine:
                     else:
                         self.health.record_vindication(suspect_core, start_ns)
         duration_ns = core.cycles_to_ns(result.checker_cycles)
-        record = pool.dispatch(core, segment.seq, start_ns, duration_ns)
+        record = self.scheduler.dispatch(core_id, segment.seq, start_ns, duration_ns)
+        self._last_checker_id = core_id
+        if self.tracer is not None:
+            self.tracer.emit(
+                "scheduling",
+                "busy",
+                time_ns=start_ns,
+                segment=segment.seq,
+                core=core_id,
+                value=duration_ns,
+            )
+            self.tracer.metrics.inc("scheduling.dispatches")
+            self.tracer.metrics.observe("scheduling.busy_ns", duration_ns)
         self._pending.append(
             PendingCheck(segment, record, result, start_ns + duration_ns)
         )
@@ -602,8 +621,18 @@ class SimulationEngine:
 
         # Abort in-flight checks of squashed segments.
         for squashed in to_squash:
-            if self.pool is not None:
-                self.pool.abort(squashed.record, now)
+            record = squashed.record
+            reclaimed = self.scheduler.abort(record, now)
+            if reclaimed is not None and self.tracer is not None:
+                self.tracer.emit(
+                    "scheduling",
+                    "abort",
+                    time_ns=now,
+                    segment=record.segment_seq,
+                    core=record.core_id,
+                    value=reclaimed,
+                )
+                self.tracer.metrics.inc("scheduling.aborts")
         self._pending = keep
         self._pending_detected = sum(1 for p in keep if p.result.detected)
 
@@ -832,7 +861,10 @@ class SimulationEngine:
         main_done_ns = 0.0
         try:
             while True:
-                self._fill_loop(max_instructions, livelock_budget)
+                if self._fill_loop(max_instructions, livelock_budget):
+                    outcome = RunOutcome.LIVELOCK
+                    main_done_ns = self.wall_ns
+                    break
                 # Program finished (or budget reached): close the last segment.
                 segment = self._segment
                 if segment is not None and segment.instruction_count > 0:
@@ -844,9 +876,6 @@ class SimulationEngine:
                 if not self._drain():
                     break
                 # A detection during drain un-halted the state; keep running.
-        except LivelockError:
-            outcome = RunOutcome.LIVELOCK
-            main_done_ns = self.wall_ns
         except ForwardProgressFailure as fpf:
             outcome = RunOutcome.FORWARD_PROGRESS_FAILURE
             failure = fpf.diagnostics
@@ -864,8 +893,10 @@ class SimulationEngine:
             recoveries=self.recoveries,
             stalls=self.stalls,
             close_reasons=dict(self.close_reasons),
-            checker_wake_rates=pool.wake_rates(wall) if pool else [],
-            checker_peak_concurrency=pool.peak_concurrency() if pool else 0,
+            checker_wake_rates=pool.wake_rates(wall, self.main_id) if pool else [],
+            checker_peak_concurrency=(
+                pool.peak_concurrency(self.main_id) if pool else 0
+            ),
             voltage_trace=list(self.dvfs.stats.trace) if self.dvfs else [],
             mean_voltage=(
                 self.dvfs.stats.mean_voltage()
@@ -890,15 +921,6 @@ class SimulationEngine:
             livelocked=outcome is RunOutcome.LIVELOCK,
             external_flushes=list(self.external_flushes),
             unit_mix=dict(self._unit_mix),
-            dispatch_trace=(
-                [
-                    (record.start_ns, record.end_ns - record.start_ns)
-                    for record in pool.dispatches
-                    if record.end_ns > record.start_ns
-                ]
-                if pool
-                else []
-            ),
         )
         self._finalize_telemetry(result)
         return result
@@ -1016,8 +1038,12 @@ class SimulationEngine:
         self._finalize_telemetry(result)
         return result
 
-    def _fill_loop(self, max_instructions: int, livelock_budget: int) -> None:
-        """Execute main-core instructions until halt or budget."""
+    def _fill_loop(self, max_instructions: int, livelock_budget: int) -> bool:
+        """Execute main-core instructions until halt or budget.
+
+        Returns True when the livelock budget ran out (recovery kept
+        re-executing without useful progress), False otherwise.
+        """
         state = self.state
         segment_target = self.length_controller.target
         # Hot loop: bind per-instruction callees and constants once.
@@ -1038,10 +1064,7 @@ class SimulationEngine:
                     # voltage is a typed forward-progress failure even
                     # when the storm crawled past fail_after's streak.
                     self.guard.on_budget_exhausted(state.instret, self.wall_ns)
-                raise LivelockError(
-                    f"{self._executed_total} instructions executed for only "
-                    f"{state.instret} useful — recovery livelock"
-                )
+                return True
             if not self._external_verified and state.pc in external_pcs:
                 # External state escapes the rollback domain: close the
                 # current segment and block until every outstanding check
@@ -1167,6 +1190,7 @@ class SimulationEngine:
             if segment.instruction_count >= segment_target:
                 self._close_segment(SegmentCloseReason.TARGET_LENGTH)
                 segment_target = self.length_controller.target
+        return False
 
     def _handle_conflict(self, address: int) -> None:
         """An unchecked-line conflict: drain checkers until the write fits."""

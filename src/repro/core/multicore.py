@@ -1,20 +1,19 @@
 """Multi-main-core ParaDox: M producers sharing one checker pool.
 
-The single-core engine is untouched — each main core is one
-:class:`~repro.core.engine.SimulationEngine` running its own program,
-log segments, checkpoints, DVFS controller, and fault injector.  What
-changes is the checker pool: all engines schedule through per-main
-:class:`~repro.scheduling.shared.SharedPoolView` facades over one
-:class:`~repro.scheduling.shared.SharedCheckerPool`, so a core waiting
-on a checker another core occupies shows up as a checker-wait stall in
-its own timeline.
+Each main core is one :class:`~repro.core.engine.SimulationEngine`
+running its own program, log segments, checkpoints, DVFS controller, and
+fault injector.  What M changes is the checker pool: all engines
+schedule over one :class:`~repro.scheduling.pool.CheckerPool`, so a core
+waiting on a checker another core occupies shows up as a checker-wait
+stall in its own timeline.  The paper's single-core system is the M=1
+case: the one engine calls the pool directly, on the calling thread.
 
-Execution is a conservative discrete-event co-simulation: one OS thread
-per engine, with every pool interaction gated through the shared pool's
-turnstile so interactions execute in globally sorted simulated-time
-order regardless of OS scheduling.  Results are therefore deterministic
-— the same specs and seed produce bit-identical
-:class:`MulticoreResult`\\ s on every run.
+With M > 1, execution is a conservative discrete-event co-simulation:
+one OS thread per engine, every pool interaction taking its turn through
+the engine's :class:`~repro.scheduling.shared.SharedPoolView`, so
+interactions execute in globally sorted simulated-time order regardless
+of OS scheduling.  Results are therefore deterministic — the same specs
+and seed produce bit-identical :class:`MulticoreResult`\\ s on every run.
 
 Asymmetric scenarios fall out of the per-core spec: each
 :class:`CoreSpec` may carry its own :class:`~repro.core.systems.System`
@@ -31,11 +30,8 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..parallel import derive_seed
-from ..scheduling.shared import (
-    DEFAULT_POOL_POLICY,
-    PoolPolicy,
-    SharedCheckerPool,
-)
+from ..scheduling import CheckerPool
+from ..scheduling.shared import DEFAULT_POOL_POLICY, PoolPolicy
 from ..stats import RunResult
 from ..stats.fairness import FairnessReport
 from .systems import ParaDoxSystem, System, WorkloadLike
@@ -113,22 +109,22 @@ class MulticoreResult:
         return "\n".join(lines)
 
 
-def run_shared_engines(
-    engines: Sequence[Any],
-    pool: SharedCheckerPool,
-    budgets: Sequence[int],
-) -> List[RunResult]:
-    """Run pre-built engines to completion on one shared pool.
+def run_engines(engines: Sequence[Any], budgets: Sequence[int]) -> List[RunResult]:
+    """Run the engines of one pool to completion; deterministic.
 
-    One OS thread per engine; the pool's turnstile serializes every
-    shared-pool interaction into global simulated-time order, so the
-    outcome is deterministic.  The first engine error (by main id) is
+    One main core runs on the calling thread.  Otherwise one OS thread
+    per engine; the pool's turnstile, which their views take turns
+    through, serializes every pool interaction into global
+    simulated-time order.  The first engine error (by main id) is
     re-raised on the calling thread.
     """
+    turnstile = engines[0].pool.turnstile
+    if turnstile is None:  # one main core: the pool's only caller
+        (engine,) = engines
+        return [engine.run(budgets[0])]
     n = len(engines)
     results: List[Optional[RunResult]] = [None] * n
     errors: List[Optional[BaseException]] = [None] * n
-    turnstile = pool.turnstile
 
     def worker(main_id: int) -> None:
         try:
@@ -183,14 +179,21 @@ class MulticoreEngine:
             for spec in self.specs
         ]
         self.systems: List[System] = systems
+        for system in systems:
+            options = system._options()
+            if not options.checking:
+                raise ValueError(
+                    f"system {system.name!r} does not check (checking=False); "
+                    "every main core of a shared pool must dispatch segments"
+                )
         size = pool_size if pool_size is not None else systems[0].config.checker.count
         if boot_offset is None:
             # The anti-ageing rotation is a harness-level draw: the pool
             # is one physical structure, not M private ones.
             rng = np.random.default_rng(derive_seed(seed, "mc-boot"))
             boot_offset = int(rng.integers(size))
-        self.pool = SharedCheckerPool(
-            len(self.specs), size, policy=policy, boot_offset=boot_offset
+        self.pool = CheckerPool(
+            size, boot_offset=boot_offset, main_count=len(self.specs), policy=policy
         )
         self.engines = []
         for main_id, (spec, system) in enumerate(zip(self.specs, systems)):
@@ -199,21 +202,13 @@ class MulticoreEngine:
                 if spec.seed is not None
                 else derive_seed(seed, "mc", main_id)
             )
-            view = self.pool.view(
-                main_id, system.config.checker, spec.workload.program
-            )
             engine = system.engine(
                 spec.workload,
                 seed=run_seed,
                 injector=spec.injector,
-                pool=view,
+                pool=self.pool,
                 main_id=main_id,
             )
-            if engine.pool is not view:
-                raise ValueError(
-                    f"system {system.name!r} does not check (checking=False); "
-                    "every main core of a shared pool must dispatch segments"
-                )
             self.engines.append(engine)
 
     def run(self) -> MulticoreResult:
@@ -224,7 +219,7 @@ class MulticoreEngine:
             else spec.workload.max_instructions
             for spec in self.specs
         ]
-        finished = run_shared_engines(self.engines, self.pool, budgets)
+        finished = run_engines(self.engines, budgets)
         wall_ns = max(r.wall_ns for r in finished)
         fairness = FairnessReport.from_pool(self.pool, wall_ns)
         trace = (

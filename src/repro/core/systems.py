@@ -92,8 +92,8 @@ class System:
     ) -> SimulationEngine:
         """Build a ready-to-run engine for ``workload``.
 
-        ``pool``/``main_id`` inject a shared checker pool view when the
-        engine is one producer of a multi-main-core system (see
+        ``pool``/``main_id`` make the engine main core
+        ``main_id`` of a multi-main-core system (see
         :mod:`repro.core.multicore`); left at their defaults the engine
         builds its own private pool.
         """

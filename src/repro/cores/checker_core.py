@@ -88,7 +88,12 @@ TIMEOUT_FACTOR = 4
 
 
 class CheckerCore:
-    """One checker core (identity matters only for scheduling/gating)."""
+    """One checker core replaying one program.
+
+    Occupancy is physical and lives in the
+    :class:`~repro.scheduling.pool.CheckerPool`; ``core_id`` names the
+    pool slot this replay model stands for.
+    """
 
     def __init__(self, core_id: int, config: CheckerConfig, program) -> None:
         self.core_id = core_id
@@ -105,10 +110,6 @@ class CheckerCore:
         #: Histogram-keyed memo for :meth:`analytic_cycles`: loop-heavy
         #: workloads close many segments with identical histograms.
         self._analytic_cache: "dict[tuple, float]" = {}
-        #: Wall-clock nanosecond at which this core finishes its current job.
-        self.busy_until_ns: float = 0.0
-        #: Lifetime busy time, for wake-rate statistics (figure 12).
-        self.busy_ns_total: float = 0.0
         self.segments_checked: int = 0
 
     # -- timing -------------------------------------------------------------------

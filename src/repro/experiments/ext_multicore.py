@@ -1,11 +1,11 @@
 """Extension: multi-main-core ParaDox with a live shared checker pool.
 
-Where :mod:`ext_sharing` replays *recorded* dispatch traces against
-hypothetical pools, this harness runs M main cores **live** against one
-shared pool (:mod:`repro.core.multicore`), so contention feeds back into
-each core's timeline: a core that waits on a checker another core
-occupies slows down, closes later checkpoints, and dispatches later —
-the coupling the trace-driven study cannot capture.
+Where :mod:`ext_sharing` sweeps pool sizes under one policy to test
+figure 12's halving claim, this harness compares the arbitration
+policies, running M main cores **live** against one shared pool
+(:mod:`repro.core.multicore`), so contention feeds back into each
+core's timeline: a core that waits on a checker another core occupies
+slows down, closes later checkpoints, and dispatches later.
 
 Two scenario axes from the ROADMAP:
 
@@ -31,7 +31,7 @@ from ..scheduling import PoolPolicy
 from ..workloads import build_spec_workload
 from .common import format_table
 
-#: Same demanding pairing as the trace-driven study.
+#: Same demanding pairing as the pool-size sweep.
 DEFAULT_PAIR: Sequence[str] = ("gobmk", "lbm")
 
 

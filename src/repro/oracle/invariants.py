@@ -178,17 +178,18 @@ class ParanoidChecker:
         if pool is None or health is None:
             return
         quarantined = health.quarantined
-        all_ids = {core.core_id for core in pool.cores}
-        unknown = quarantined - all_ids
+        unknown = quarantined - set(range(len(pool)))
         if unknown:
             raise EngineInvariantError(
                 where, f"quarantined unknown core ids {sorted(unknown)}"
             )
-        eligible = {core.core_id for core in pool._eligible(None)}
+        candidates = set(pool.candidates[engine.main_id])
+        eligible = set(pool.eligible(engine.main_id, health=health))
         overlap = eligible & quarantined
-        # _eligible drops the health filter only when it would empty the
-        # pool; any other overlap means quarantine is leaking work.
-        if overlap and not all_ids <= quarantined:
+        # eligible() drops the health filter only when it would empty
+        # the main's candidates; any other overlap means quarantine is
+        # leaking work.
+        if overlap and not candidates <= quarantined:
             raise EngineInvariantError(
                 where,
                 f"quarantined cores {sorted(overlap)} still eligible for "

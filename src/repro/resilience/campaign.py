@@ -550,6 +550,15 @@ def _build_injector(payload: Dict[str, Any], checker_count: int):
 def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one campaign run in-process and return a result dict.
 
+    ``main_cores`` main cores (the payload's, else one) run the
+    campaign's workload.  One main is the paper's system: a private pool
+    whose anti-ageing boot offset the engine draws from the payload
+    seed.  With several, every main gets a derived-seed injector, all
+    share one checker pool under the payload's ``pool_policy``, the
+    run's outcome is the *worst* across mains (one SDC anywhere is an
+    SDC for the run), and the result carries the pool's fairness
+    summary.
+
     Exposed for tests; :func:`run_campaign` always calls it inside a
     worker process so a crash here cannot take the campaign down.
     """
@@ -561,9 +570,6 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     if hook == "error":  # test hook: unhandled worker exception
         raise RuntimeError("campaign error hook")
 
-    if int(payload.get("main_cores", 1)) > 1:
-        return _execute_multicore_run(payload)
-
     from dataclasses import replace
 
     import numpy as np
@@ -571,9 +577,12 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..cli import resolve_workload
     from ..config import table1_config
     from ..core.engine import EngineOptions, SimulationEngine
+    from ..core.multicore import fairness_trace_events, run_engines
     from ..lslog.segment import RollbackGranularity
-    from ..scheduling import SchedulingPolicy
+    from ..parallel import derive_seed
+    from ..scheduling import POOL_POLICIES, CheckerPool, SchedulingPolicy
     from ..stats import RunOutcome
+    from ..stats.fairness import FairnessReport
     from ..workloads import golden_run
 
     started = time.perf_counter()
@@ -596,138 +605,38 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
                 config.dvfs, initial_difference=float(payload["initial_margin"])
             ),
         )
-    injector = _build_injector(payload, config.checker.count)
-    options = EngineOptions(
-        granularity=RollbackGranularity.LINE,
-        scheduling=SchedulingPolicy.LOWEST_FREE_ID,
-        adaptive_checkpoints=True,
-        dvs=bool(payload["dvs"]),
-        # No voltage->rate model: the campaign pins the requested rate so
-        # runs are comparable across the rate grid.
-        voltage_model=None,
-        tracing=bool(payload.get("tracing", False)),
-        resilience=resilience_config,
-    )
-    engine = SimulationEngine(
-        workload.program,
-        config,
-        options,
-        injector=injector,
-        memory=workload.create_memory(),
-        system_name="paradox-resilient",
-        rng=np.random.default_rng(int(payload["seed"])),
-    )
-    if engine.pool is not None:
-        # Lowest-free-ID scheduling starts at the pool's randomised boot
-        # offset, so rebind core-bound defects to the core that actually
-        # replays segments — a defect on a never-selected checker would
-        # be vacuously benign and test nothing.
-        for model in injector.models:
-            if model.bound_checker_id is not None:
-                model.bound_checker_id = engine.pool.boot_offset
-    result = engine.run(workload.max_instructions)
 
-    stages: Dict[str, int] = {}
-    for event in result.escalations:
-        stages[event.stage] = stages.get(event.stage, 0) + 1
-    matches = (
-        result.outcome is RunOutcome.COMPLETED
-        and engine.memory == golden.memory
-        and result.program_output == golden.output
-    )
-    return {
-        "status": "ok",
-        "outcome": result.outcome.value,
-        "matches_golden": bool(matches),
-        "recoveries": len(result.recoveries),
-        "faults_injected": result.faults_injected,
-        "instructions": result.instructions,
-        "quarantined": [event.core_id for event in result.quarantine_events],
-        "escalations": stages,
-        # Deterministic fitness inputs for the explore layer: simulated
-        # wall time, time-weighted supply voltage, per-checker wake rates.
-        "wall_ns": float(result.wall_ns),
-        "mean_voltage": float(result.mean_voltage),
-        "wake_rates": [float(rate) for rate in result.checker_wake_rates],
-        "failure": result.failure.summary() if result.failure else None,
-        "duration_s": time.perf_counter() - started,
-        "metrics": result.metrics,
-        "trace": result.trace,
-    }
-
-
-def _execute_multicore_run(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Simulate one multi-main-core campaign run (shared checker pool).
-
-    Every main core runs the campaign's workload against its own
-    derived-seed injector while sharing one checker pool under the
-    payload's ``pool_policy``; the run's class is the *worst* outcome
-    across mains (one SDC anywhere is an SDC for the run), and the
-    result carries the pool's fairness summary.
-    """
-    from dataclasses import replace
-
-    import numpy as np
-
-    from ..cli import resolve_workload
-    from ..config import table1_config
-    from ..core.engine import EngineOptions, SimulationEngine
-    from ..core.multicore import fairness_trace_events, run_shared_engines
-    from ..lslog.segment import RollbackGranularity
-    from ..parallel import derive_seed
-    from ..scheduling import SchedulingPolicy
-    from ..scheduling.shared import POOL_POLICIES, SharedCheckerPool
-    from ..stats import RunOutcome
-    from ..stats.fairness import FairnessReport
-    from ..workloads import golden_run
-
-    started = time.perf_counter()
-    mains = int(payload["main_cores"])
-    policy = POOL_POLICIES[payload.get("pool_policy") or "steal"]
-    workload = resolve_workload(payload["workload"], payload["scale"])
-    golden = golden_run(workload)
-
-    config = table1_config()
-    resilience_config = ResilienceConfig()
-    overrides = payload.get("overrides")
-    if overrides:
-        config, resilience_config = apply_config_overrides(
-            config, resilience_config, overrides
-        )
-    if payload["dvs"]:
-        config = replace(
-            config,
-            dvfs=replace(
-                config.dvfs, initial_difference=float(payload["initial_margin"])
-            ),
-        )
-
+    mains = int(payload.get("main_cores", 1))
     base_seed = int(payload["seed"])
-    pool_size = config.checker.count
-    boot_rng = np.random.default_rng(derive_seed(base_seed, "mc-boot"))
-    pool = SharedCheckerPool(
-        mains,
-        pool_size,
-        policy=policy,
-        boot_offset=int(boot_rng.integers(pool_size)),
-    )
     tracing = bool(payload.get("tracing", False))
+    seeds = [base_seed]
+    pool = policy = None
+    if mains > 1:
+        policy = POOL_POLICIES[payload.get("pool_policy") or "steal"]
+        size = config.checker.count
+        boot_rng = np.random.default_rng(derive_seed(base_seed, "mc-boot"))
+        pool = CheckerPool(
+            size,
+            boot_offset=int(boot_rng.integers(size)),
+            main_count=mains,
+            policy=policy,
+        )
+        seeds = [derive_seed(base_seed, "mc", main_id) for main_id in range(mains)]
 
     engines: List[SimulationEngine] = []
-    for main_id in range(mains):
-        core_payload = dict(payload)
-        core_payload["seed"] = derive_seed(base_seed, "mc", main_id)
-        injector = _build_injector(core_payload, pool_size)
+    for main_id, seed in enumerate(seeds):
+        injector = _build_injector({**payload, "seed": seed}, config.checker.count)
         options = EngineOptions(
             granularity=RollbackGranularity.LINE,
             scheduling=SchedulingPolicy.LOWEST_FREE_ID,
             adaptive_checkpoints=True,
             dvs=bool(payload["dvs"]),
+            # No voltage->rate model: the campaign pins the requested rate
+            # so runs are comparable across the rate grid.
             voltage_model=None,
             tracing=tracing,
             resilience=resilience_config,
         )
-        view = pool.view(main_id, config.checker, workload.program)
         engine = SimulationEngine(
             workload.program,
             config,
@@ -735,76 +644,74 @@ def _execute_multicore_run(payload: Dict[str, Any]) -> Dict[str, Any]:
             injector=injector,
             memory=workload.create_memory(),
             system_name="paradox-resilient",
-            rng=np.random.default_rng(int(core_payload["seed"])),
-            pool=view,
+            rng=np.random.default_rng(seed),
+            pool=pool,
             main_id=main_id,
         )
-        # Rebind core-bound defects to the first checker this main's
-        # policy order actually prefers (same rationale as the
-        # single-core path: a defect on a never-selected checker would
-        # be vacuously benign).
+        # Lowest-free-ID scheduling starts at the head of the main's
+        # candidate order (the randomised boot offset with one main), so
+        # rebind core-bound defects to the core that actually replays
+        # segments — a defect on a never-selected checker would be
+        # vacuously benign and test nothing.
         for model in injector.models:
             if model.bound_checker_id is not None:
-                model.bound_checker_id = pool._candidates[main_id][0]
+                model.bound_checker_id = engine.pool.candidates[main_id][0]
         engines.append(engine)
 
-    results = run_shared_engines(engines, pool, [workload.max_instructions] * mains)
+    results = run_engines(engines, [workload.max_instructions] * mains)
 
     stages: Dict[str, int] = {}
-    quarantined: set = set()
-    failure = None
+    quarantined: List[int] = []
     for result in results:
         for event in result.escalations:
             stages[event.stage] = stages.get(event.stage, 0) + 1
-        quarantined.update(event.core_id for event in result.quarantine_events)
-        if failure is None and result.failure is not None:
-            failure = result.failure.summary()
+        quarantined.extend(event.core_id for event in result.quarantine_events)
     severity = {"completed": 0, "livelock": 1, "forward_progress_failure": 2}
-    outcome = max(
-        (result.outcome.value for result in results),
-        key=lambda value: severity.get(value, 3),
-    )
+    worst = max(results, key=lambda r: severity.get(r.outcome.value, 3))
+    failure = next((r.failure for r in results if r.failure is not None), None)
     matches = all(
-        result.outcome is RunOutcome.COMPLETED for result in results
-    ) and all(
-        engine.memory == golden.memory and result.program_output == golden.output
+        result.outcome is RunOutcome.COMPLETED
+        and engine.memory == golden.memory
+        and result.program_output == golden.output
         for engine, result in zip(engines, results)
     )
     wall_ns = max(result.wall_ns for result in results)
-    fairness = FairnessReport.from_pool(pool, wall_ns)
-
-    metrics = None
-    trace = None
-    if tracing:
-        from ..telemetry import merge_metrics
-
-        metrics = merge_metrics([result.metrics for result in results])
-        trace = fairness_trace_events(
-            results, fairness, wall_ns, seed=base_seed, policy=policy
-        )
-    return {
+    pool = engines[0].pool  # the engine's private pool with one main
+    message = {
         "status": "ok",
-        "outcome": outcome,
+        "outcome": worst.outcome.value,
         "matches_golden": bool(matches),
         "recoveries": sum(len(result.recoveries) for result in results),
         "faults_injected": sum(result.faults_injected for result in results),
         "instructions": sum(result.instructions for result in results),
-        "quarantined": sorted(quarantined),
+        # Event order for one main; the set of checkers across several.
+        "quarantined": quarantined if mains == 1 else sorted(set(quarantined)),
         "escalations": stages,
+        # Deterministic fitness inputs for the explore layer: simulated
+        # wall time, time-weighted supply voltage (unweighted mean across
+        # mains, each already time-weighted over its own run) and the
+        # per-checker wake rates of the whole pool.
         "wall_ns": float(wall_ns),
-        # Unweighted mean across mains: each core's mean_voltage is
-        # already time-weighted over its own run.
         "mean_voltage": float(
             sum(result.mean_voltage for result in results) / len(results)
         ),
-        # Pool-wide wake rates: all mains' dispatches per physical core.
         "wake_rates": [float(rate) for rate in pool.wake_rates(wall_ns)],
-        "failure": failure,
-        "duration_s": time.perf_counter() - started,
-        "fairness": fairness.to_dict(),
-        "metrics": metrics,
-        "trace": trace,
+        "failure": failure.summary() if failure is not None else None,
+        "metrics": results[0].metrics,
+        "trace": results[0].trace,
     }
+    if mains > 1:
+        fairness = FairnessReport.from_pool(pool, wall_ns)
+        message["fairness"] = fairness.to_dict()
+        if tracing:
+            from ..telemetry import merge_metrics
+
+            message["metrics"] = merge_metrics([result.metrics for result in results])
+            message["trace"] = fairness_trace_events(
+                results, fairness, wall_ns, seed=base_seed, policy=policy
+            )
+    message["duration_s"] = time.perf_counter() - started
+    return message
 
 
 # ---------------------------------------------------------------- parent side --

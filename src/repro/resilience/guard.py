@@ -1,12 +1,12 @@
 """Forward-progress guarantees for error-intensive operation.
 
 ParaDox deliberately runs where errors are frequent, so the recovery
-machinery must never turn a fault burst into a hard crash.  Historically
-the engine raised :class:`~repro.core.engine.LivelockError` once total
-execution exceeded its budget — a blunt instrument that aborts runs the
-hardware would have saved.  The :class:`ForwardProgressGuard` replaces
-that with staged escalation, mirroring what a real power-management unit
-would do when the same checkpoint keeps rolling back:
+machinery must never turn a fault burst into a hard crash.  Without it
+the engine simply ends a run as a livelock once total execution exceeds
+its budget — a blunt instrument that abandons runs the hardware would
+have saved.  The :class:`ForwardProgressGuard` replaces that with staged
+escalation, mirroring what a real power-management unit would do when
+the same checkpoint keeps rolling back:
 
 1. **Shrink** — collapse the checkpoint window to its minimum via
    :meth:`~repro.checkpoint.CheckpointLengthController.force_minimum`,
@@ -261,8 +261,8 @@ class ForwardProgressGuard:
         livelock budget trips first.  When the injector carries persistent
         fault models and the supply is already safe, that exhaustion *is*
         the permanent-defect signature — surface the typed failure with
-        full diagnostics instead of letting the caller raise the blunt
-        ``LivelockError``.  Transient storms (no persistent model, or
+        full diagnostics instead of letting the run end as a blunt
+        livelock.  Transient storms (no persistent model, or
         still below the safe voltage) fall through untouched.
         """
         if self.injector is None or not self.injector.persistent_descriptions():

@@ -1,21 +1,7 @@
 """Checker-core scheduling policies and power-gating accounting."""
 
 from .pool import CheckerPool, DispatchRecord, SchedulingPolicy
-from .shared import (
-    DEFAULT_POOL_POLICY,
-    POOL_POLICIES,
-    PoolPolicy,
-    SharedCheckerCore,
-    SharedCheckerPool,
-    SharedPoolView,
-)
-from .sharing import (
-    SharedPoolReport,
-    merge_traces,
-    minimum_adequate_pool,
-    replay_shared_pool,
-    sharing_study,
-)
+from .shared import DEFAULT_POOL_POLICY, POOL_POLICIES, PoolPolicy, SharedPoolView
 
 __all__ = [
     "CheckerPool",
@@ -24,12 +10,5 @@ __all__ = [
     "POOL_POLICIES",
     "PoolPolicy",
     "SchedulingPolicy",
-    "SharedCheckerCore",
-    "SharedCheckerPool",
     "SharedPoolView",
-    "SharedPoolReport",
-    "merge_traces",
-    "minimum_adequate_pool",
-    "replay_shared_pool",
-    "sharing_study",
 ]

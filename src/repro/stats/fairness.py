@@ -55,10 +55,11 @@ class FairnessReport:
 
     @classmethod
     def from_pool(cls, pool: Any, total_ns: float) -> "FairnessReport":
-        """Build from a ``SharedCheckerPool`` after its engines finish."""
+        """Build from a ``CheckerPool`` after its engines finish."""
+        mains = range(pool.main_count)
         return cls(
-            dispatch_share=shares([float(c) for c in pool.per_main_dispatches()]),
-            busy_share=shares(pool.per_main_busy_ns()),
+            dispatch_share=shares([float(len(pool.records(m))) for m in mains]),
+            busy_share=shares([pool.busy_ns(m) for m in mains]),
             wait_ns=list(pool.wait_ns),
             wait_gini=gini(pool.wait_ns),
             pool_wake_rates=pool.wake_rates(total_ns),

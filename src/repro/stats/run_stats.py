@@ -163,9 +163,6 @@ class RunResult:
     #: Externally visible writes (WRITE_EXTERNAL syscalls) performed,
     #: each after draining all outstanding checks: (wall_ns, text).
     external_flushes: List["tuple[float, str]"] = field(default_factory=list)
-    #: Checker dispatch trace: (start_ns, duration_ns) per checked
-    #: segment, in dispatch order — input to the pool-sharing study.
-    dispatch_trace: List["tuple[float, float]"] = field(default_factory=list)
     #: Executed instructions per functional-unit class (including wasted
     #: re-execution) — input to activity-based energy accounting.
     unit_mix: Dict[str, int] = field(default_factory=dict)

@@ -304,14 +304,6 @@ class TestCli:
         parser = build_parser()
         args = parser.parse_args(["campaign", "--run-timeout", "7.5"])
         assert campaign_spec_from_args(args).timeout_s == 7.5
-        # The legacy --timeout alias still works when --run-timeout is
-        # absent; --run-timeout wins when both are given.
-        args = parser.parse_args(["campaign", "--timeout", "33"])
-        assert campaign_spec_from_args(args).timeout_s == 33
-        args = parser.parse_args(
-            ["campaign", "--timeout", "33", "--run-timeout", "5"]
-        )
-        assert campaign_spec_from_args(args).timeout_s == 5
 
     def test_run_timeout_lands_hung_run_in_timeout_class(self):
         """End to end: a hung worker under --run-timeout is terminated

@@ -22,8 +22,7 @@ class TestExtSharing:
     def test_small_run(self):
         result = ext_sharing.run(names=("bzip2", "lbm"), iterations=4)
         assert result.minimum_pool >= 1
-        sixteen = next(r for r in result.reports if r.pool_size == 16)
-        assert sixteen.blocked_fraction <= 0.05
+        assert result.max_slowdown(16) <= 1.05
         assert "sharing one pool" in result.table()
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import signal
 import time
 import types
-import warnings
 
 import pytest
 
@@ -283,37 +282,15 @@ class TestCliFlags:
         assert parser.parse_args(["diffcheck", "crc32", "--no-jit"]).no_jit
         assert parser.parse_args(["fuzz", "--no-jit"]).no_jit
 
-    def test_legacy_timeout_warns_and_routes_through(self):
-        from repro.cli import build_parser, resolve_run_timeout
-
-        parser = build_parser()
-        args = parser.parse_args(["campaign", "--timeout", "5"])
-        with pytest.warns(DeprecationWarning, match="--run-timeout"):
-            assert resolve_run_timeout(args) == 5.0
-
-    def test_run_timeout_takes_precedence_silently(self):
-        from repro.cli import build_parser, resolve_run_timeout
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["campaign", "--run-timeout", "7", "--timeout", "5"]
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_run_timeout(args) == 7.0
-        args = parser.parse_args(["campaign"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_run_timeout(args) == 60.0
-
     def test_campaign_spec_carries_resolved_timeout(self):
         from repro.cli import build_parser, campaign_spec_from_args
 
         parser = build_parser()
-        args = parser.parse_args(["campaign", "--timeout", "9"])
-        with pytest.warns(DeprecationWarning):
-            spec = campaign_spec_from_args(args)
-        assert spec.timeout_s == 9.0
+        args = parser.parse_args(["campaign", "--run-timeout", "9"])
+        assert campaign_spec_from_args(args).timeout_s == 9.0
+        # The watchdog defaults to 60 s without the flag.
+        args = parser.parse_args(["campaign"])
+        assert campaign_spec_from_args(args).timeout_s == 60.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ import json
 
 import pytest
 
+from repro.config import table1_config
 from repro.core import ParaDoxSystem, run_multicore
 from repro.core.multicore import CoreSpec, MulticoreEngine
-from repro.core.systems import BaselineSystem
+from repro.core.systems import BaselineSystem, DetectionOnlySystem, ParaMedicSystem
+from repro.experiments import ext_sharing
 from repro.resilience import CampaignSpec, run_campaign
-from repro.scheduling import POOL_POLICIES, PoolPolicy, SharedCheckerPool
+from repro.resilience.campaign import MODEL_MIXES, _build_injector
+from repro.scheduling import POOL_POLICIES, CheckerPool, PoolPolicy
 from repro.stats.fairness import FairnessReport, gini, shares
 from repro.store import run_key
 from repro.store.runkey import canonical_cell
@@ -47,7 +50,7 @@ class TestSharedPoolInvariants:
         )
         harness.run()
         for main_id in range(len(specs)):
-            allowed = set(harness.pool._candidates[main_id])
+            allowed = set(harness.pool.candidates[main_id])
             used = {
                 r.core_id for r in harness.pool.dispatches if r.main_id == main_id
             }
@@ -55,29 +58,68 @@ class TestSharedPoolInvariants:
             assert len(allowed) == 2  # 4 checkers split two ways
 
     def test_reservation_keeps_a_private_stripe(self):
-        pool = SharedCheckerPool(2, 8, policy=PoolPolicy.RESERVATION)
-        assert pool.reserved_per_main() == 2
-        stripes = [
-            set(pool._candidates[m][: pool.reserved_per_main()]) for m in range(2)
-        ]
-        assert stripes[0].isdisjoint(stripes[1])
+        pool = CheckerPool(8, main_count=2, policy=PoolPolicy.RESERVATION)
+        # 8 checkers, 2 mains: a 2-core stripe each, never lent out.
+        stripes = [set(pool.candidates[m][:2]) for m in range(2)]
+        assert stripes[0].isdisjoint(pool.candidates[1])
+        assert stripes[1].isdisjoint(pool.candidates[0])
 
     def test_boot_offset_rotates_every_policy(self):
         for policy in PoolPolicy:
-            pool = SharedCheckerPool(2, 6, policy=policy, boot_offset=4)
-            flat = [c for m in range(2) for c in pool._candidates[m]]
+            pool = CheckerPool(6, boot_offset=4, main_count=2, policy=policy)
+            flat = [c for m in range(2) for c in pool.candidates[m]]
             assert set(flat) <= set(range(6))
             # Logical ID 0 is physical core 4 after rotation.
-            assert pool._candidates[0][0] == 4
+            assert pool.candidates[0][0] == 4
+
+    def test_one_main_sees_the_whole_ring_under_every_policy(self):
+        for policy in PoolPolicy:
+            pool = CheckerPool(6, boot_offset=4, policy=policy)
+            assert pool.candidates == [[4, 5, 0, 1, 2, 3]]
 
     def test_undersized_pool_rejected(self):
         with pytest.raises(ValueError):
-            SharedCheckerPool(4, 2)
+            CheckerPool(2, main_count=4)
+
+    def test_paranoid_accepts_a_fully_quarantined_static_slice(self):
+        """The static fence never relaxes, so a main whose whole slice is
+        quarantined keeps dispatching to it: the quarantine invariant
+        must judge against that main's candidates, not the whole pool."""
+        from repro.oracle.invariants import ParanoidChecker
+
+        specs = [CoreSpec(workload=w) for w in small_mix()]
+        harness = MulticoreEngine(
+            specs,
+            policy=PoolPolicy.STATIC,
+            pool_size=4,
+            seed=3,
+            default_system=ParaDoxSystem(resilient=True),
+        )
+        engine = harness.engines[0]
+        for core_id in harness.pool.candidates[0]:
+            while not engine.health.is_quarantined(core_id):
+                engine.health.record_vindication(core_id, 0.0)
+        ParanoidChecker._check_pool(engine, "test")
 
     def test_non_checking_system_rejected(self):
         specs = [CoreSpec(workload=w, system=BaselineSystem()) for w in small_mix()]
         with pytest.raises(ValueError):
             MulticoreEngine(specs, pool_size=4, seed=1)
+
+    @pytest.mark.parametrize("system", [ParaMedicSystem(), DetectionOnlySystem()])
+    def test_round_robin_system_rejected(self, system):
+        """A shared pool schedules lowest-free-ID only: a round-robin
+        system must be refused, not silently run as ParaDox."""
+        specs = [CoreSpec(workload=w, system=system) for w in small_mix()]
+        with pytest.raises(ValueError, match=system.name):
+            MulticoreEngine(specs, pool_size=4, seed=1)
+
+    def test_main_id_outside_the_pool_rejected(self):
+        """An engine numbered past its pool's mains would schedule as
+        main 0 and report none of the pool's dispatches as its own."""
+        pool = CheckerPool(4, main_count=1)
+        with pytest.raises(ValueError, match="main core 1"):
+            ParaDoxSystem().engine(small_mix()[0], pool=pool, main_id=1)
 
 
 class TestFairnessMetrics:
@@ -264,3 +306,98 @@ class TestCliMulticore:
 
         with pytest.raises(SystemExit):
             main(["run", "bitcount", "--main-cores", "2", "--timeline"])
+
+    def test_round_robin_system_rejected(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="paramedic"):
+            main(
+                [
+                    "run", "bitcount,crc32", "--main-cores", "2",
+                    "--system", "paramedic", "--scale", "0.2",
+                ]
+            )
+
+
+IDENTITY_SEED = 5
+
+
+def identity_run(mix, policy=None, boot=None):
+    """bitcount under ``mix`` at rate 1e-3: on a private pool (``policy``
+    None), or as the one main of a shared pool given the private
+    engine's seed, injector and boot offset."""
+    seed = IDENTITY_SEED
+    workload = build_bitcount(values=32, seed=seed)
+    system = ParaDoxSystem(config=table1_config(), resilient=True)
+    payload = {
+        "seed": seed, "rate": 1e-3, "model": mix, "chip_seed": 0,
+        "dvs": True, "initial_margin": 0.15,
+    }
+    injector = _build_injector(payload, system.config.checker.count)
+    if policy is None:
+        engine = system.engine(workload, seed=seed, injector=injector)
+        boot = engine.pool.boot_offset
+    else:
+        harness = MulticoreEngine(
+            [CoreSpec(workload=workload, seed=seed, injector=injector)],
+            policy=policy,
+            seed=seed,
+            boot_offset=boot,
+            default_system=system,
+        )
+        engine = harness.engines[0]
+    # Bind core-bound defects to the first checker either pool picks.
+    for model in injector.models:
+        if model.bound_checker_id is not None:
+            model.bound_checker_id = boot
+    result = engine.run(workload.max_instructions)
+    return boot, {
+        "wall_ns": result.wall_ns,
+        "instructions": result.instructions,
+        "instructions_executed": result.instructions_executed,
+        "segments": result.segments,
+        "recoveries": result.recoveries,
+        "stalls": result.stalls,
+        "wake_rates": result.checker_wake_rates,
+        "peak": result.checker_peak_concurrency,
+        "quarantine": result.quarantine_events,
+        "escalations": result.escalations,
+        "outcome": result.outcome,
+        "faults": result.faults_injected,
+        "output": result.program_output,
+        "memory": engine.memory,
+    }
+
+
+class TestSingleCoreIsOneMain:
+    """Single-core is the M=1 case of the shared pool, for every fault
+    model mix under every arbitration policy."""
+
+    @pytest.fixture(scope="class", params=MODEL_MIXES)
+    def private(self, request):
+        return request.param, identity_run(request.param)
+
+    @pytest.mark.parametrize("policy", list(PoolPolicy))
+    def test_one_main_matches_private_pool(self, private, policy):
+        mix, (boot, expected) = private
+        assert expected["faults"] > 0
+        _, shared = identity_run(mix, policy, boot)
+        assert shared == expected
+
+
+class TestPaperClaim:
+    """Figure 12's closing claim, on co-simulated shared pools."""
+
+    @pytest.fixture(scope="class")
+    def sharing(self):
+        return ext_sharing.run(iterations=8, pool_sizes=(16, 8, 4, 2))
+
+    def test_sixteen_shared_checkers_suffice_for_two_cores(self, sharing):
+        """The halving claim: 2 main cores x 16 private checkers can share
+        one 16-checker pool with no core more than 1% slower."""
+        assert sharing.max_slowdown(16) <= ext_sharing.SLOWDOWN_BOUND
+
+    def test_checker_wait_monotone_in_pool_size(self, sharing):
+        waits = [sharing.total_wait_ns(size) for size in sharing.pool_sizes]
+        assert waits == sorted(waits, reverse=True)
+        assert waits[0] > 0  # two checkers for two mains do contend

@@ -12,7 +12,6 @@ import pytest
 from repro.checkpoint import CheckpointLengthController
 from repro.config import table1_config
 from repro.core import ParaDoxSystem
-from repro.cores import CheckerCore
 from repro.dvfs import VoltageController
 from repro.faults import (
     BurstFaultModel,
@@ -199,27 +198,19 @@ class TestCheckerHealth:
         assert tracker.active_count == 1
 
     def test_pool_skips_quarantined_cores(self):
-        config = table1_config()
-        program = build_bitcount(values=4).program
-        cores = [CheckerCore(i, config.checker, program) for i in range(4)]
         tracker = CheckerHealthTracker(4, quarantine_vindications=1)
-        pool = CheckerPool(
-            cores, SchedulingPolicy.LOWEST_FREE_ID, health=tracker
-        )
+        pool = CheckerPool(4, SchedulingPolicy.LOWEST_FREE_ID)
         tracker.record_vindication(0, 0.0)
-        core, _ = pool.select(0.0)
-        assert core.core_id != 0
+        core, _ = pool.select(0.0, health=tracker)
+        assert core != 0
 
     def test_pool_avoid_set_steers_retry(self):
-        config = table1_config()
-        program = build_bitcount(values=4).program
-        cores = [CheckerCore(i, config.checker, program) for i in range(4)]
-        pool = CheckerPool(cores, SchedulingPolicy.LOWEST_FREE_ID)
+        pool = CheckerPool(4, SchedulingPolicy.LOWEST_FREE_ID)
         core, _ = pool.select(0.0, avoid={0})
-        assert core.core_id != 0
+        assert core != 0
         # If every core is excluded the constraint is dropped, not a deadlock.
         core, _ = pool.select(0.0, avoid={0, 1, 2, 3})
-        assert core.core_id in {0, 1, 2, 3}
+        assert core in {0, 1, 2, 3}
 
 
 class TestFaultModels:

@@ -98,7 +98,7 @@ class TestTypedOutcomeProperty:
     )
     def test_stuck_at_fails_typed_at_safe_voltage(self, profile, seed, unit, bit):
         """A permanent defect at the safe voltage (no DVS) must produce a
-        forward-progress failure naming the unit — never LivelockError."""
+        forward-progress failure naming the unit — never a livelock."""
         workload = build_synthetic(profile, iterations=3, seed=seed % 1000)
         rng = np.random.default_rng(seed)
         injector = FaultInjector(

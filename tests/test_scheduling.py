@@ -3,46 +3,43 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CheckerConfig
-from repro.cores import CheckerCore
-from repro.isa import ProgramBuilder
+from repro.core import ParaDoxSystem
 from repro.scheduling import CheckerPool, SchedulingPolicy
+from repro.workloads import build_bitcount
 
 
 def make_pool(policy, count=4, boot_offset=0):
-    program = ProgramBuilder("p").halt().build()
-    cores = [CheckerCore(i, CheckerConfig(count=count), program) for i in range(count)]
-    return CheckerPool(cores, policy, boot_offset=boot_offset)
+    return CheckerPool(count, policy, boot_offset=boot_offset)
 
 
 class TestLowestFreeId:
     def test_prefers_lowest_free(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
         core, start = pool.select(0.0)
-        assert core.core_id == 0 and start == 0.0
+        assert core == 0 and start == 0.0
         pool.dispatch(core, 1, 0.0, 100.0)
         core2, _ = pool.select(10.0)
-        assert core2.core_id == 1  # 0 busy until 100
+        assert core2 == 1  # 0 busy until 100
 
     def test_reuses_zero_once_free(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
         core, _ = pool.select(0.0)
         pool.dispatch(core, 1, 0.0, 50.0)
         core2, _ = pool.select(60.0)
-        assert core2.core_id == 0
+        assert core2 == 0
 
     def test_all_busy_waits_for_earliest(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID, count=2)
-        pool.dispatch(pool.cores[0], 1, 0.0, 100.0)
-        pool.dispatch(pool.cores[1], 2, 0.0, 60.0)
+        pool.dispatch(0, 1, 0.0, 100.0)
+        pool.dispatch(1, 2, 0.0, 60.0)
         core, start = pool.select(10.0)
-        assert core.core_id == 1
+        assert core == 1
         assert start == 60.0
 
     def test_boot_offset_rotates_ids(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID, count=4, boot_offset=2)
         core, _ = pool.select(0.0)
-        assert core.core_id == 2
+        assert core == 2
 
     def test_concentrates_on_low_ids(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID, count=8)
@@ -64,7 +61,7 @@ class TestRoundRobin:
         for seq in range(4):
             core, start = pool.select(now)
             pool.dispatch(core, seq, max(start, now), 5.0)
-            ids.append(core.core_id)
+            ids.append(core)
             now += 100.0
         assert ids == [0, 1, 2, 3]
 
@@ -80,12 +77,12 @@ class TestRoundRobin:
 
     def test_skips_busy_core(self):
         pool = make_pool(SchedulingPolicy.ROUND_ROBIN, count=3)
-        pool.dispatch(pool.cores[0], 1, 0.0, 1000.0)
+        pool.dispatch(0, 1, 0.0, 1000.0)
         # Pointer moved to 1; both 1 and 2 are free.
         core, _ = pool.select(0.0)
-        assert core.core_id == 1
+        assert core == 1
         core2, _ = pool.select(0.0)
-        assert core2.core_id == 2
+        assert core2 == 2
 
     def test_boot_offset_rotates_cycle(self):
         """Regression: RR must walk the boot-rotated ring, not physical IDs.
@@ -100,55 +97,58 @@ class TestRoundRobin:
         for seq in range(4):
             core, start = pool.select(now)
             pool.dispatch(core, seq, max(start, now), 5.0)
-            ids.append(core.core_id)
+            ids.append(core)
             now += 100.0
         assert ids == [2, 3, 0, 1]
 
     def test_boot_offset_first_pick(self):
         pool = make_pool(SchedulingPolicy.ROUND_ROBIN, count=4, boot_offset=3)
         core, _ = pool.select(0.0)
-        assert core.core_id == 3
+        assert core == 3
 
 
 class TestDispatchAndAbort:
     def test_dispatch_occupies(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        record = pool.dispatch(pool.cores[0], 7, 10.0, 20.0)
-        assert pool.cores[0].busy_until_ns == 30.0
+        record = pool.dispatch(0, 7, 10.0, 20.0)
+        assert pool.busy_until_ns[0] == 30.0
         assert record.segment_seq == 7
 
     def test_abort_reclaims_time(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        record = pool.dispatch(pool.cores[0], 1, 0.0, 100.0)
-        pool.abort(record, at_ns=40.0)
-        assert pool.cores[0].busy_until_ns == 40.0
-        assert pool.cores[0].busy_ns_total == 40.0
+        record = pool.dispatch(0, 1, 0.0, 100.0)
+        assert pool.abort(record, at_ns=40.0) == 60.0
+        assert pool.busy_until_ns[0] == 40.0
+        assert pool.busy_ns() == 40.0
 
     def test_abort_after_completion_is_noop(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        record = pool.dispatch(pool.cores[0], 1, 0.0, 50.0)
-        pool.abort(record, at_ns=80.0)
-        assert pool.cores[0].busy_until_ns == 50.0
-        assert pool.cores[0].busy_ns_total == 50.0
+        record = pool.dispatch(0, 1, 0.0, 50.0)
+        assert pool.abort(record, at_ns=80.0) is None
+        assert pool.busy_until_ns[0] == 50.0
+        assert pool.busy_ns() == 50.0
 
     def test_last_core_id_tracked(self):
-        pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        assert pool.last_core_id is None
-        pool.dispatch(pool.cores[2], 1, 0.0, 10.0)
-        assert pool.last_core_id == 2
+        """The engine remembers the checker of its latest dispatch: the
+        next log segment stores it for continuity (figure 5)."""
+        workload = build_bitcount(values=8)
+        engine = ParaDoxSystem().engine(workload)
+        assert engine._last_checker_id is None
+        engine.run(workload.max_instructions)
+        assert engine._last_checker_id == engine.pool.dispatches[-1].core_id
 
     def test_abort_before_start_cannot_rewind_earlier_dispatch(self):
         """Regression: squashing a not-yet-started check must not free
         the core below an earlier, unaborted check's end."""
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        pool.dispatch(pool.cores[0], 1, 0.0, 100.0)  # runs [0, 100)
-        second = pool.dispatch(pool.cores[0], 2, 100.0, 50.0)  # [100, 150)
+        pool.dispatch(0, 1, 0.0, 100.0)  # runs [0, 100)
+        second = pool.dispatch(0, 2, 100.0, 50.0)  # [100, 150)
         pool.abort(second, at_ns=30.0)  # squash lands before it began
         # The unconditional min() rewound busy_until to 30 here, letting
         # a third check overlap the still-running first one.
-        assert pool.cores[0].busy_until_ns == 100.0
+        assert pool.busy_until_ns[0] == 100.0
         assert second.end_ns == 100.0
-        assert pool.cores[0].busy_ns_total == 100.0
+        assert pool.busy_ns() == 100.0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -165,77 +165,76 @@ class TestDispatchAndAbort:
         )
     )
     def test_abort_invariants_hold(self, ops):
-        """After any dispatch/abort interleaving, each core's
-        ``busy_until_ns`` equals the max end of its remaining records and
-        its ``busy_ns_total`` equals their summed lengths."""
+        """After any dispatch/abort interleaving, each core's busy-until
+        time equals the max end of its remaining records, no record ends
+        before it starts, and an abort reclaims exactly what it cut."""
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID, count=3)
         records = []
         for seq, (core_id, start, duration, do_abort, abort_at) in enumerate(ops):
-            start = max(start, pool.cores[core_id].busy_until_ns)
-            record = pool.dispatch(pool.cores[core_id], seq, start, duration)
+            start = max(start, pool.busy_until_ns[core_id])
+            record = pool.dispatch(core_id, seq, start, duration)
             records.append(record)
             if do_abort:
-                pool.abort(record, at_ns=abort_at)
-        for core in pool.cores:
-            mine = [r for r in records if r.core_id == core.core_id]
+                end_before = record.end_ns
+                reclaimed = pool.abort(record, at_ns=abort_at)
+                assert (reclaimed or 0.0) == end_before - record.end_ns
+        for core_id in range(len(pool)):
+            mine = [r for r in records if r.core_id == core_id]
             if not mine:
                 continue
-            assert core.busy_until_ns == max(r.end_ns for r in mine)
-            total = sum(r.end_ns - r.start_ns for r in mine)
-            assert abs(core.busy_ns_total - total) < 1e-6
-            assert core.busy_ns_total >= 0.0
+            assert pool.busy_until_ns[core_id] == max(r.end_ns for r in mine)
+            assert all(r.end_ns >= r.start_ns for r in mine)
 
 
 class TestStatistics:
     def test_wake_rates_fraction(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        pool.dispatch(pool.cores[0], 1, 0.0, 25.0)
+        pool.dispatch(0, 1, 0.0, 25.0)
         rates = pool.wake_rates(100.0)
         assert rates[0] == 0.25
         assert rates[1] == 0.0
 
     def test_peak_concurrency(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        pool.dispatch(pool.cores[0], 1, 0.0, 100.0)
-        pool.dispatch(pool.cores[1], 2, 50.0, 100.0)
-        pool.dispatch(pool.cores[2], 3, 200.0, 10.0)
+        pool.dispatch(0, 1, 0.0, 100.0)
+        pool.dispatch(1, 2, 50.0, 100.0)
+        pool.dispatch(2, 3, 200.0, 10.0)
         assert pool.peak_concurrency() == 2
 
     def test_cores_ever_used(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        pool.dispatch(pool.cores[0], 1, 0.0, 10.0)
-        pool.dispatch(pool.cores[3], 2, 0.0, 10.0)
-        assert pool.cores_ever_used() == 2
+        pool.dispatch(0, 1, 0.0, 10.0)
+        pool.dispatch(3, 2, 0.0, 10.0)
+        assert sum(1 for rate in pool.wake_rates(100.0) if rate > 0) == 2
 
     def test_empty_pool_rejected(self):
         import pytest
 
         with pytest.raises(ValueError):
-            CheckerPool([], SchedulingPolicy.ROUND_ROBIN)
+            CheckerPool(0, SchedulingPolicy.ROUND_ROBIN)
 
     def test_earliest_free_matches_select_eligibility(self):
-        """Regression: ``earliest_free_ns`` must see the same eligibility
-        view as ``select`` — with an ``avoid`` set narrowing both."""
+        """Regression: the wait ``select`` reports is for the earliest
+        free *eligible* core — an ``avoid`` set narrows it."""
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID, count=4)
-        pool.dispatch(pool.cores[0], 1, 0.0, 100.0)
+        pool.dispatch(0, 1, 0.0, 100.0)
         # Unconstrained: cores 1-3 are free right now.
-        assert pool.earliest_free_ns() == 0.0
-        # A retry avoiding every free core must wait for core 0 — and
-        # the wait-time accounting must agree with the core selected.
+        assert pool.select(10.0) == (1, 10.0)
+        # A retry avoiding every free core must wait for core 0, and the
+        # wait is accounted to the main core.
         avoid = {1, 2, 3}
-        assert pool.earliest_free_ns(avoid=avoid) == 100.0
         core, start = pool.select(10.0, avoid=avoid)
-        assert core.core_id == 0
-        assert start == pool.earliest_free_ns(avoid=avoid)
+        assert core == 0
+        assert start == 100.0
+        assert pool.wait_ns == [90.0]
 
     def test_earliest_free_relaxes_with_select(self):
-        """If ``avoid`` would empty the pool both views drop it."""
+        """If ``avoid`` would empty the pool, ``select`` drops it."""
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID, count=2)
-        pool.dispatch(pool.cores[0], 1, 0.0, 50.0)
+        pool.dispatch(0, 1, 0.0, 50.0)
         avoid = {0, 1}
-        assert pool.earliest_free_ns(avoid=avoid) == 0.0
         core, start = pool.select(0.0, avoid=avoid)
-        assert start == 0.0 and core.core_id == 1
+        assert start == 0.0 and core == 1
 
 
 class TestWakeRateClamping:
@@ -245,20 +244,20 @@ class TestWakeRateClamping:
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
         # The check starts inside the run but finishes far beyond it;
         # raw busy/total would be 150/100 = 1.5.
-        pool.dispatch(pool.cores[0], 1, 50.0, 150.0)
+        pool.dispatch(0, 1, 50.0, 150.0)
         rates = pool.wake_rates(100.0)
         assert rates[0] == 0.5
 
     def test_dispatch_entirely_after_run_end_counts_nothing(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
-        pool.dispatch(pool.cores[0], 1, 100.0, 50.0)
+        pool.dispatch(0, 1, 100.0, 50.0)
         assert pool.wake_rates(100.0)[0] == 0.0
 
     def test_multiple_overruns_still_bounded(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
         now = 0.0
         for seq in range(5):
-            pool.dispatch(pool.cores[0], seq, now, 40.0)
+            pool.dispatch(0, seq, now, 40.0)
             now += 40.0
         rates = pool.wake_rates(90.0)  # run ends mid-third-check
         assert rates[0] == 1.0
@@ -278,6 +277,6 @@ class TestWakeRateClamping:
     def test_rates_always_in_unit_interval(self, dispatches, total_ns):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
         for seq, (core_id, start, duration) in enumerate(dispatches):
-            pool.dispatch(pool.cores[core_id], seq, start, duration)
+            pool.dispatch(core_id, seq, start, duration)
         for rate in pool.wake_rates(total_ns):
             assert 0.0 <= rate <= 1.0
