@@ -47,7 +47,7 @@ from ..dvfs import VoltageController
 from ..faults.injector import FaultInjector
 from ..faults.voltage_model import VoltageErrorModel
 from ..isa import Executor, HaltTrap, MemoryImage, Program, SimTrap
-from ..isa.instructions import EXTERNAL_SYSCALLS, Opcode
+from ..isa.decode import decode_table
 from ..isa.state import ArchState
 from ..jit import SuperblockJit
 from ..lslog.detection import DetectionChannel
@@ -270,6 +270,9 @@ class SimulationEngine:
         #: sync at dispatch and squash so the per-instruction detection
         #: poll in the fill loop is a counter test, not a list scan.
         self._pending_detected = 0
+        #: The earliest pending detection, or None until it is asked
+        #: for; dropped wherever ``_pending_detected`` changes.
+        self._earliest_detection: Optional[PendingCheck] = None
         self._last_commit_ns = 0.0
         self._checkpoint_lengths: List[int] = []
         #: (checkpoint instret, checker id) of the last detection, pending
@@ -322,15 +325,10 @@ class SimulationEngine:
             from ..oracle.invariants import ParanoidChecker
 
             self.paranoid = ParanoidChecker()
-        #: PCs of externally visible syscalls, precomputed so the fill
-        #: loop's per-instruction "is the next instruction external?"
-        #: test is one set-membership probe.
-        self._external_pcs = frozenset(
-            pc
-            for pc, instruction in enumerate(program.instructions)
-            if instruction.opcode is Opcode.SYSCALL
-            and instruction.imm in EXTERNAL_SYSCALLS
-        )
+        #: The program's static per-PC facts (unit, register slots,
+        #: externally visible syscalls), shared with the timing model,
+        #: the checkers and the compiled tier.
+        self._decode = decode_table(program)
 
     # ------------------------------------------------------------------ time --
     @property
@@ -456,10 +454,6 @@ class SimulationEngine:
             # Map-based SRAM models follow the voltage directly: a
             # supply change re-thresholds their bit-cell maps.
             self.injector.set_voltage(self.dvfs.voltage)
-        if self.jit is not None:
-            # Voltage-event invalidation: bound superblocks are dropped
-            # on an actual supply move and lazily re-bound.
-            self.jit.note_voltage(self.dvfs.voltage)
 
     # -------------------------------------------------------------- checking --
     def _dispatch(self, segment: LogSegment) -> None:
@@ -517,6 +511,7 @@ class SimulationEngine:
         )
         if result.detected:
             self._pending_detected += 1
+            self._earliest_detection = None
         if self.timeline is not None:
             self.timeline.record(
                 start_ns,
@@ -559,12 +554,21 @@ class SimulationEngine:
 
     # -------------------------------------------------- commits & detections --
     def _next_detection(self) -> Optional[PendingCheck]:
+        """The pending detection that lands first (ties: the oldest)."""
         if not self._pending_detected:
             return None
-        candidates = [p for p in self._pending if p.result.detected]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.end_ns)
+        earliest = self._earliest_detection
+        if earliest is None:
+            # Detections leave _pending only when squashed, and commits
+            # never pass one, so the minimum holds until the next
+            # dispatch or squash clears it.
+            earliest = min(
+                (p for p in self._pending if p.result.detected),
+                key=lambda p: p.end_ns,
+                default=None,
+            )
+            self._earliest_detection = earliest
+        return earliest
 
     def _process_commits(self, up_to_ns: float) -> None:
         """Commit clean checks, oldest first, whose results land by ``up_to_ns``.
@@ -635,9 +639,9 @@ class SimulationEngine:
                 self.tracer.metrics.inc("scheduling.aborts")
         self._pending = keep
         self._pending_detected = sum(1 for p in keep if p.result.detected)
+        self._earliest_detection = None
 
         # Restore architectural and tracker state.
-        useful_before = self.state.instret
         self.state.restore(faulty.start_state)
         self.tracker.drop_after(faulty.seq - 1)
         self.timing.discard_inflight()
@@ -730,7 +734,6 @@ class SimulationEngine:
         self._open_segment(faulty.start_state.snapshot())
         if self.paranoid is not None:
             self.paranoid.on_rollback(self, faulty.seq - 1)
-        del useful_before
 
     def _handle_main_trap(self, trap: SimTrap) -> None:
         """The main core itself trapped — suspect a transient fault.
@@ -1001,6 +1004,8 @@ class SimulationEngine:
         step = self.executor.step
         commit = self.timing.commit
         unit_mix = self._unit_mix
+        unit_mix_get = unit_mix.get
+        unit_names = self._decode.unit_name
         jit_active_get = jit._active.get if jit is not None else None
         executed = 0
         while not state.halted and state.instret < max_instructions:
@@ -1021,8 +1026,8 @@ class SimulationEngine:
             info = step()
             executed += 1
             commit(info)
-            unit_name = info.instruction.unit.value
-            unit_mix[unit_name] = unit_mix.get(unit_name, 0) + 1
+            unit_name = unit_names[info.pc_before]
+            unit_mix[unit_name] = unit_mix_get(unit_name, 0) + 1
         self._executed_total += executed
         result = RunResult(
             system=self.system_name,
@@ -1052,7 +1057,12 @@ class SimulationEngine:
         step = self.executor.step
         commit = self.timing.commit
         unit_mix = self._unit_mix
-        external_pcs = self._external_pcs
+        unit_mix_get = unit_mix.get
+        decode = self._decode
+        unit_names = decode.unit_name
+        unit_indices = decode.unit_index
+        writes_register = decode.writes_register
+        external_pcs = decode.external_pcs
         injector = self.injector
         main_injection = injector is not None and injector.target == "main"
         jit = self.jit
@@ -1143,11 +1153,11 @@ class SimulationEngine:
 
             self._executed_total += 1
             commit(info)
-            unit = info.instruction.unit
-            unit_name = unit.value
-            unit_mix[unit_name] = unit_mix.get(unit_name, 0) + 1
+            pc = info.pc_before
+            unit_name = unit_names[pc]
+            unit_mix[unit_name] = unit_mix_get(unit_name, 0) + 1
             segment = self._segment
-            segment.record_instruction(unit, writes_register=info.dest is not None)
+            segment.record_instruction(unit_indices[pc], writes_register[pc])
             if self._external_verified:
                 # The external write just executed, *buffered*.  It is
                 # released to the outside world only once its own segment
@@ -1217,10 +1227,6 @@ class SimulationEngine:
                 )
             self._stall_to_wall(head_effective, StallBucket.CONFLICT)
             self._process_commits(head_effective)
-
-    def _next_is_external(self) -> bool:
-        """Is the next instruction a syscall that updates external state?"""
-        return self.state.pc in self._external_pcs
 
     def _drain_blocking(self) -> bool:
         """Stall the main core until all checks commit; True on rollback.

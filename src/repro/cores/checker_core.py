@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..config import CHECKER_FU_LATENCY, CheckerConfig
-from ..isa import Executor, FunctionalUnit, SimTrap, StepInfo
+from ..isa import Executor, SimTrap, StepInfo
+from ..isa.decode import UNITS, decode_table
 from ..isa.state import ArchState
 from ..lslog.detection import (
     CheckerException,
@@ -36,6 +37,9 @@ from ..lslog.detection import (
 from ..lslog.ports import CheckerReplayPort
 from ..lslog.segment import LogSegment
 from .icache_model import icache_penalty
+
+#: Checker latency per unit, indexed like :data:`repro.isa.decode.UNITS`.
+_UNIT_LATENCY = tuple(CHECKER_FU_LATENCY[unit.value] for unit in UNITS)
 
 
 class SegmentFaultHook(Protocol):
@@ -99,37 +103,26 @@ class CheckerCore:
         self.core_id = core_id
         self.config = config
         self.program = program
-        self._latency = {unit: CHECKER_FU_LATENCY[unit.value] for unit in FunctionalUnit}
-        #: Per-PC unit latency: static per instruction, so the replay
-        #: loop indexes a list instead of hashing an enum per step.
-        latency = self._latency
-        self._latency_by_pc = [
-            float(latency[instruction.unit]) for instruction in program.instructions
-        ]
+        #: Per-PC unit latency, shared by every checker of the program.
+        self._latency_by_pc = decode_table(program).checker_latency
         self._icache_cpi = icache_penalty(program.text_bytes, config).cycles_per_instruction
         #: Histogram-keyed memo for :meth:`analytic_cycles`: loop-heavy
         #: workloads close many segments with identical histograms.
         self._analytic_cache: "dict[tuple, float]" = {}
+        #: Replay executor, built on the first full check and reused:
+        #: each check restores its state in place and swaps its port.
+        self._executor: Optional[Executor] = None
         self.segments_checked: int = 0
 
     # -- timing -------------------------------------------------------------------
     def analytic_cycles(self, segment: LogSegment) -> float:
         """Checking cost from the instruction histogram (fast path)."""
-        key = (
-            segment.instruction_count,
-            tuple(
-                sorted(
-                    (unit.value, count)
-                    for unit, count in segment.unit_histogram.items()
-                )
-            ),
-        )
+        key = tuple(segment.unit_counts)
         cached = self._analytic_cache.get(key)
         if cached is not None:
             return cached
-        cycles = 0.0
-        for unit, count in segment.unit_histogram.items():
-            cycles += count * self._latency[unit]
+        # Integer latencies: the per-unit sum is exact in any order.
+        cycles = float(sum(count * lat for count, lat in zip(key, _UNIT_LATENCY)))
         cycles += segment.instruction_count * self._icache_cpi
         if len(self._analytic_cache) >= 512:
             self._analytic_cache.clear()
@@ -152,13 +145,17 @@ class CheckerCore:
         """
         if not segment.is_closed:
             raise ValueError(f"segment {segment.seq} is still filling")
-        state = segment.start_state.snapshot()
+        executor = self._executor
+        if executor is None:
+            executor = self._executor = Executor(self.program, ArchState(), None)
+        state = executor.state
+        state.restore(segment.start_state)
         port = CheckerReplayPort(
             segment,
             load_corruptor=hook.corrupt_load if hook else None,
             store_corruptor=hook.corrupt_store if hook else None,
         )
-        executor = Executor(self.program, state, port)
+        executor.port = port
         target = segment.instruction_count
         budget = max(target * TIMEOUT_FACTOR, target + 64)
         cycles = 0.0
@@ -179,7 +176,9 @@ class CheckerCore:
                     raise CheckerTimeout("checker exceeded budget", executed)
         except ErrorDetected as found:
             found.instruction_index = executed
-            detection = found
+            # Drop the traceback: it would tie this frame (and the
+            # engine's above it) into a cycle with the result.
+            detection = found.with_traceback(None)
         except SimTrap as trap:
             detection = CheckerException(
                 f"checker trapped: {trap!r}", instruction_index=executed
@@ -195,6 +194,7 @@ class CheckerCore:
                 detection = FinalStateMismatch(
                     "log not fully consumed at final check", instruction_index=executed
                 )
+        executor.port = None  # let the segment go with its check
         cycles += executed * self._icache_cpi
         self.segments_checked += 1
         return CheckResult(detection, executed, cycles)

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Optional
 
-from ..config import MAIN_FU_LATENCY, MainCoreConfig
 from ..isa import StepInfo
+from ..isa.decode import SLOT_COUNT, decode_table
 from ..memory.cache import MemoryHierarchy
 from .branch_predictor import TournamentPredictor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..config import MainCoreConfig
     from ..isa import Program
 
 
@@ -34,12 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MainCoreStats:
     """Aggregate timing statistics for the main core."""
 
-    instructions: int = 0
     checkpoint_blocks: int = 0
     stall_cycles: float = 0.0  # cycles spent waiting for checkers / conflicts
 
     def reset(self) -> None:
-        self.instructions = 0
         self.checkpoint_blocks = 0
         self.stall_cycles = 0.0
 
@@ -49,38 +48,31 @@ class MainCoreTiming:
 
     All times are in *main-core cycles* as floats; the engine converts to
     wall-clock using the (DVFS-scaled) frequency of the current interval.
+    Every static fact about an instruction (unit latency, load and branch
+    flags, registers read and written) comes from the program's
+    :func:`~repro.isa.decode.decode_table`.
     """
 
     def __init__(
         self,
-        config: MainCoreConfig,
+        config: "MainCoreConfig",
         hierarchy: MemoryHierarchy,
         predictor: TournamentPredictor,
-        program: Optional["Program"] = None,
+        program: "Program",
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.predictor = predictor
-        self._latency = {unit: MAIN_FU_LATENCY[unit.value] for unit in _ALL_UNITS}
-        #: Per-PC (unit latency, is_load, is_branch) when a program is
-        #: known: these are static instruction properties, so hoist the
-        #: enum/frozenset probes out of :meth:`commit`'s per-instruction
-        #: path.  Without a program the dynamic fallback is used.
-        self._static: Optional["list[Tuple[float, bool, bool]]"] = None
-        if program is not None:
-            latency = self._latency
-            self._static = [
-                (
-                    float(latency[instruction.unit]),
-                    instruction.is_load,
-                    instruction.is_branch,
-                )
-                for instruction in program.instructions
-            ]
-        #: Completion cycle per register tag.
-        self._reg_ready: Dict[Tuple[str, int], float] = {}
+        #: Per PC: (unit latency, is_load, is_branch, read slots, write slot).
+        self._rows = decode_table(program).main_rows
+        #: Completion cycle per register slot.  Never-written registers
+        #: read 0.0, which no ready time (itself >= 0) is below.
+        self._reg_ready = [0.0] * SLOT_COUNT
         #: Commit cycles of the youngest ``rob_entries`` instructions.
         self._rob: Deque[float] = deque(maxlen=config.rob_entries)
+        #: ``rob_entries`` again: an attribute read is cheaper per commit
+        #: than ``deque.maxlen``.
+        self._rob_entries = config.rob_entries
         #: Earliest cycle the front end can supply the next instruction.
         self._fetch_ready: float = 0.0
         #: Commit cursor: cycle of the most recent commit.
@@ -92,27 +84,33 @@ class MainCoreTiming:
     # -- main entry point -------------------------------------------------------------
     def commit(self, info: StepInfo) -> float:
         """Account one retired instruction; return its commit cycle."""
-        config = self.config
-        fetch_ready = self._fetch_cost(info.pc_before)
+        pc = info.pc_before
+        latency, is_load, is_branch, reads, write = self._rows[pc]
 
-        ready = fetch_ready
-        for tag in info.reads:
-            when = self._reg_ready.get(tag)
-            if when is not None and when > ready:
+        # Front end: a new I-cache line (16 instructions per 64-byte
+        # line) may miss, which delays the front end from now.
+        line = (pc * 4) >> 6
+        if line != self._last_fetch_line:
+            self._last_fetch_line = line
+            fetch_latency = self.hierarchy.fetch_access(pc * 4)
+            if fetch_latency > 1:
+                stall_until = self.now + fetch_latency
+                if stall_until > self._fetch_ready:
+                    self._fetch_ready = stall_until
+        ready = self._fetch_ready
+
+        reg_ready = self._reg_ready
+        for slot in reads:
+            when = reg_ready[slot]
+            if when > ready:
                 ready = when
-        if len(self._rob) == config.rob_entries and self._rob[0] > ready:
-            ready = self._rob[0]  # ROB full: wait for the oldest to commit
+        rob = self._rob
+        if len(rob) == self._rob_entries and rob[0] > ready:
+            ready = rob[0]  # ROB full: wait for the oldest to commit
 
-        instruction = info.instruction
-        static = self._static
-        if static is not None:
-            latency, is_load, is_branch = static[info.pc_before]
-        else:
-            latency = float(self._latency[instruction.unit])
-            is_load = instruction.is_load
-            is_branch = instruction.is_branch
-        if info.address is not None:
-            access = self.hierarchy.data_access(info.address, pc=info.pc_before)
+        address = info.address
+        if address is not None:
+            access = self.hierarchy.data_access(address, pc=pc)
             if is_load:
                 latency = float(access.latency_cycles)
             # Stores retire into the store queue; their miss latency is
@@ -123,33 +121,19 @@ class MainCoreTiming:
         floor = self.now + self._commit_slot
         if commit < floor:
             commit = floor
-        self._rob.append(commit)
+        rob.append(commit)
         self.now = commit
-        if info.dest is not None:
-            self._reg_ready[info.dest] = complete
+        if write >= 0:
+            reg_ready[write] = complete
         if is_branch:
             mispredicted = self.predictor.access(
-                info.pc_before, instruction, bool(info.taken), info.pc_after
+                pc, info.instruction, bool(info.taken), info.pc_after
             )
             if mispredicted:
                 redirect = complete + self.predictor.config.mispredict_penalty_cycles
                 if redirect > self._fetch_ready:
                     self._fetch_ready = redirect
-        self.stats.instructions += 1
         return commit
-
-    def _fetch_cost(self, pc: int) -> float:
-        """Front-end availability for the instruction at ``pc``."""
-        line = (pc * 4) >> 6  # 16 instructions per 64-byte line
-        if line != self._last_fetch_line:
-            self._last_fetch_line = line
-            latency = self.hierarchy.fetch_access(pc * 4)
-            if latency > 1:
-                # A miss delays the front end from now.
-                stall_until = self.now + latency
-                if stall_until > self._fetch_ready:
-                    self._fetch_ready = stall_until
-        return self._fetch_ready
 
     # -- engine hooks --------------------------------------------------------------------
     def block_commit(self, cycles: float) -> None:
@@ -173,12 +157,7 @@ class MainCoreTiming:
 
     def discard_inflight(self) -> None:
         """Squash speculative scoreboard state (used on rollback)."""
-        self._reg_ready.clear()
+        self._reg_ready[:] = [0.0] * SLOT_COUNT
         self._rob.clear()
         self._fetch_ready = max(self._fetch_ready, self.now)
         self._last_fetch_line = None
-
-
-from ..isa import FunctionalUnit as _FU  # noqa: E402  (constant table below)
-
-_ALL_UNITS = tuple(_FU)

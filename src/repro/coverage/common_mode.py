@@ -23,6 +23,7 @@ from typing import Optional
 
 from ..cores.checker_core import CheckResult, CheckerCore
 from ..isa import ArchState, Executor, MemoryImage, Program, StepInfo
+from ..isa.decode import UNIT_INDEX
 from ..isa.registers import RegisterCategory
 from ..lslog.ports import MainMemoryPort
 from ..lslog.segment import LogSegment, RollbackGranularity, SegmentCloseReason
@@ -85,7 +86,7 @@ def _fill_corrupted_segment(
             main_corruption.apply(state)
         info = executor.step()
         segment.record_instruction(
-            info.instruction.unit, writes_register=info.dest is not None
+            UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
         )
         index += 1
     segment.close(state.snapshot(), SegmentCloseReason.PROGRAM_END)

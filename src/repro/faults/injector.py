@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry import Tracer
 
 from ..isa import StepInfo
+from ..isa.decode import UNIT_INDEX
 from ..isa.state import ArchState
 from ..lslog.segment import LogSegment
 from .models import FaultDomain, FaultModel
@@ -174,7 +175,7 @@ class FaultInjector:
             return segment.store_count
         # UNIT_INSTRUCTIONS: only instructions of the unit that write a
         # register count (a no-effect instruction injects nothing).
-        return segment.unit_dest_histogram.get(model.unit, 0)  # type: ignore[attr-defined]
+        return segment.unit_dest_counts[UNIT_INDEX[model.unit]]  # type: ignore[attr-defined]
 
     def fires_within_segment(self, segment: LogSegment) -> bool:
         """Could any model fire while checking ``segment``?  Non-consuming.

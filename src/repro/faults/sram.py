@@ -425,7 +425,7 @@ class SramFaultModel(FaultModel):
         if not active:
             return False
         if self.structure is SramStructure.CHECKER_REGFILE:
-            return sum(segment.unit_dest_histogram.values()) > 0
+            return any(segment.unit_dest_counts)
         if self.structure is SramStructure.LOAD_STORE_LOG:
             words = self._maps[self._instance].rows  # type: ignore[index]
             for row in active:

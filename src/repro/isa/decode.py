@@ -1,0 +1,224 @@
+"""The static per-PC decode table: one per program, shared by every layer.
+
+Everything the timing models, the log and the compiled tier need to
+know about an instruction, apart from its runtime address and branch
+outcome, is a pure function of the program and the PC.  This module
+works those facts out once per :class:`~repro.isa.program.Program` and
+keeps them as flat lists indexed by PC:
+
+* the functional unit, as an index into :data:`UNITS` and as its name;
+* the main-core and checker-core unit latencies;
+* the load and branch flags;
+* the registers read and the register written, as flat integer
+  *slots* (``x0..x31``, then ``f0..f15``, then the flags register), so
+  the main core's scoreboard is a list instead of a tuple-keyed dict;
+* which PCs hold a syscall whose effect escapes the rollback domain.
+
+The read and write slots mirror exactly what
+:class:`~repro.isa.executor.Executor` reports in each
+:class:`~repro.isa.executor.StepInfo` (``reads`` and ``dest``); the
+test suite checks that for every PC any workload or fuzz profile
+retires.
+
+Tables are cached per program object, like the compiled tier's code
+cache: ``Program`` is an unhashable dataclass, so the key is its
+identity, and a weakref finalizer evicts the entry when the program
+dies, before the id can be reused.
+"""
+
+from __future__ import annotations
+
+import weakref
+from typing import Dict, List, Optional, Tuple
+
+from ..config import CHECKER_FU_LATENCY, MAIN_FU_LATENCY
+from .executor import RegTag, StepInfo
+from .instructions import (
+    CONDITIONAL_FLAG_BRANCHES,
+    EXTERNAL_SYSCALLS,
+    FunctionalUnit,
+    Instruction,
+    Opcode,
+)
+from .program import Program
+from .registers import NUM_FP_REGS, NUM_INT_REGS
+
+#: Every functional unit, in the order unit indices count them.
+UNITS: Tuple[FunctionalUnit, ...] = tuple(FunctionalUnit)
+#: Unit -> its index in :data:`UNITS` (and in per-unit count lists).
+UNIT_INDEX: Dict[FunctionalUnit, int] = {unit: i for i, unit in enumerate(UNITS)}
+
+#: First slot of the floating-point registers; integer register ``i``
+#: is slot ``i``.
+F_BASE = NUM_INT_REGS
+#: Slot of the flags register.
+FLAGS_SLOT = NUM_INT_REGS + NUM_FP_REGS
+#: Number of register slots (the scoreboard's length).
+SLOT_COUNT = FLAGS_SLOT + 1
+#: Write slot of an instruction that writes no register.
+NO_SLOT = -1
+
+
+def tag_of(slot: int) -> RegTag:
+    """The interpreter register tag of a flat slot."""
+    if slot == FLAGS_SLOT:
+        return ("flags", 0)
+    if slot >= F_BASE:
+        return ("f", slot - F_BASE)
+    return ("x", slot)
+
+
+_X_X_TO_X = frozenset(
+    {
+        Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.ORR, Opcode.EOR,
+        Opcode.LSL, Opcode.LSR, Opcode.ASR, Opcode.MUL, Opcode.DIV, Opcode.REM,
+    }
+)  # fmt: skip
+_X_TO_X = frozenset(
+    {
+        Opcode.ADDI, Opcode.SUBI, Opcode.ANDI, Opcode.ORRI, Opcode.EORI,
+        Opcode.LSLI, Opcode.LSRI, Opcode.ASRI, Opcode.MOV,
+    }
+)  # fmt: skip
+_F_F_TO_F = frozenset({Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV})
+
+
+def reads_write(instr: Instruction) -> Tuple[Tuple[int, ...], int]:
+    """The read slots and write slot the interpreter reports for ``instr``.
+
+    Mirrors each :class:`~repro.isa.executor.Executor` handler's
+    ``reads``/``dest`` tags, slot for slot and in the same order.
+    """
+    op = instr.opcode
+    d, a, b = instr.rd, instr.rs1, instr.rs2
+    f = F_BASE
+    if op in _X_X_TO_X:
+        return (a, b), d
+    if op in _X_TO_X:
+        return (a,), d
+    if op is Opcode.MOVI:
+        return (), d
+    if op is Opcode.CMP:
+        return (a, b), FLAGS_SLOT
+    if op is Opcode.CMPI:
+        return (a,), FLAGS_SLOT
+    if op is Opcode.FCMP:
+        return (f + a, f + b), FLAGS_SLOT
+    if op in _F_F_TO_F:
+        return (f + a, f + b), f + d
+    if op is Opcode.FMOV:
+        return (f + a,), f + d
+    if op is Opcode.FMOVI:
+        return (), f + d
+    if op is Opcode.FCVT:
+        return (a,), f + d
+    if op is Opcode.FCVTI:
+        return (f + a,), d
+    if op is Opcode.LDR:
+        return (a,), d
+    if op is Opcode.FLDR:
+        return (a,), f + d
+    if op is Opcode.STR:
+        return (a, b), NO_SLOT
+    if op is Opcode.FSTR:
+        return (a, f + b), NO_SLOT
+    if op in CONDITIONAL_FLAG_BRANCHES:
+        return (FLAGS_SLOT,), NO_SLOT
+    if op is Opcode.CBZ or op is Opcode.CBNZ:
+        return (a,), NO_SLOT
+    if op is Opcode.JAL:
+        return (), d
+    if op is Opcode.JALR:
+        return (a,), d
+    if op is Opcode.SYSCALL:
+        return (1,), NO_SLOT
+    if op is Opcode.B or op is Opcode.NOP or op is Opcode.HALT:
+        return (), NO_SLOT
+    raise ValueError(f"no decode rule for {op}")
+
+
+class DecodeTable:
+    """Per-PC static facts of one program; see the module docstring.
+
+    Every column is a list indexed by PC.  :attr:`main_rows` packs the
+    main-core timing columns into one tuple per PC so
+    :meth:`MainCoreTiming.commit <repro.cores.main_core.MainCoreTiming.commit>`
+    pays one index for all of them, and :attr:`external_pcs` is the set
+    of PCs the engine must drain checks before.
+    """
+
+    __slots__ = (
+        "instructions",
+        "unit_index",
+        "unit_name",
+        "main_latency",
+        "checker_latency",
+        "is_load",
+        "is_branch",
+        "reads",
+        "write",
+        "writes_register",
+        "main_rows",
+        "external_pcs",
+    )
+
+    def __init__(self, program: Program) -> None:
+        instructions = program.instructions
+        self.instructions = instructions
+        self.unit_index: List[int] = []
+        self.unit_name: List[str] = []
+        self.main_latency: List[float] = []
+        self.checker_latency: List[float] = []
+        self.is_load: List[bool] = []
+        self.is_branch: List[bool] = []
+        self.reads: List[Tuple[int, ...]] = []
+        self.write: List[int] = []
+        self.writes_register: List[bool] = []
+        for instr in instructions:
+            unit = instr.opcode.unit
+            reads, write = reads_write(instr)
+            self.unit_index.append(UNIT_INDEX[unit])
+            self.unit_name.append(unit.value)
+            self.main_latency.append(float(MAIN_FU_LATENCY[unit.value]))
+            self.checker_latency.append(float(CHECKER_FU_LATENCY[unit.value]))
+            self.is_load.append(instr.is_load)
+            self.is_branch.append(instr.is_branch)
+            self.reads.append(reads)
+            self.write.append(write)
+            self.writes_register.append(write != NO_SLOT)
+        self.main_rows: List[Tuple[float, bool, bool, Tuple[int, ...], int]] = list(
+            zip(self.main_latency, self.is_load, self.is_branch, self.reads, self.write)
+        )
+        self.external_pcs = frozenset(
+            pc
+            for pc, instr in enumerate(instructions)
+            if instr.opcode is Opcode.SYSCALL and instr.imm in EXTERNAL_SYSCALLS
+        )
+
+    def step_info(self, pc: int) -> StepInfo:
+        """The :class:`StepInfo` a fall-through retire of ``pc`` reports,
+        with no address yet (memory ops fill it in at run time)."""
+        dest = self.write[pc]
+        return StepInfo(
+            self.instructions[pc],
+            pc,
+            pc + 1,
+            tuple(tag_of(slot) for slot in self.reads[pc]),
+            None if dest == NO_SLOT else tag_of(dest),
+            None,
+            None,
+        )
+
+
+_TABLES: Dict[int, DecodeTable] = {}
+
+
+def decode_table(program: Program) -> DecodeTable:
+    """The program's decode table, built on first use and then shared."""
+    key = id(program)
+    table: Optional[DecodeTable] = _TABLES.get(key)
+    if table is None:
+        table = DecodeTable(program)
+        _TABLES[key] = table
+        weakref.finalize(program, _TABLES.pop, key, None)
+    return table

@@ -83,12 +83,18 @@ def _flags_from_sub(a: int, b: int) -> Tuple[bool, bool, bool, bool]:
 
 
 class Executor:
-    """Step a program over an architectural state and a data port."""
+    """Step a program over an architectural state and a data port.
+
+    The handlers close over the state, its register file and a one-slot
+    port cell, never over the executor itself, so an executor holds no
+    reference cycle and is freed by refcount as soon as its owner drops
+    it.  Assigning :attr:`port` swaps the port every handler sees.
+    """
 
     def __init__(self, program: Program, state: ArchState, port: DataPort) -> None:
         self.program = program
         self.state = state
-        self.port = port
+        self._port_cell = [port]
         self._dispatch: Dict[Opcode, Callable[[Instruction], StepInfo]] = {}
         self._build_dispatch()
         # Per-PC decode table: the handler and the instruction are both
@@ -104,6 +110,23 @@ class Executor:
         # pure interpretation — engine loops that need per-instruction
         # control keep using it and drive the tier themselves.
         self.jit = None
+
+    _CONDITIONS = {
+        Opcode.BEQ: lambda n, z, c, v: z,
+        Opcode.BNE: lambda n, z, c, v: not z,
+        Opcode.BLT: lambda n, z, c, v: n != v,
+        Opcode.BGE: lambda n, z, c, v: n == v,
+        Opcode.BGT: lambda n, z, c, v: not z and n == v,
+        Opcode.BLE: lambda n, z, c, v: z or n != v,
+    }
+
+    @property
+    def port(self) -> DataPort:
+        return self._port_cell[0]
+
+    @port.setter
+    def port(self, port: DataPort) -> None:
+        self._port_cell[0] = port
 
     # -- public API --------------------------------------------------------------
     def attach_jit(self):
@@ -175,31 +198,30 @@ class Executor:
             retired += 1
         return retired
 
-    # -- helpers --------------------------------------------------------------------
-    def _advance(
-        self,
-        instr: Instruction,
-        reads: Tuple[RegTag, ...],
-        dest: Optional[RegTag],
-        address: Optional[int] = None,
-        next_pc: Optional[int] = None,
-        taken: Optional[bool] = None,
-    ) -> StepInfo:
-        state = self.state
-        pc_before = state.pc
-        state.pc = pc_before + 1 if next_pc is None else next_pc
-        return StepInfo(instr, pc_before, state.pc, reads, dest, address, taken)
-
     # -- dispatch construction --------------------------------------------------------
     def _build_dispatch(self) -> None:
         d = self._dispatch
-        regs = self.state.regs
+        state = self.state
+        regs = state.regs
+        port_cell = self._port_cell
+
+        def advance(
+            instr: Instruction,
+            reads: Tuple[RegTag, ...],
+            dest: Optional[RegTag],
+            address: Optional[int] = None,
+            next_pc: Optional[int] = None,
+            taken: Optional[bool] = None,
+        ) -> StepInfo:
+            pc_before = state.pc
+            state.pc = pc_before + 1 if next_pc is None else next_pc
+            return StepInfo(instr, pc_before, state.pc, reads, dest, address, taken)
 
         def binop(fn: Callable[[int, int], int]) -> Callable[[Instruction], StepInfo]:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.x[instr.rs1], regs.x[instr.rs2])
                 regs.write_x(instr.rd, value)
-                return self._advance(
+                return advance(
                     instr, (("x", instr.rs1), ("x", instr.rs2)), ("x", instr.rd)
                 )
 
@@ -209,7 +231,7 @@ class Executor:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.x[instr.rs1], instr.imm)
                 regs.write_x(instr.rd, value)
-                return self._advance(instr, (("x", instr.rs1),), ("x", instr.rd))
+                return advance(instr, (("x", instr.rs1),), ("x", instr.rd))
 
             return execute
 
@@ -217,7 +239,7 @@ class Executor:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.read_f(instr.rs1), regs.read_f(instr.rs2))
                 regs.write_f(instr.rd, value)
-                return self._advance(
+                return advance(
                     instr, (("f", instr.rs1), ("f", instr.rs2)), ("f", instr.rd)
                 )
 
@@ -270,175 +292,155 @@ class Executor:
         d[Opcode.FMUL] = fbinop(lambda a, b: a * b)
         d[Opcode.FDIV] = fbinop(fdiv)
 
-        d[Opcode.MOV] = self._exec_mov
-        d[Opcode.MOVI] = self._exec_movi
-        d[Opcode.CMP] = self._exec_cmp
-        d[Opcode.CMPI] = self._exec_cmpi
-        d[Opcode.FCMP] = self._exec_fcmp
-        d[Opcode.FMOV] = self._exec_fmov
-        d[Opcode.FMOVI] = self._exec_fmovi
-        d[Opcode.FCVT] = self._exec_fcvt
-        d[Opcode.FCVTI] = self._exec_fcvti
-        d[Opcode.LDR] = self._exec_load
-        d[Opcode.FLDR] = self._exec_load
-        d[Opcode.STR] = self._exec_store
-        d[Opcode.FSTR] = self._exec_store
-        d[Opcode.B] = self._exec_b
-        for op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BGT, Opcode.BLE):
-            d[op] = self._exec_cond_branch
-        d[Opcode.CBZ] = self._exec_cb
-        d[Opcode.CBNZ] = self._exec_cb
-        d[Opcode.JAL] = self._exec_jal
-        d[Opcode.JALR] = self._exec_jalr
-        d[Opcode.NOP] = self._exec_nop
-        d[Opcode.HALT] = self._exec_halt
-        d[Opcode.SYSCALL] = self._exec_syscall
+        # -- individual handlers ---------------------------------------------------
+        def exec_mov(instr: Instruction) -> StepInfo:
+            regs.write_x(instr.rd, regs.x[instr.rs1])
+            return advance(instr, (("x", instr.rs1),), ("x", instr.rd))
 
-    # -- individual handlers -------------------------------------------------------------
-    def _exec_mov(self, instr: Instruction) -> StepInfo:
-        self.state.regs.write_x(instr.rd, self.state.regs.x[instr.rs1])
-        return self._advance(instr, (("x", instr.rs1),), ("x", instr.rd))
+        def exec_movi(instr: Instruction) -> StepInfo:
+            regs.write_x(instr.rd, to_unsigned(instr.imm))
+            return advance(instr, (), ("x", instr.rd))
 
-    def _exec_movi(self, instr: Instruction) -> StepInfo:
-        self.state.regs.write_x(instr.rd, to_unsigned(instr.imm))
-        return self._advance(instr, (), ("x", instr.rd))
+        def exec_cmp(instr: Instruction) -> StepInfo:
+            regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], regs.x[instr.rs2]))
+            return advance(instr, (("x", instr.rs1), ("x", instr.rs2)), ("flags", 0))
 
-    def _exec_cmp(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], regs.x[instr.rs2]))
-        return self._advance(
-            instr, (("x", instr.rs1), ("x", instr.rs2)), ("flags", 0)
-        )
+        def exec_cmpi(instr: Instruction) -> StepInfo:
+            regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], to_unsigned(instr.imm)))
+            return advance(instr, (("x", instr.rs1),), ("flags", 0))
 
-    def _exec_cmpi(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], to_unsigned(instr.imm)))
-        return self._advance(instr, (("x", instr.rs1),), ("flags", 0))
+        def exec_fcmp(instr: Instruction) -> StepInfo:
+            a, b = regs.read_f(instr.rs1), regs.read_f(instr.rs2)
+            if a != a or b != b:  # unordered (NaN)
+                regs.set_flags(False, False, True, True)
+            else:
+                regs.set_flags(a < b, a == b, a >= b, False)
+            return advance(instr, (("f", instr.rs1), ("f", instr.rs2)), ("flags", 0))
 
-    def _exec_fcmp(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        a, b = regs.read_f(instr.rs1), regs.read_f(instr.rs2)
-        if a != a or b != b:  # unordered (NaN)
-            regs.set_flags(False, False, True, True)
-        else:
-            regs.set_flags(a < b, a == b, a >= b, False)
-        return self._advance(instr, (("f", instr.rs1), ("f", instr.rs2)), ("flags", 0))
+        def exec_fmov(instr: Instruction) -> StepInfo:
+            regs.write_f_bits(instr.rd, regs.read_f_bits(instr.rs1))
+            return advance(instr, (("f", instr.rs1),), ("f", instr.rd))
 
-    def _exec_fmov(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        regs.write_f_bits(instr.rd, regs.read_f_bits(instr.rs1))
-        return self._advance(instr, (("f", instr.rs1),), ("f", instr.rd))
+        def exec_fmovi(instr: Instruction) -> StepInfo:
+            regs.write_f(instr.rd, instr.fimm)
+            return advance(instr, (), ("f", instr.rd))
 
-    def _exec_fmovi(self, instr: Instruction) -> StepInfo:
-        self.state.regs.write_f(instr.rd, instr.fimm)
-        return self._advance(instr, (), ("f", instr.rd))
+        def exec_fcvt(instr: Instruction) -> StepInfo:
+            regs.write_f(instr.rd, float(to_signed(regs.x[instr.rs1])))
+            return advance(instr, (("x", instr.rs1),), ("f", instr.rd))
 
-    def _exec_fcvt(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        regs.write_f(instr.rd, float(to_signed(regs.x[instr.rs1])))
-        return self._advance(instr, (("x", instr.rs1),), ("f", instr.rd))
+        def exec_fcvti(instr: Instruction) -> StepInfo:
+            value = regs.read_f(instr.rs1)
+            if value != value:  # NaN
+                result = 0
+            elif value >= 2.0**63:
+                result = (1 << 63) - 1
+            elif value <= -(2.0**63):
+                result = 1 << 63  # most-negative pattern
+            else:
+                result = to_unsigned(int(value))
+            regs.write_x(instr.rd, result)
+            return advance(instr, (("f", instr.rs1),), ("x", instr.rd))
 
-    def _exec_fcvti(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        value = regs.read_f(instr.rs1)
-        if value != value:  # NaN
-            result = 0
-        elif value >= 2.0**63:
-            result = (1 << 63) - 1
-        elif value <= -(2.0**63):
-            result = 1 << 63  # most-negative pattern
-        else:
-            result = to_unsigned(int(value))
-        regs.write_x(instr.rd, result)
-        return self._advance(instr, (("f", instr.rs1),), ("x", instr.rd))
+        def exec_load(instr: Instruction) -> StepInfo:
+            address = (regs.x[instr.rs1] + instr.imm) & MASK64
+            value = port_cell[0].load(address)
+            if instr.opcode is Opcode.LDR:
+                regs.write_x(instr.rd, value)
+                dest: RegTag = ("x", instr.rd)
+            else:
+                regs.write_f_bits(instr.rd, value)
+                dest = ("f", instr.rd)
+            return advance(instr, (("x", instr.rs1),), dest, address=address)
 
-    def _exec_load(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        address = (regs.x[instr.rs1] + instr.imm) & MASK64
-        value = self.port.load(address)
-        if instr.opcode is Opcode.LDR:
-            regs.write_x(instr.rd, value)
-            dest: RegTag = ("x", instr.rd)
-        else:
-            regs.write_f_bits(instr.rd, value)
-            dest = ("f", instr.rd)
-        return self._advance(instr, (("x", instr.rs1),), dest, address=address)
+        def exec_store(instr: Instruction) -> StepInfo:
+            address = (regs.x[instr.rs1] + instr.imm) & MASK64
+            if instr.opcode is Opcode.STR:
+                value = regs.x[instr.rs2]
+                reads: Tuple[RegTag, ...] = (("x", instr.rs1), ("x", instr.rs2))
+            else:
+                value = regs.read_f_bits(instr.rs2)
+                reads = (("x", instr.rs1), ("f", instr.rs2))
+            port_cell[0].store(address, value)
+            return advance(instr, reads, None, address=address)
 
-    def _exec_store(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        address = (regs.x[instr.rs1] + instr.imm) & MASK64
-        if instr.opcode is Opcode.STR:
-            value = regs.x[instr.rs2]
-            reads: Tuple[RegTag, ...] = (("x", instr.rs1), ("x", instr.rs2))
-        else:
-            value = regs.read_f_bits(instr.rs2)
-            reads = (("x", instr.rs1), ("f", instr.rs2))
-        self.port.store(address, value)
-        return self._advance(instr, reads, None, address=address)
+        def exec_b(instr: Instruction) -> StepInfo:
+            return advance(instr, (), None, next_pc=instr.target, taken=True)
 
-    def _exec_b(self, instr: Instruction) -> StepInfo:
-        return self._advance(instr, (), None, next_pc=instr.target, taken=True)
+        conditions = self._CONDITIONS
 
-    _CONDITIONS = {
-        Opcode.BEQ: lambda n, z, c, v: z,
-        Opcode.BNE: lambda n, z, c, v: not z,
-        Opcode.BLT: lambda n, z, c, v: n != v,
-        Opcode.BGE: lambda n, z, c, v: n == v,
-        Opcode.BGT: lambda n, z, c, v: not z and n == v,
-        Opcode.BLE: lambda n, z, c, v: z or n != v,
-    }
+        def exec_cond_branch(instr: Instruction) -> StepInfo:
+            n, z = regs.flag(Flag.N), regs.flag(Flag.Z)
+            c, v = regs.flag(Flag.C), regs.flag(Flag.V)
+            taken = conditions[instr.opcode](n, z, c, v)
+            next_pc = instr.target if taken else None
+            return advance(instr, (("flags", 0),), None, next_pc=next_pc, taken=taken)
 
-    def _exec_cond_branch(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        n, z = regs.flag(Flag.N), regs.flag(Flag.Z)
-        c, v = regs.flag(Flag.C), regs.flag(Flag.V)
-        taken = self._CONDITIONS[instr.opcode](n, z, c, v)
-        next_pc = instr.target if taken else None
-        return self._advance(instr, (("flags", 0),), None, next_pc=next_pc, taken=taken)
+        def exec_cb(instr: Instruction) -> StepInfo:
+            value = regs.x[instr.rs1]
+            taken = (value == 0) if instr.opcode is Opcode.CBZ else (value != 0)
+            next_pc = instr.target if taken else None
+            return advance(instr, (("x", instr.rs1),), None, next_pc=next_pc, taken=taken)
 
-    def _exec_cb(self, instr: Instruction) -> StepInfo:
-        value = self.state.regs.x[instr.rs1]
-        taken = (value == 0) if instr.opcode is Opcode.CBZ else (value != 0)
-        next_pc = instr.target if taken else None
-        return self._advance(instr, (("x", instr.rs1),), None, next_pc=next_pc, taken=taken)
+        def exec_jal(instr: Instruction) -> StepInfo:
+            regs.write_x(instr.rd, state.pc + 1)
+            return advance(instr, (), ("x", instr.rd), next_pc=instr.target, taken=True)
 
-    def _exec_jal(self, instr: Instruction) -> StepInfo:
-        self.state.regs.write_x(instr.rd, self.state.pc + 1)
-        return self._advance(instr, (), ("x", instr.rd), next_pc=instr.target, taken=True)
+        def exec_jalr(instr: Instruction) -> StepInfo:
+            next_pc = regs.x[instr.rs1]
+            regs.write_x(instr.rd, state.pc + 1)
+            return advance(
+                instr, (("x", instr.rs1),), ("x", instr.rd), next_pc=next_pc, taken=True
+            )
 
-    def _exec_jalr(self, instr: Instruction) -> StepInfo:
-        regs = self.state.regs
-        next_pc = regs.x[instr.rs1]
-        regs.write_x(instr.rd, self.state.pc + 1)
-        return self._advance(
-            instr, (("x", instr.rs1),), ("x", instr.rd), next_pc=next_pc, taken=True
-        )
+        def exec_nop(instr: Instruction) -> StepInfo:
+            return advance(instr, (), None)
 
-    def _exec_nop(self, instr: Instruction) -> StepInfo:
-        return self._advance(instr, (), None)
-
-    def _exec_halt(self, instr: Instruction) -> StepInfo:
-        self.state.halted = True
-        return self._advance(instr, (), None)
-
-    def _exec_syscall(self, instr: Instruction) -> StepInfo:
-        state = self.state
-        number = instr.imm
-        if number == Syscall.EXIT:
+        def exec_halt(instr: Instruction) -> StepInfo:
             state.halted = True
-        elif number == Syscall.PRINT_INT:
-            state.output.append((state.instret, str(to_signed(state.regs.x[1]))))
-        elif number == Syscall.PRINT_FLOAT:
-            state.output.append((state.instret, repr(state.regs.read_f(1))))
-        elif number == Syscall.GET_INSTRET:
-            state.regs.write_x(1, state.instret)
-        elif number == Syscall.WRITE_EXTERNAL:
-            # Functionally identical to PRINT_INT (the value lands in the
-            # output stream, so checkers verify it); the engine is
-            # responsible for draining checks before this retires.
-            state.output.append((state.instret, f"ext:{to_signed(state.regs.x[1])}"))
-        else:
-            # Unknown syscalls are NOPs; a corrupted syscall number on a
-            # checker therefore diverges through its (lack of) effects.
-            pass
-        return self._advance(instr, (("x", 1),), None)
+            return advance(instr, (), None)
+
+        def exec_syscall(instr: Instruction) -> StepInfo:
+            number = instr.imm
+            if number == Syscall.EXIT:
+                state.halted = True
+            elif number == Syscall.PRINT_INT:
+                state.output.append((state.instret, str(to_signed(regs.x[1]))))
+            elif number == Syscall.PRINT_FLOAT:
+                state.output.append((state.instret, repr(regs.read_f(1))))
+            elif number == Syscall.GET_INSTRET:
+                regs.write_x(1, state.instret)
+            elif number == Syscall.WRITE_EXTERNAL:
+                # Functionally identical to PRINT_INT (the value lands in the
+                # output stream, so checkers verify it); the engine is
+                # responsible for draining checks before this retires.
+                state.output.append((state.instret, f"ext:{to_signed(regs.x[1])}"))
+            else:
+                # Unknown syscalls are NOPs; a corrupted syscall number on a
+                # checker therefore diverges through its (lack of) effects.
+                pass
+            return advance(instr, (("x", 1),), None)
+
+        d[Opcode.MOV] = exec_mov
+        d[Opcode.MOVI] = exec_movi
+        d[Opcode.CMP] = exec_cmp
+        d[Opcode.CMPI] = exec_cmpi
+        d[Opcode.FCMP] = exec_fcmp
+        d[Opcode.FMOV] = exec_fmov
+        d[Opcode.FMOVI] = exec_fmovi
+        d[Opcode.FCVT] = exec_fcvt
+        d[Opcode.FCVTI] = exec_fcvti
+        d[Opcode.LDR] = exec_load
+        d[Opcode.FLDR] = exec_load
+        d[Opcode.STR] = exec_store
+        d[Opcode.FSTR] = exec_store
+        d[Opcode.B] = exec_b
+        for op in conditions:
+            d[op] = exec_cond_branch
+        d[Opcode.CBZ] = exec_cb
+        d[Opcode.CBNZ] = exec_cb
+        d[Opcode.JAL] = exec_jal
+        d[Opcode.JALR] = exec_jalr
+        d[Opcode.NOP] = exec_nop
+        d[Opcode.HALT] = exec_halt
+        d[Opcode.SYSCALL] = exec_syscall

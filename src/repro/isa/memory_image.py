@@ -65,13 +65,26 @@ class MemoryImage:
         single dict update instead of one checked :meth:`store` per word
         — workload images run to hundreds of thousands of words.
         """
+        self.words.update(self.validated(words))
+
+    def validated(self, words: Dict[int, int]) -> Dict[int, int]:
+        """``words`` checked against this image and masked to 64 bits.
+
+        Raises the precise trap for a misaligned or out-of-range
+        address.  Returns ``words`` itself when every value already fits
+        in 64 bits, so an image built from it shares its int objects
+        instead of holding masked copies.  (Any other value, a bool
+        say, is masked to a plain int like :meth:`store` would.)
+        """
         size = self.size
         for address in words:
             if address % WORD_BYTES or not 0 <= address < size:
                 self._check(address)  # raises the precise trap
-        self.words.update(
-            (address, value & MASK64) for address, value in words.items()
-        )
+        if all(
+            type(value) is int and 0 <= value <= MASK64 for value in words.values()
+        ):
+            return words
+        return {address: value & MASK64 for address, value in words.items()}
 
     # -- float convenience ---------------------------------------------------
     def load_float(self, address: int) -> float:

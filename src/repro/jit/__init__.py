@@ -20,9 +20,12 @@ Layering:
 * :mod:`repro.jit.runtime` — the handful of out-of-line helpers the
   generated code calls (signed division, IEEE division, NZCV packing);
 * :mod:`repro.jit.emit` — per-opcode source emission and the per-mode
-  bookkeeping (timing commit / unit mix / segment recording);
-* :mod:`repro.jit.tier` — the cache: compile-once code objects, bound
-  activations invalidated on voltage moves, per-segment rebinding.
+  bookkeeping (timing commit / unit mix / segment recording), with the
+  static per-instruction facts read from the program's
+  :class:`~repro.isa.decode.DecodeTable`;
+* :mod:`repro.jit.tier` — the cache: code objects compiled once per
+  program and shared across runs, blocks bound once per run (they
+  survive voltage moves), per-segment recorder rebinding.
 """
 
 from .superblock import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK, superblock_length

@@ -17,11 +17,13 @@ One superblock becomes one generated factory::
 
 Register indices, immediates (pre-wrapped through ``to_unsigned`` where
 the interpreter does it), FMOVI bit patterns and PC values are folded
-into the source as literals; everything dynamic is a ``LOAD_FAST`` of a
-factory local.  The factory indirection is what makes re-binding cheap:
-the module is ``compile()``d once per block, and a voltage invalidation
-only re-runs ``__factory__`` against a fresh context (~µs), not the
-compiler.
+into the source as literals, and so are the unit index and "writes a
+register" flag each ``rec`` call passes, read from the program's
+:class:`~repro.isa.decode.DecodeTable`; everything dynamic is a
+``LOAD_FAST`` of a factory local.  The factory indirection is what lets
+runs share compiled code: the module is ``compile()``d once per block
+per process, and each run only re-runs ``__factory__`` against its own
+context (~µs), not the compiler.
 
 Equivalence contract (checked by the differential oracle and
 ``tests/test_jit.py``):
@@ -47,14 +49,12 @@ Equivalence contract (checked by the differential oracle and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..isa.executor import StepInfo
+from ..isa.decode import DecodeTable
 from ..isa.instructions import Instruction, Opcode
 from ..isa.registers import float_to_bits, to_unsigned
 from .superblock import COMPILABLE_OPCODES
-
-RegTag = Tuple[str, int]
 
 # Two-source integer ops: x[rd] = fn(x[rs1], x[rs2]).  Each entry is
 # (format string, extra hoist names).  Results that can leave the 64-bit
@@ -91,67 +91,7 @@ _FBIN: Dict[Opcode, str] = {
     Opcode.FDIV: "f[{d}] = ftb(fdiv(btf(f[{a}]), btf(f[{b}])))",
 }
 
-_X_BINARY_READS = frozenset(_BIN_X)
 _MEMORY_OPCODES = frozenset({Opcode.LDR, Opcode.FLDR, Opcode.STR, Opcode.FSTR})
-
-
-def reads_dest(instr: Instruction) -> Tuple[Tuple[RegTag, ...], Optional[RegTag]]:
-    """The ``(reads, dest)`` tags the interpreter's handler would report."""
-    op = instr.opcode
-    if op in _X_BINARY_READS:
-        return ((("x", instr.rs1), ("x", instr.rs2)), ("x", instr.rd))
-    if op in _IMM_X or op is Opcode.ASRI or op is Opcode.MOV:
-        return ((("x", instr.rs1),), ("x", instr.rd))
-    if op is Opcode.MOVI:
-        return ((), ("x", instr.rd))
-    if op is Opcode.CMP:
-        return ((("x", instr.rs1), ("x", instr.rs2)), ("flags", 0))
-    if op is Opcode.CMPI:
-        return ((("x", instr.rs1),), ("flags", 0))
-    if op is Opcode.FCMP:
-        return ((("f", instr.rs1), ("f", instr.rs2)), ("flags", 0))
-    if op in _FBIN:
-        return ((("f", instr.rs1), ("f", instr.rs2)), ("f", instr.rd))
-    if op is Opcode.FMOV:
-        return ((("f", instr.rs1),), ("f", instr.rd))
-    if op is Opcode.FMOVI:
-        return ((), ("f", instr.rd))
-    if op is Opcode.FCVT:
-        return ((("x", instr.rs1),), ("f", instr.rd))
-    if op is Opcode.FCVTI:
-        return ((("f", instr.rs1),), ("x", instr.rd))
-    if op is Opcode.LDR:
-        return ((("x", instr.rs1),), ("x", instr.rd))
-    if op is Opcode.FLDR:
-        return ((("x", instr.rs1),), ("f", instr.rd))
-    if op is Opcode.STR:
-        return ((("x", instr.rs1), ("x", instr.rs2)), None)
-    if op is Opcode.FSTR:
-        return ((("x", instr.rs1), ("f", instr.rs2)), None)
-    if op is Opcode.NOP:
-        return ((), None)
-    raise ValueError(f"{op} is not compilable")
-
-
-def build_step_infos(
-    instructions: Sequence[Instruction], entry_pc: int, length: int
-) -> Tuple[StepInfo, ...]:
-    """Preallocated :class:`StepInfo` templates, one per block slot.
-
-    Everything but ``address`` is a pure function of the decoded
-    instruction, so the templates are built once and reused across
-    dispatches; memory ops overwrite ``address`` at runtime immediately
-    before ``commit``.  ``MainCoreTiming.commit`` reads the info and
-    drops it (latency comes from its own per-PC static table), so
-    aliasing one mutable object across dispatches is safe.
-    """
-    infos = []
-    for i in range(length):
-        pc = entry_pc + i
-        instr = instructions[pc]
-        reads, dest = reads_dest(instr)
-        infos.append(StepInfo(instr, pc, pc + 1, reads, dest, None, None))
-    return tuple(infos)
 
 
 # Hoist lines in canonical order; only the ones a block needs are emitted.
@@ -176,12 +116,12 @@ _HOISTS: Dict[str, str] = {
 
 
 class _Emitter:
-    def __init__(self, record: bool, commit: bool) -> None:
+    def __init__(self, table: DecodeTable, record: bool, commit: bool) -> None:
+        self.table = table
         self.record = record
         self.commit = commit
         self.body: List[str] = []
         self.needs: Dict[str, None] = {"state": None}
-        self.units: Dict[str, None] = {}
         self.uses_i0 = False
 
     def need(self, *names: str) -> None:
@@ -320,22 +260,23 @@ class _Emitter:
             return True
         raise ValueError(f"{op} is not compilable")
 
-    def _emit_bookkeeping(self, i: int, instr: Instruction, is_memory: bool) -> None:
-        unit = instr.opcode.unit.value
+    def _emit_bookkeeping(self, i: int, pc: int, is_memory: bool) -> None:
+        table = self.table
         if self.commit:
+            unit = table.unit_name[pc]
             self.need("commit", "um")
             if is_memory:
                 self.body.append(f"_I{i}.address = _a")
             self.body.append(f"commit(_I{i})")
             self.body.append(f"um['{unit}'] = um_get('{unit}', 0) + 1")
         if self.record:
-            self.units.setdefault(unit)
-            writes_register = reads_dest(instr)[1] is not None
-            self.body.append(f"rec(_U_{unit}, {writes_register})")
+            self.body.append(
+                f"rec({table.unit_index[pc]}, {table.writes_register[pc]})"
+            )
 
 
 def emit_factory_source(
-    instructions: Sequence[Instruction],
+    table: DecodeTable,
     entry_pc: int,
     length: int,
     *,
@@ -344,22 +285,23 @@ def emit_factory_source(
 ) -> str:
     """Render the factory module source for one superblock.
 
-    ``record`` wires in per-instruction ``rec(unit, writes_register)``
-    calls (the block takes the current segment's ``record_instruction``
+    ``record`` wires in per-instruction ``rec(unit_index,
+    writes_register)`` calls, both folded from the program's decode
+    table (the block takes the current segment's ``record_instruction``
     as its only argument, so segment turnover never invalidates code);
     ``commit`` wires in timing ``commit(StepInfo)`` plus the engine's
     unit-mix histogram.  ``golden_run`` uses neither, the differential
     oracle records only, the unprotected engine commits only, and the
     protected engine does both.
     """
-    em = _Emitter(record, commit)
+    em = _Emitter(table, record, commit)
     for i in range(length):
         pc = entry_pc + i
-        instr = instructions[pc]
+        instr = table.instructions[pc]
         if instr.opcode not in COMPILABLE_OPCODES:
             raise ValueError(f"pc {pc}: {instr.opcode} inside a superblock")
         is_memory = em._emit_arch(i, pc, instr)
-        em._emit_bookkeeping(i, instr, is_memory)
+        em._emit_bookkeeping(i, pc, is_memory)
 
     end_pc = entry_pc + length
     epilogue = [f"state.pc = {end_pc}"]
@@ -377,8 +319,6 @@ def emit_factory_source(
     if commit:
         targets = ", ".join(f"_I{i}" for i in range(length))
         lines.append(f"    {targets}{',' if length == 1 else ''} = __ctx__['infos']")
-    for unit in em.units:
-        lines.append(f"    _U_{unit} = __ctx__['units']['{unit}']")
     lines.append("    def __superblock__(rec):" if record else "    def __superblock__():")
     if em.uses_i0:
         lines.append("        _i0 = state.instret")

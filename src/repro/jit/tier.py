@@ -1,23 +1,24 @@
-"""The superblock cache: compile once, bind per context, invalidate cheap.
+"""The superblock cache: compile once per program, bind once per run.
 
 Two layers of caching, keyed by entry PC:
 
 * ``_code`` — the compiled code object (plus emitted source and the
-  StepInfo templates).  The program is immutable for the life of a run,
-  so this layer is **never** invalidated; it exists so that voltage
-  invalidations don't pay the ``compile()`` cost again.
+  StepInfo templates), shared by every tier over the same program
+  object and emission mode (``_SHARED_CODE``).  Programs are immutable,
+  so this layer is never invalidated.
 * ``_active`` — bound block runners: the factory executed against the
-  live context (state, register lists, port methods, timing commit).
-  This layer is dropped whenever a DVFS move changes the supply voltage
-  (:meth:`SuperblockJit.note_voltage`), the event that re-thresholds
-  fault maps and re-times the core; re-binding a block afterwards is a
-  single factory call.
+  run's live context (state, register lists, port methods, timing
+  ``commit``, unit-mix dict).  None of these depends on the supply
+  voltage — a DVFS move re-thresholds fault maps and re-times the core
+  through the engine's clock anchors, not through anything a block
+  holds — so a bound block lives for the whole run and each entry PC
+  is bound at most once.
 
-Segment turnover is even cheaper: compiled blocks take the recorder as a
-call argument, so :meth:`SuperblockJit.note_segment` just swaps the
-``_rec`` binding the engine passes on the next dispatch — no cache
-traffic at all.  Both events are counted in :class:`JitStats` so tests
-and telemetry can see the invalidation protocol working.
+Segment turnover costs no cache traffic either: compiled blocks take the
+recorder as a call argument, so :meth:`SuperblockJit.note_segment` just
+swaps the ``_rec`` binding the engine passes on the next dispatch.
+:class:`JitStats` counts binds and rebinds so tests and telemetry can
+see the protocol working.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..isa.decode import decode_table
 from ..isa.executor import StepInfo
-from ..isa.instructions import FunctionalUnit
 from ..isa.registers import bits_to_float, float_to_bits
 from . import runtime
-from .emit import build_step_infos, emit_factory_source
+from .emit import emit_factory_source
 from .superblock import superblock_length
-
-_UNITS_BY_NAME = {unit.value: unit for unit in FunctionalUnit}
 
 _MISS = object()
 
@@ -62,11 +61,13 @@ def _shared_code_for(
 
 @dataclass
 class _Compiled:
-    """Per-PC compile()d artifact; survives every invalidation."""
+    """Per-PC compile()d artifact, shared by every run of the program."""
 
-    __slots__ = ("code", "source", "length", "infos")
+    __slots__ = ("factory", "source", "length", "infos")
 
-    code: Any
+    #: The block's ``__factory__``: called with a run's context, returns
+    #: the bound block function.
+    factory: Callable[[Dict[str, Any]], Callable[..., None]]
     source: str
     length: int
     infos: Optional[Tuple[StepInfo, ...]]
@@ -84,7 +85,12 @@ class BlockEntry:
 
 @dataclass
 class JitStats:
-    """Counters for the tier's caches and dispatch volume."""
+    """Counters for the tier's caches and dispatch volume.
+
+    ``voltage_invalidations`` is always 0: bound blocks survive voltage
+    moves.  It stays in the record because telemetry and the benchmark
+    ledger report it.
+    """
 
     blocks_compiled: int = 0
     activations: int = 0
@@ -107,10 +113,10 @@ class JitStats:
 class SuperblockJit:
     """Per-run compiled tier over one program/state/port triple.
 
-    The tier is deliberately not shared across runs: ``Program`` is an
-    eq-compared (unhashable) dataclass, and a block compiles in single-
-    digit microseconds against runs that last hundreds of milliseconds,
-    so a cross-run code cache would buy <2% for real aliasing risk.
+    Bound blocks belong to one run, because they hold that run's state,
+    port and timing model.  Compiled code is shared across runs: every
+    tier over the same program object and emission mode draws on one
+    ``_SHARED_CODE`` cache, so a program is compiled once per process.
 
     ``record`` adds per-instruction segment recording (the block
     receives the recorder as its call argument); ``commit``/``unit_mix``
@@ -135,12 +141,34 @@ class SuperblockJit:
         self.record = record
         self._commit = commit
         self._unit_mix = unit_mix
+        self._table = decode_table(program)
         self._code = _shared_code_for(program, record, commit is not None)
+        regs = state.regs
+        #: What every factory call binds (``infos`` is set per block).
+        self._ctx: Dict[str, Any] = {
+            "state": state,
+            "regs": regs,
+            # RegisterFile.restore copies in place, so these list
+            # objects stay valid across checkpoints and rollbacks.
+            "x": regs.x,
+            "f": regs.f,
+            "load": port.load,
+            "store": port.store,
+            "btf": bits_to_float,
+            "ftb": float_to_bits,
+            "sdiv": runtime.sdiv,
+            "srem": runtime.srem,
+            "fdiv": runtime.fdiv,
+            "fcvti": runtime.fcvti,
+            "flags_sub": runtime.flags_sub,
+            "commit": commit,
+            "um": unit_mix,
+            "infos": None,
+        }
         self._active: Dict[int, Optional[BlockEntry]] = {}
         #: Current segment's ``record_instruction``; the engine passes
         #: this into every record-mode dispatch.
         self._rec: Optional[Callable[..., None]] = None
-        self._voltage: Optional[float] = None
         self.stats = JitStats()
 
     # -- dispatch ---------------------------------------------------------
@@ -178,56 +206,36 @@ class SuperblockJit:
         if length == 0:
             return None
         commit = self._commit is not None
+        table = self._table
         source = emit_factory_source(
-            instructions, pc, length, record=self.record, commit=commit
+            table, pc, length, record=self.record, commit=commit
         )
-        code = compile(source, f"<superblock pc={pc}>", "exec")
-        infos = build_step_infos(instructions, pc, length) if commit else None
+        namespace: Dict[str, Any] = {}
+        exec(compile(source, f"<superblock pc={pc}>", "exec"), namespace)
+        # The factory's globals are this namespace: take it out so the
+        # two do not form a reference cycle.
+        factory = namespace.pop("__block__")
+        del namespace["__factory__"]
+        # StepInfo templates, one per slot: everything but ``address``
+        # is static, so they are built once and reused across dispatches
+        # (memory ops overwrite ``address`` right before ``commit``,
+        # which reads the info and drops it).
+        infos = (
+            tuple(table.step_info(pc + i) for i in range(length)) if commit else None
+        )
         self.stats.blocks_compiled += 1
-        return _Compiled(code, source, length, infos)
+        return _Compiled(factory, source, length, infos)
 
     def _bind(self, compiled: _Compiled) -> Callable[..., None]:
-        regs = self.state.regs
-        ctx = {
-            "state": self.state,
-            "regs": regs,
-            # RegisterFile.restore copies in place, so these list
-            # objects stay valid across checkpoints and rollbacks.
-            "x": regs.x,
-            "f": regs.f,
-            "load": self.port.load,
-            "store": self.port.store,
-            "btf": bits_to_float,
-            "ftb": float_to_bits,
-            "sdiv": runtime.sdiv,
-            "srem": runtime.srem,
-            "fdiv": runtime.fdiv,
-            "fcvti": runtime.fcvti,
-            "flags_sub": runtime.flags_sub,
-            "commit": self._commit,
-            "um": self._unit_mix,
-            "infos": compiled.infos,
-            "units": _UNITS_BY_NAME,
-        }
-        namespace: Dict[str, Any] = {}
-        exec(compiled.code, namespace)
-        return namespace["__block__"](ctx)
+        ctx = self._ctx
+        ctx["infos"] = compiled.infos
+        return compiled.factory(ctx)
 
-    # -- invalidation protocol --------------------------------------------
+    # -- segment turnover -------------------------------------------------
     def note_segment(self, segment) -> None:
         """A new log segment opened: rebind the recorder."""
         self._rec = segment.record_instruction
         self.stats.segment_rebinds += 1
-
-    def note_voltage(self, voltage: float) -> None:
-        """DVFS output sync: drop bound blocks on an actual move."""
-        if self._voltage is None:
-            self._voltage = voltage
-            return
-        if voltage != self._voltage:
-            self._voltage = voltage
-            self._active.clear()
-            self.stats.voltage_invalidations += 1
 
     # -- introspection ----------------------------------------------------
     def source_for(self, pc: int) -> Optional[str]:

@@ -30,11 +30,10 @@ store, a new checkpoint is created" (section IV-D).
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Counter as CounterT, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..isa import FunctionalUnit
+from ..isa.decode import UNITS
 from ..isa.state import ArchState
 
 #: Bytes per logged quantity.  A word entry is an 8-byte value plus an
@@ -96,10 +95,11 @@ class LogSegment:
 
     end_state: Optional[ArchState] = None
     instruction_count: int = 0
-    unit_histogram: CounterT[FunctionalUnit] = field(default_factory=Counter)
+    #: Instructions per unit, indexed like :data:`repro.isa.decode.UNITS`.
+    unit_counts: List[int] = field(default_factory=lambda: [0] * len(UNITS))
     #: Instructions per unit that write a register — the domain of the
     #: combinational fault model (no-effect instructions inject nothing).
-    unit_dest_histogram: CounterT[FunctionalUnit] = field(default_factory=Counter)
+    unit_dest_counts: List[int] = field(default_factory=lambda: [0] * len(UNITS))
     close_reason: Optional[SegmentCloseReason] = None
     detection_bytes: int = 0
     rollback_bytes: int = 0
@@ -149,11 +149,12 @@ class LogSegment:
             self.lines.append(line)
             self.rollback_bytes += LINE_ENTRY_BYTES
 
-    def record_instruction(self, unit: FunctionalUnit, writes_register: bool = True) -> None:
+    def record_instruction(self, unit: int, writes_register: bool = True) -> None:
+        """Count one retired instruction of unit index ``unit``."""
         self.instruction_count += 1
-        self.unit_histogram[unit] += 1
+        self.unit_counts[unit] += 1
         if writes_register:
-            self.unit_dest_histogram[unit] += 1
+            self.unit_dest_counts[unit] += 1
 
     def close(self, end_state: ArchState, reason: SegmentCloseReason) -> None:
         if self.end_state is not None:

@@ -37,6 +37,7 @@ from typing import Deque, Dict, List, Optional
 from ..config import SystemConfig, table1_config
 from ..cores.checker_core import CheckerCore
 from ..isa import ArchState, Executor, MemoryImage
+from ..isa.decode import UNIT_INDEX
 from ..isa.errors import SimTrap
 from ..lslog.ports import CheckerReplayPort, MainMemoryPort, UncheckedConflictStall
 from ..lslog.segment import (
@@ -403,7 +404,7 @@ class DifferentialRunner:
                 continue
             report.instructions += 1
             segment.record_instruction(
-                info.instruction.unit, writes_register=info.dest is not None
+                UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
             )
             trace.append(f"{info.pc_before}: {info.instruction}")
             if segment.instruction_count >= interval:

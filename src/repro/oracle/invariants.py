@@ -118,6 +118,19 @@ class ParanoidChecker:
                 f"detection counter {engine._pending_detected} != actual "
                 f"{detected}",
             )
+        cached = engine._earliest_detection
+        if cached is not None:
+            earliest = min(
+                (p for p in engine._pending if p.result.detected),
+                key=lambda p: p.end_ns,
+                default=None,
+            )
+            if cached is not earliest:
+                raise EngineInvariantError(
+                    where,
+                    f"cached earliest detection {cached!r} is stale "
+                    f"(actual {earliest!r})",
+                )
 
     @staticmethod
     def _check_tracker(engine: "SimulationEngine", where: str) -> None:

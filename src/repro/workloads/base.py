@@ -2,7 +2,8 @@
 
 A :class:`Workload` couples a program with its initial memory image and a
 default useful-instruction budget.  ``create_memory()`` returns a *fresh*
-image per run, so repeated simulations are independent.
+image per run, so repeated simulations are independent; the initial
+words are treated as immutable once the first image has been made.
 
 :func:`golden_run` executes a workload functionally (no timing, no
 checking, no faults) and returns the reference final state — the oracle
@@ -13,7 +14,7 @@ ParaDox run must end in exactly this state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..isa import ArchState, Executor, MemoryImage, Program
 
@@ -33,9 +34,23 @@ class Workload:
     #: Free-form description shown by the experiment harnesses.
     description: str = ""
 
+    #: ``initial_words`` as validated by the first :meth:`create_memory`
+    #: (the same dict unless some value needed masking).
+    _image: Optional[Dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     def create_memory(self) -> MemoryImage:
+        """A fresh image of the initial words, for one run.
+
+        The words are validated and masked once per workload; every run
+        then copies the result, sharing its int objects.
+        """
         memory = MemoryImage()
-        memory.preload(self.initial_words)
+        image = self._image
+        if image is None:
+            image = self._image = memory.validated(self.initial_words)
+        memory.words.update(image)
         return memory
 
 

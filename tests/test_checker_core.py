@@ -6,6 +6,7 @@ from repro.config import CacheConfig, CheckerConfig, table1_config
 from repro.cores import CheckerCore, icache_penalty, miss_probability
 from repro.cores.icache_model import L0_MISS_CYCLES
 from repro.isa import ArchState, Executor, MemoryImage, ProgramBuilder, assemble
+from repro.isa.decode import UNIT_INDEX
 from repro.lslog import (
     DetectionChannel,
     LogSegment,
@@ -35,7 +36,7 @@ def fill_segment(program, instructions=None):
     while not state.halted and segment.instruction_count < budget:
         info = executor.step()
         segment.record_instruction(
-            info.instruction.unit, writes_register=info.dest is not None
+            UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
         )
     segment.close(state.snapshot(), SegmentCloseReason.PROGRAM_END)
     return segment

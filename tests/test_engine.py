@@ -1,5 +1,8 @@
 """Engine integration: golden equivalence, recovery, stalls, systems."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -323,3 +326,38 @@ class TestDvsIntegration:
         golden = golden_run(workload)
         result = ParaDoxSystem(dvs=True).run(workload)
         assert result.program_output == golden.output
+
+
+class TestRefcountRelease:
+    """A finished engine holds no reference cycle, so dropping it frees
+    it, and the memory image only it holds, at once rather than at a
+    gen-2 collection.
+    """
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            BaselineSystem(),
+            ParaMedicSystem(),
+            ParaDoxSystem(dvs=True),
+            ParaDoxSystem(
+                config=table1_config().with_error_rate(1e-3, seed=7), resilient=True
+            ),
+        ],
+        ids=["baseline", "paramedic", "paradox-dvs", "resilient"],
+    )
+    def test_dropped_engine_is_freed_without_gc(self, system):
+        workload = build_bitcount(values=40)
+        engine = system.engine(workload, seed=7)
+        result = engine.run(workload.max_instructions)
+        refs = [weakref.ref(engine), weakref.ref(engine.executor)]
+        refs += [weakref.ref(checker) for checker in engine.checkers]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del engine
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert result.outcome.value == "completed"

@@ -15,6 +15,7 @@ from repro.faults import (
     default_injector,
 )
 from repro.isa import ArchState, FunctionalUnit, Instruction, Opcode
+from repro.isa.decode import UNIT_INDEX
 from repro.isa.executor import StepInfo
 from repro.isa.registers import RegisterCategory
 from repro.lslog import LogSegment, RollbackGranularity
@@ -208,7 +209,7 @@ class TestInjectorFastPath:
             start_state=State(),
         )
         for _ in range(instructions):
-            segment.record_instruction(FunctionalUnit.INT_ALU, writes_register=True)
+            segment.record_instruction(UNIT_INDEX[FunctionalUnit.INT_ALU], writes_register=True)
         for i in range(loads):
             segment.record_load(i * 8, 0)
         for i in range(stores):

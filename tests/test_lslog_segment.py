@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import ArchState, FunctionalUnit
+from repro.isa.decode import UNIT_INDEX
 from repro.lslog import (
     LINE_ENTRY_BYTES,
     LOAD_ENTRY_BYTES,
@@ -58,12 +59,15 @@ class TestRecording:
 
     def test_instruction_histogram(self):
         segment = make_segment()
-        segment.record_instruction(FunctionalUnit.INT_ALU, writes_register=True)
-        segment.record_instruction(FunctionalUnit.INT_ALU, writes_register=False)
-        segment.record_instruction(FunctionalUnit.LOAD, writes_register=True)
+        alu, load = UNIT_INDEX[FunctionalUnit.INT_ALU], UNIT_INDEX[FunctionalUnit.LOAD]
+        segment.record_instruction(alu, writes_register=True)
+        segment.record_instruction(alu, writes_register=False)
+        segment.record_instruction(load, writes_register=True)
         assert segment.instruction_count == 3
-        assert segment.unit_histogram[FunctionalUnit.INT_ALU] == 2
-        assert segment.unit_dest_histogram[FunctionalUnit.INT_ALU] == 1
+        assert segment.unit_counts[alu] == 2
+        assert segment.unit_dest_counts[alu] == 1
+        assert segment.unit_counts[load] == segment.unit_dest_counts[load] == 1
+        assert sum(segment.unit_counts) == 3
 
 
 class TestCapacity:

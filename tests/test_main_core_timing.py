@@ -15,7 +15,7 @@ def time_program(build, max_instructions=100_000):
     config = table1_config()
     hierarchy = MemoryHierarchy(config)
     predictor = TournamentPredictor(config.branch_predictor)
-    timing = MainCoreTiming(config.main_core, hierarchy, predictor)
+    timing = MainCoreTiming(config.main_core, hierarchy, predictor, program)
     state = ArchState()
     executor = Executor(program, state, MemoryImage())
     retired = 0

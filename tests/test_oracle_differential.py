@@ -11,6 +11,7 @@ from repro.cli import WORKLOAD_BUILDERS
 from repro.config import table1_config
 from repro.cores.checker_core import CheckerCore
 from repro.isa import ArchState, Executor, Opcode, ProgramBuilder, Syscall
+from repro.isa.decode import UNIT_INDEX
 from repro.lslog import (
     LogSegment,
     MainMemoryPort,
@@ -177,7 +178,7 @@ class TestGetInstretUnderReplay:
         for _ in range(30):
             info = executor.step()
             segment.record_instruction(
-                info.instruction.unit, writes_register=info.dest is not None
+                UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
             )
             if info.instruction.opcode is Opcode.SYSCALL:
                 syscalls_replayed += 1

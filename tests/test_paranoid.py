@@ -87,6 +87,12 @@ class TestDetectsCorruption:
         with pytest.raises(EngineInvariantError, match="detection counter"):
             engine.paranoid.verify(engine, "test")
 
+    def test_stale_earliest_detection_raises(self):
+        engine = self._running_engine()
+        engine._earliest_detection = object()
+        with pytest.raises(EngineInvariantError, match="earliest detection"):
+            engine.paranoid.verify(engine, "test")
+
     def test_non_monotonic_close_raises(self):
         engine = self._running_engine()
         checker = engine.paranoid

@@ -15,6 +15,7 @@ from repro.faults import (
     sram_injector,
 )
 from repro.isa import FunctionalUnit
+from repro.isa.decode import UNIT_INDEX
 from repro.isa.state import ArchState as State
 from repro.lslog import LogSegment, RollbackGranularity
 from repro.resilience.campaign import execute_run
@@ -31,7 +32,7 @@ def make_segment(instructions=100, loads=10, stores=5, addr_stride=8):
         start_state=State(),
     )
     for _ in range(instructions):
-        segment.record_instruction(FunctionalUnit.INT_ALU, writes_register=True)
+        segment.record_instruction(UNIT_INDEX[FunctionalUnit.INT_ALU], writes_register=True)
     for i in range(loads):
         segment.record_load(i * addr_stride, 0)
     for i in range(stores):
@@ -225,7 +226,7 @@ class TestFastPathVeto:
             capacity_bytes=1 << 20,
             start_state=State(),
         )
-        empty.record_instruction(FunctionalUnit.LOAD, writes_register=False)
+        empty.record_instruction(UNIT_INDEX[FunctionalUnit.LOAD], writes_register=False)
         injector.begin_check(0, empty)
         assert not injector.fires_within_segment(empty)
 
