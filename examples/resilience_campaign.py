@@ -13,7 +13,7 @@ Three acts:
    into the six-outcome taxonomy (masked / detected_recovered /
    degraded / sdc / hang / crash), persists every run to a SQLite
    campaign store as it lands, and proves resume-from-store is
-   byte-identical (see docs/SERVICE.md).
+   byte-identical (see docs/STORE.md).
 
     python examples/resilience_campaign.py
 """

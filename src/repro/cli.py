@@ -15,10 +15,8 @@ Commands:
   moment it finishes, ``--resume`` skips cells the store already holds
   (byte-identical reports at any ``--workers`` width), and
   ``--shard K/N`` runs a deterministic 1/N slice of the grid.
-* ``serve`` — long-lived job service: campaigns/fuzz/suites submitted
-  over HTTP, live JSONL event streams, persistent shared store, HTML
-  dashboard (see docs/SERVICE.md).
-* ``report`` — render a campaign store as a static HTML dashboard.
+* ``report`` — render a campaign store as a static HTML dashboard
+  (see docs/STORE.md).
 * ``store`` — inspect (``ls``) or consolidate (``merge``) campaign
   store files, e.g. shard stores from ``campaign --shard``.
 * ``explore`` — seeded evolutionary design-space search over the
@@ -336,29 +334,17 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if crashes else 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import serve
-
-    serve(
-        args.host,
-        args.port,
-        work_dir=args.work_dir,
-        store_path=args.store,
-        quiet=not args.verbose,
-    )
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     import os
 
-    from .store import StoreError, write_dashboard
+    from .store import StoreError
+    from .viz import write_dashboard
 
     if not os.path.exists(args.store):
         raise SystemExit(f"no store file {args.store!r}")
     try:
         count = write_dashboard(args.store, args.out, campaign_key=args.campaign)
-    except (StoreError, KeyError) as error:
+    except StoreError as error:
         raise SystemExit(str(error))
     print(f"dashboard ({count} campaign(s)) written to {args.out}")
     return 0
@@ -448,7 +434,8 @@ def explore_spec_from_args(args: argparse.Namespace):
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    from .explore import run_explore, write_explore_report, write_report_json
+    from .explore import run_explore
+    from .ioutil import atomic_write_json
     from .store import StoreError
 
     if args.resume and not args.store:
@@ -506,9 +493,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if args.store:
         print(f"evaluations stored in {args.store}")
     if args.json:
-        write_report_json(result, args.json)
+        atomic_write_json(args.json, result.to_dict())
         print(f"Pareto report written to {args.json}")
     if args.html:
+        from .viz import write_explore_report
+
         write_explore_report(result, args.html)
         print(f"HTML report written to {args.html}")
     if tracer is not None and args.jsonl_out:
@@ -918,27 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(1-based); shard stores merge cleanly via 'repro store merge'",
     )
     campaign.set_defaults(func=cmd_campaign)
-
-    serve = sub.add_parser(
-        "serve",
-        help="long-lived HTTP job service: campaigns, fuzzing, suites "
-        "(see docs/SERVICE.md)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8337, help="0 = ephemeral")
-    serve.add_argument(
-        "--work-dir",
-        default="repro-service",
-        help="directory for the service store and per-job event streams",
-    )
-    serve.add_argument(
-        "--store",
-        help="service store path (default: <work-dir>/campaigns.sqlite)",
-    )
-    serve.add_argument(
-        "-v", "--verbose", action="store_true", help="log every HTTP request"
-    )
-    serve.set_defaults(func=cmd_serve)
 
     report = sub.add_parser(
         "report", help="render a campaign store as a static HTML dashboard"

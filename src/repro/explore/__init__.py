@@ -18,9 +18,10 @@ searches it (``repro explore``):
   genome is scored by a small campaign through the ``repro.parallel``
   fan-out and persisted in the PR 8 store, so re-encounters are store
   hits and interrupted searches resume generation-exactly.
-* :mod:`repro.explore.report` — the canonical JSON Pareto report and
-  the self-contained HTML page (front scatter, hypervolume trend,
-  per-genome drill-down).
+
+The canonical JSON Pareto report is :meth:`ExploreResult.to_dict`; the
+HTML page (front scatter, hypervolume trend, per-genome drill-down) is
+rendered by :mod:`repro.viz`.
 
 See ``docs/EXPLORE.md`` for the encoding table, the fitness formulas,
 and a worked end-to-end example.
@@ -62,7 +63,6 @@ from .loop import (
     explore_key,
     run_explore,
 )
-from .report import render_explore_report, write_explore_report, write_report_json
 
 __all__ = [
     "EXPLORE_IDENTITY",
@@ -90,10 +90,7 @@ __all__ = [
     "paper_default_genome",
     "pareto_front_indices",
     "random_genome",
-    "render_explore_report",
     "repair",
     "run_explore",
     "select_survivors",
-    "write_explore_report",
-    "write_report_json",
 ]

@@ -1,4 +1,4 @@
-"""Persistent, queryable campaign results (the service's memory).
+"""Persistent, queryable campaign results.
 
 ParaDox's headline numbers are statistical: they emerge from sweeps
 over seeds × voltages × fault models × chip maps far too large to rerun
@@ -13,15 +13,12 @@ campaigns durable and addressable:
   append-only, versioned migration chain.
 * :mod:`repro.store.store` — :class:`CampaignStore`: incremental
   per-run writes, pending/completed queries, and shard merging.
-* :mod:`repro.store.dashboard` — the self-contained HTML dashboard
-  (``repro report``): outcome taxonomy, coverage heatmaps, MTTF and
-  degradation curves.
 
-See ``docs/SERVICE.md`` for the schema, the run-key canonicalisation
-rules, and the server API built on top of this package.
+``repro report`` renders a store as an HTML dashboard
+(:mod:`repro.viz`).  See ``docs/STORE.md`` for the schema and the
+run-key canonicalisation rules.
 """
 
-from .dashboard import render_dashboard, write_dashboard
 from .runkey import (
     CODE_IDENTITY,
     campaign_key,
@@ -32,7 +29,7 @@ from .runkey import (
     shard_of,
 )
 from .schema import SCHEMA_VERSION, SchemaTooNew, migrate, schema_version
-from .store import CampaignStore, StoreError, open_store
+from .store import CampaignStore, StoreError
 
 __all__ = [
     "CODE_IDENTITY",
@@ -44,11 +41,8 @@ __all__ = [
     "canonical_cell",
     "canonical_spec",
     "migrate",
-    "open_store",
     "parse_shard",
-    "render_dashboard",
     "run_key",
     "schema_version",
     "shard_of",
-    "write_dashboard",
 ]

@@ -12,10 +12,9 @@ it has no dependency on the campaign layer; :mod:`repro.resilience.
 campaign` converts to/from :class:`~repro.resilience.campaign.RunRecord`
 at its boundary.
 
-Connections are **not** shared across threads: every thread (and every
-HTTP request in ``repro serve``) opens its own :class:`CampaignStore`.
-WAL mode makes concurrent readers + one writer safe across connections
-and processes.
+Connections are **not** shared across threads: every thread opens its
+own :class:`CampaignStore`.  WAL mode makes concurrent readers + one
+writer safe across connections and processes.
 """
 
 from __future__ import annotations
@@ -320,53 +319,18 @@ class CampaignStore:
             )
         ]
 
-    def query_records(
-        self,
-        campaign_key: Optional[str] = None,
-        *,
-        run_class: Optional[str] = None,
-        model: Optional[str] = None,
-        seed: Optional[int] = None,
-        limit: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
-        """Summary rows (no telemetry payloads) matching the filters."""
-        clauses, params = [], []
-        for column, value in (
-            ("campaign_key", campaign_key),
-            ("run_class", run_class),
-            ("model", model),
-            ("seed", seed),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        sql = (
-            "SELECT run_key, campaign_key, run_id, run_class, seed, rate,"
-            " model, workload, chip_seed, outcome, detail, recoveries,"
-            " faults_injected, instructions, duration_s, voltage, recorded_at"
-            " FROM run_records"
-        )
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY campaign_key, run_id"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        return [dict(row) for row in self._conn.execute(sql, params)]
-
-    def metrics_snapshots(self, campaign_key: str) -> List[Optional[Dict[str, Any]]]:
-        """Per-record metrics (None where untraced), run-id order."""
-        snapshots = []
-        for row in self._conn.execute(
-            "SELECT r.run_key, m.metrics_json FROM run_records r "
-            "LEFT JOIN metrics_snapshots m ON m.run_key = r.run_key "
-            "WHERE r.campaign_key = ? ORDER BY r.run_id",
-            (campaign_key,),
-        ):
-            snapshots.append(
-                json.loads(row["metrics_json"]) if row["metrics_json"] else None
+    def query_records(self, campaign_key: str) -> List[Dict[str, Any]]:
+        """One campaign's summary rows (no telemetry payloads), run-id order."""
+        return [
+            dict(row)
+            for row in self._conn.execute(
+                "SELECT run_key, campaign_key, run_id, run_class, seed, rate,"
+                " model, workload, chip_seed, outcome, detail, recoveries,"
+                " faults_injected, instructions, duration_s, voltage, recorded_at"
+                " FROM run_records WHERE campaign_key = ? ORDER BY run_id",
+                (campaign_key,),
             )
-        return snapshots
+        ]
 
     # --------------------------------------------------------------- explore --
 
@@ -483,8 +447,3 @@ class CampaignStore:
         finally:
             self._conn.execute("DETACH DATABASE src")
         return added
-
-
-def open_store(path: str) -> CampaignStore:
-    """Convenience constructor (mirrors :func:`sqlite3.connect`)."""
-    return CampaignStore(path)

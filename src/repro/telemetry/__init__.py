@@ -12,10 +12,7 @@ The subsystem has four parts:
   counters/gauges/histograms and the cross-run :func:`merge_metrics`;
 * :mod:`~repro.telemetry.exporters` — JSONL (lossless, validated) and
   Chrome/Perfetto ``trace_event`` JSON, plus the multi-run
-  :func:`merge_traces`;
-* :mod:`~repro.telemetry.stream` — append-and-tail JSONL for *live*
-  event streams (:class:`JsonlAppender` / :func:`tail_jsonl`), the
-  transport behind ``repro serve``'s ``/jobs/<id>/events``.
+  :func:`merge_traces`.
 
 See ``docs/OBSERVABILITY.md`` for the event glossary, how to open a
 trace in the Perfetto UI, and the overhead guarantees.
@@ -43,14 +40,12 @@ from .exporters import (
     write_perfetto_path,
 )
 from .metrics import DEFAULT_EDGES, Histogram, MetricsRegistry, merge_metrics
-from .stream import JsonlAppender, read_jsonl_tail, tail_jsonl
 from .tracer import Tracer
 
 __all__ = [
     "DEFAULT_EDGES",
     "EventSource",
     "Histogram",
-    "JsonlAppender",
     "KNOWN_KINDS",
     "MetricsRegistry",
     "SCHEMA_NAME",
@@ -64,8 +59,6 @@ __all__ = [
     "perfetto_events",
     "read_jsonl",
     "read_jsonl_path",
-    "read_jsonl_tail",
-    "tail_jsonl",
     "to_perfetto",
     "validate_event_dict",
     "validate_jsonl_path",

@@ -1,11 +1,16 @@
 """The static HTML dashboard rendered from a campaign store."""
 
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.store import CampaignStore, render_dashboard, write_dashboard
-from repro.store.dashboard import CLASS_COLORS, CLASS_ORDER, dashboard_json
+from repro.store import CampaignStore, StoreError
+from repro.viz import CLASS_ORDER, PALETTE, render_dashboard, write_dashboard
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SPEC = {
     "workload": "bitcount",
@@ -110,7 +115,7 @@ class TestRenderDashboard:
         path = populate(str(tmp_path / "s.sqlite"))
         with CampaignStore(path) as store:
             assert "campaign-a" in render_dashboard(store, "campaign-")
-            with pytest.raises(KeyError):
+            with pytest.raises(StoreError):
                 render_dashboard(store, "nonexistent")
 
     def test_empty_store_renders(self, tmp_path):
@@ -140,17 +145,31 @@ class TestWriteDashboard:
         assert not any(name.endswith(".tmp") for name in names)
 
 
+class TestReportCLI:
+    def test_unknown_campaign_prefix_is_a_one_line_error(self, tmp_path):
+        path = populate(str(tmp_path / "s.sqlite"))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "report", path,
+             "--out", str(tmp_path / "dash.html"), "--campaign", "zzz"],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr == "no campaign matching 'zzz' in store\n"
+        assert not (tmp_path / "dash.html").exists()
+
+
 class TestPalette:
-    def test_one_color_per_outcome_class(self):
-        assert set(CLASS_COLORS) == set(CLASS_ORDER)
-        light = [CLASS_COLORS[name][0] for name in CLASS_ORDER]
-        dark = [CLASS_COLORS[name][1] for name in CLASS_ORDER]
+    def test_one_color_per_outcome_class(self, tmp_path):
+        with CampaignStore(str(tmp_path / "s.sqlite")) as store:
+            page = render_dashboard(store)
+        light_block, dark_block = page.split("prefers-color-scheme: dark")
+        light = [PALETTE[f"c-{name}"][0] for name in CLASS_ORDER]
+        dark = [PALETTE[f"c-{name}"][1] for name in CLASS_ORDER]
         assert len(set(light)) == len(light)  # no hue reuse
         assert len(set(dark)) == len(dark)
-
-    def test_dashboard_json_is_serialisable(self, tmp_path):
-        path = populate(str(tmp_path / "s.sqlite"))
-        with CampaignStore(path) as store:
-            payload = dashboard_json(store)
-        json.dumps(payload)
-        assert payload[0]["campaign_key"] == "campaign-a"
+        for name, color in zip(CLASS_ORDER, light):
+            assert f"--c-{name}: {color};" in light_block
+        for name, color in zip(CLASS_ORDER, dark):
+            assert f"--c-{name}: {color};" in dark_block

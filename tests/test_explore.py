@@ -508,7 +508,7 @@ class TestReport:
         assert result.improves_on_default()
 
     def test_html_report_is_self_contained(self, tmp_path):
-        from repro.explore import render_explore_report, write_explore_report
+        from repro.viz import render_explore_report, write_explore_report
 
         result = run_explore(small_explore_spec())
         html = render_explore_report(result)
@@ -519,11 +519,11 @@ class TestReport:
         assert out.read_text() == html
 
     def test_json_report_round_trips(self, tmp_path):
-        from repro.explore import write_report_json
+        from repro.ioutil import atomic_write_json
 
         result = run_explore(small_explore_spec())
         out = tmp_path / "explore.json"
-        write_report_json(result, str(out))
+        atomic_write_json(str(out), result.to_dict())
         data = json.loads(out.read_text())
         assert data["explore_key"] == result.key
         assert data["objective_names"] == list(OBJECTIVE_NAMES)
