@@ -15,7 +15,7 @@ it under heavy fault injection and shows that:
 from repro.config import table1_config
 from repro.core import ParaDoxSystem
 from repro.isa import ProgramBuilder, Syscall
-from repro.stats import EventKind, Timeline, render_timeline
+from repro.telemetry import render_timeline
 from repro.workloads import Workload, golden_run
 
 
@@ -51,10 +51,8 @@ def main() -> None:
     print(f"golden device writes: {golden_values}\n")
 
     config = table1_config().with_error_rate(1e-3, seed=17)
-    system = ParaDoxSystem(config=config)
+    system = ParaDoxSystem(config=config, tracing=True)
     engine = system.engine(workload, seed=17)
-    engine.options.record_timeline = True
-    engine.timeline = Timeline()
     result = engine.run(workload.max_instructions)
 
     flushed = [text for _, text in result.external_flushes]
@@ -66,16 +64,15 @@ def main() -> None:
     assert flushed == golden_values, "an unverified value escaped!"
     print("every externally visible value was verified before release ✓\n")
 
-    flush_events = engine.timeline.of_kind(EventKind.EXTERNAL_FLUSH)
-    detections = engine.timeline.of_kind(EventKind.DETECTION)
+    flush_events = engine.tracer.of_kind("engine", "external_flush")
+    detections = engine.tracer.of_kind("engine", "detect")
     print(
         f"timeline: {len(flush_events)} flushes, {len(detections)} detections; "
         "excerpt around the first flush:"
     )
-    ordered = engine.timeline.in_time_order()
-    first_flush = next(i for i, e in enumerate(ordered) if e.kind is EventKind.EXTERNAL_FLUSH)
-    excerpt = Timeline(events=ordered[max(first_flush - 6, 0) : first_flush + 2])
-    print(render_timeline(excerpt))
+    ordered = sorted(engine.tracer.of_source("engine"), key=lambda e: e.time_ns)
+    first_flush = next(i for i, e in enumerate(ordered) if e.kind == "external_flush")
+    print(render_timeline(ordered[max(first_flush - 6, 0) : first_flush + 2]))
 
 
 if __name__ == "__main__":

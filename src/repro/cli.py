@@ -60,7 +60,7 @@ from .core import (
     ParaMedicSystem,
     System,
 )
-from .stats import render_checker_gantt, render_timeline
+from .telemetry import render_checker_gantt, render_timeline
 from .workloads import (
     SPEC_ORDER,
     Workload,
@@ -121,19 +121,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     system = SYSTEMS[args.system](config, args.dvs, args.resilient)
     system.paranoid = args.paranoid
     system.jit = args.jit
+    # The timeline is the tracer's engine events.
+    system.tracing = args.timeline
     engine = system.engine(workload, seed=args.seed)
-    if args.timeline:
-        from .stats import Timeline
-
-        engine.options.record_timeline = True
-        engine.timeline = Timeline()
     result = engine.run(workload.max_instructions)
     print(result.summary())
-    if args.timeline and engine.timeline is not None:
+    if args.timeline:
+        events = engine.tracer.of_source("engine")
         print()
-        print(render_timeline(engine.timeline, limit=args.timeline_limit))
+        print(render_timeline(events, limit=args.timeline_limit))
         print()
-        print(render_checker_gantt(engine.timeline))
+        print(render_checker_gantt(events))
     return 0
 
 

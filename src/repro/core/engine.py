@@ -69,7 +69,6 @@ from ..resilience.guard import (
 from ..resilience.health import CheckerHealthTracker
 from ..scheduling import CheckerPool, DispatchRecord, SchedulingPolicy, SharedPoolView
 from ..stats import RecoveryEvent, RunOutcome, RunResult, StallBreakdown, StallBucket
-from ..stats.timeline import EventKind, Timeline
 from ..telemetry import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,9 +106,6 @@ class EngineOptions:
     livelock_factor: float = 64.0
     #: Use the constant voltage-decrease comparator of figure 11.
     dynamic_voltage_decrease: bool = True
-    #: Record a :class:`repro.stats.timeline.Timeline` of segment/checker
-    #: lifecycle events (debugging and documentation aid).
-    record_timeline: bool = False
     #: Record a structured :class:`repro.telemetry.Tracer` event stream
     #: plus a metrics registry, returned on ``RunResult.trace`` /
     #: ``RunResult.metrics`` and exportable as JSONL or Perfetto JSON.
@@ -294,10 +290,6 @@ class SimulationEngine:
         self.external_flushes: List["tuple[float, str]"] = []
         #: Executed instructions per unit class, wasted re-runs included.
         self._unit_mix: Dict[str, int] = {}
-        #: Optional event log (EngineOptions.record_timeline).
-        self.timeline: Optional[Timeline] = (
-            Timeline() if options.record_timeline else None
-        )
         #: Optional structured telemetry (EngineOptions.tracing): one
         #: tracer per engine, shared by every instrumented subcomponent.
         self.tracer: Optional[Tracer] = None
@@ -383,8 +375,6 @@ class SimulationEngine:
             # account instructions to a closed checkpoint.
             self.jit.note_segment(self._segment)
         self._segment_start_wall[seq] = self.wall_ns
-        if self.timeline is not None:
-            self.timeline.record(self.wall_ns, EventKind.SEGMENT_OPEN, seq)
         if self.tracer is not None:
             self.tracer.now_ns = self.wall_ns
             self.tracer.emit("engine", "segment_open", segment=seq)
@@ -393,10 +383,6 @@ class SimulationEngine:
         segment = self._segment
         assert segment is not None
         segment.close(self.state.snapshot(), reason)
-        if self.timeline is not None:
-            self.timeline.record(
-                self.wall_ns, EventKind.SEGMENT_CLOSE, segment.seq, detail=reason.value
-            )
         if self.tracer is not None:
             self.tracer.now_ns = self.wall_ns
             self.tracer.emit(
@@ -512,14 +498,6 @@ class SimulationEngine:
         if result.detected:
             self._pending_detected += 1
             self._earliest_detection = None
-        if self.timeline is not None:
-            self.timeline.record(
-                start_ns,
-                EventKind.DISPATCH,
-                segment.seq,
-                core=core.core_id,
-                detail=f"{start_ns:.1f}..{start_ns + duration_ns:.1f}",
-            )
         if self.tracer is not None:
             self.tracer.emit(
                 "engine",
@@ -592,8 +570,6 @@ class SimulationEngine:
             committed = True
             if self.guard is not None:
                 self.guard.on_commit(head.segment.end_state.instret)
-            if self.timeline is not None:
-                self.timeline.record(effective, EventKind.COMMIT, head.segment.seq)
             if self.tracer is not None:
                 self.tracer.emit(
                     "engine", "commit", time_ns=effective, segment=head.segment.seq
@@ -661,21 +637,6 @@ class SimulationEngine:
                 segments_rolled_back=rollback.segments_walked,
             )
         )
-        if self.timeline is not None:
-            self.timeline.record(
-                now,
-                EventKind.DETECTION,
-                faulty.seq,
-                core=pending.record.core_id,
-                detail=pending.result.detection.channel.value,
-            )
-            self.timeline.record(
-                now + rollback_ns,
-                EventKind.ROLLBACK,
-                faulty.seq,
-                detail=f"{rollback.entries_restored} entries, "
-                f"{rollback.segments_walked} segments",
-            )
         if self.tracer is not None:
             self.tracer.now_ns = now
             self.tracer.emit(
@@ -751,17 +712,9 @@ class SimulationEngine:
                 f"unprotected main core trapped at pc {self.state.pc}: {trap!r}"
             ) from trap
         # Prefer a pending detection: it rolls back further and clears more.
-        while self._pending:
-            detection = self._next_detection()
-            head = self._pending[0]
-            head_effective = max(head.end_ns, self._last_commit_ns)
-            if detection is not None and detection.end_ns <= head_effective:
-                self._stall_to_wall(detection.end_ns, StallBucket.CHECKER_WAIT)
-                self._handle_detection(detection)
-                self._trap_retries = 0
-                return
-            self._stall_to_wall(head_effective, StallBucket.CHECKER_WAIT)
-            self._process_commits(head_effective)
+        if self._drain_blocking():
+            self._trap_retries = 0
+            return
         # No outstanding checks: the corruption is local to this segment.
         self._trap_retries += 1
         if self.guard is None and self._trap_retries > 8:
@@ -1170,10 +1123,6 @@ class SimulationEngine:
                     segment_target = self.length_controller.target
                     continue
                 self.external_flushes.append((self.wall_ns, pending_text))
-                if self.timeline is not None:
-                    self.timeline.record(
-                        self.wall_ns, EventKind.EXTERNAL_FLUSH, detail=pending_text
-                    )
                 if self.tracer is not None:
                     self.tracer.emit(
                         "engine",
@@ -1269,10 +1218,6 @@ class SimulationEngine:
             self._segment_start_wall.pop(head.segment.seq, None)
             if self.guard is not None:
                 self.guard.on_commit(head.segment.end_state.instret)
-            if self.timeline is not None:
-                self.timeline.record(
-                    head_effective, EventKind.COMMIT, head.segment.seq
-                )
             if self.tracer is not None:
                 self.tracer.emit(
                     "engine",

@@ -7,23 +7,11 @@ from .run_stats import (
     StallBreakdown,
     StallBucket,
 )
-from .timeline import (
-    EventKind,
-    Timeline,
-    TimelineEvent,
-    render_checker_gantt,
-    render_timeline,
-)
 
 __all__ = [
-    "EventKind",
     "RecoveryEvent",
     "RunOutcome",
     "RunResult",
     "StallBreakdown",
     "StallBucket",
-    "Timeline",
-    "TimelineEvent",
-    "render_checker_gantt",
-    "render_timeline",
 ]

@@ -12,7 +12,8 @@ The subsystem has four parts:
   counters/gauges/histograms and the cross-run :func:`merge_metrics`;
 * :mod:`~repro.telemetry.exporters` — JSONL (lossless, validated) and
   Chrome/Perfetto ``trace_event`` JSON, plus the multi-run
-  :func:`merge_traces`.
+  :func:`merge_traces` and the text :func:`render_timeline` and
+  :func:`render_checker_gantt`.
 
 See ``docs/OBSERVABILITY.md`` for the event glossary, how to open a
 trace in the Perfetto UI, and the overhead guarantees.
@@ -33,6 +34,8 @@ from .exporters import (
     perfetto_events,
     read_jsonl,
     read_jsonl_path,
+    render_checker_gantt,
+    render_timeline,
     to_perfetto,
     validate_jsonl_path,
     write_jsonl,
@@ -59,6 +62,8 @@ __all__ = [
     "perfetto_events",
     "read_jsonl",
     "read_jsonl_path",
+    "render_checker_gantt",
+    "render_timeline",
     "to_perfetto",
     "validate_event_dict",
     "validate_jsonl_path",

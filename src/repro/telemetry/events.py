@@ -33,8 +33,8 @@ class EventSource(enum.Enum):
     """Which layer of the simulator emitted an event."""
 
     #: Segment lifecycle on the main core: open/close/dispatch/commit/
-    #: detect/rollback/external flush (the :class:`~repro.stats.timeline.
-    #: Timeline` vocabulary, generalized).
+    #: detect/rollback/external flush (what ``repro run --timeline``
+    #: prints).
     ENGINE = "engine"
     #: The dynamic voltage controller: voltage steps, tide-mark moves,
     #: escalation holds.

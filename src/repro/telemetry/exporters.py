@@ -1,4 +1,4 @@
-"""Trace exporters: versioned JSONL and Chrome/Perfetto ``trace_event``.
+"""Trace exporters: versioned JSONL, Chrome/Perfetto ``trace_event``, text.
 
 Two serializations of the same event stream:
 
@@ -16,6 +16,10 @@ Two serializations of the same event stream:
 
 :func:`merge_traces` lays any number of runs (a SPEC suite, an injection
 campaign) side by side in one Perfetto file, one process per run.
+
+Two text renderers print the engine's segment lifecycle for a terminal
+(``repro run --timeline``): :func:`render_timeline`, one line per event,
+and :func:`render_checker_gantt`, checker occupancy as ASCII.
 """
 
 from __future__ import annotations
@@ -336,3 +340,55 @@ def write_perfetto_path(
 def events_from_dicts(dicts: Iterable[Mapping[str, Any]]) -> List[TraceEvent]:
     """Rehydrate wire-format dicts (e.g. ``RunResult.trace``) to events."""
     return [TraceEvent.from_dict(data) for data in dicts]
+
+
+# -------------------------------------------------------------------- text --
+def render_timeline(events: Sequence[TraceEvent], limit: Optional[int] = None) -> str:
+    """One line per event in time order: time, kind, segment, core, value
+    and detail.  With ``limit`` only the first ``limit`` lines are shown."""
+    ordered = sorted(events, key=lambda event: event.time_ns)
+    lines = []
+    for event in ordered[:limit] if limit else ordered:
+        segment = f"s{event.segment}" if event.segment else ""
+        core = f"c{event.core}" if event.core >= 0 else ""
+        value = "" if event.value is None else f"{event.value:.1f}"
+        lines.append(
+            f"{event.time_ns:12.1f} ns  {event.kind:14s} {segment:>6s} "
+            f"{core:>4s} {value:>10s}  {event.detail}"
+        )
+    if limit and len(ordered) > limit:
+        lines.append(f"... {len(ordered) - limit} more events")
+    return "\n".join(lines)
+
+
+def render_checker_gantt(
+    events: Sequence[TraceEvent], cores: int = 16, width: int = 72
+) -> str:
+    """ASCII occupancy chart: one row per checker core, '#' marks busy.
+
+    Each busy interval is a ``dispatch`` event: it starts at ``time_ns``
+    and lasts ``value`` nanoseconds.
+    """
+    intervals = [
+        (event.core, event.time_ns, event.time_ns + event.value)
+        for event in events
+        if event.kind == "dispatch"
+    ]
+    if not intervals:
+        return "(no dispatches)"
+    t_min = min(start for _, start, _ in intervals)
+    t_max = max(end for _, _, end in intervals)
+    span = (t_max - t_min) or 1.0
+    rows = []
+    for core in range(cores):
+        cells = [" "] * width
+        for owner, start, end in intervals:
+            if owner != core:
+                continue
+            left = int((start - t_min) / span * (width - 1))
+            right = max(int((end - t_min) / span * (width - 1)), left)
+            for x in range(left, right + 1):
+                cells[x] = "#"
+        rows.append(f"c{core:02d} |{''.join(cells)}|")
+    rows.append(f"     {t_min:.0f} ns {'':{max(width - 24, 1)}} {t_max:.0f} ns")
+    return "\n".join(rows)

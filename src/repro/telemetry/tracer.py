@@ -1,16 +1,17 @@
 """The typed event bus every instrumented layer emits into.
 
-A :class:`Tracer` generalizes :class:`repro.stats.timeline.Timeline`:
-the engine's segment-lifecycle events flow through it unchanged, and the
-adaptive controllers (DVFS, checkpoint length, fault injector, forward-
-progress guard, checker health, scheduling pool) publish their own
-transitions alongside, stamped onto the same wall clock.  One tracer per
-engine; the engine owns it and hands a reference to each subcomponent.
+A :class:`Tracer` is the run's only event log: the engine's segment-
+lifecycle events (which ``repro run --timeline`` renders as text) flow
+through it, and the adaptive controllers (DVFS, checkpoint length, fault
+injector, forward-progress guard, checker health, scheduling pool)
+publish their own transitions alongside, stamped onto the same wall
+clock.  One tracer per engine; the engine owns it and hands a reference
+to each subcomponent.
 
 Disabled tracing is represented by *absence*: components hold
 ``tracer = None`` and guard emission with one ``is not None`` test at
 segment/checkpoint granularity, never per instruction, so the disabled
-path costs nothing measurable (see ``docs/PERFORMANCE.md``).
+path costs nothing measurable (see ``docs/OBSERVABILITY.md``).
 
 Components that are called without an explicit wall-clock time (the
 fault injector mid-replay, health attribution) stamp events with

@@ -48,6 +48,7 @@ class TestCommands:
     def test_run_with_timeline(self, capsys):
         main(["run", "crc32", "--scale", "0.3", "--timeline"])
         out = capsys.readouterr().out
+        assert "segment_open" in out
         assert "dispatch" in out
         assert "c00" in out  # gantt row
 

@@ -24,6 +24,7 @@ from repro.core import (
     ParaMedicSystem,
 )
 from repro.experiments.common import steady_state_dvfs_config
+from repro.faults import default_injector
 from repro.faults.sram import sram_injector
 from repro.workloads import build_bitcount, build_spec_workload
 
@@ -60,6 +61,14 @@ def _run(case: str):
             1, checkers=config.checker.count, voltage=config.dvfs.safe_voltage - 0.15
         )
         return system.run(workload, seed=3, injector=injector)
+    if case == "main/bitcount":
+        # Faults on the main core: wild traps with checks still pending.
+        workload = build_bitcount(values=30)
+        system = ParaDoxSystem(
+            config=table1_config().with_error_rate(3e-3, seed=1), resilient=True
+        )
+        injector = default_injector(3e-3, seed=1, target="main")
+        return system.run(workload, seed=1, injector=injector)
     workload_name, system_name = case.split("/")
     workload = build_spec_workload(workload_name, iterations=ITERATIONS, seed=SEED)
     return _suite_system(system_name).run(workload, seed=SEED)
@@ -95,6 +104,7 @@ def fingerprint(result) -> dict:
 CASES = [f"{w}/{s}" for w in SUITE_WORKLOADS for s in SYSTEMS] + [
     "resilient/sjeng",
     "sram/bitcount",
+    "main/bitcount",
 ]
 
 #: Recorded from the engine before the decode-table rewrite.
@@ -291,6 +301,34 @@ GOLDEN = {'bzip2/baseline': {'close_reasons': {},
                                              '0.05466310225855177',
                                              '0.020291333081594407'],
                               'wall_ns': '38667.81249999862'},
+          'main/bitcount': {'close_reasons': {'halt': 2, 'target': 437},
+                            'executed': 68943,
+                            'faults_injected': 223,
+                            'instructions': 15509,
+                            'mean_checkpoint_length': '146.90205011389523',
+                            'outcome': 'completed',
+                            'recoveries': 55,
+                            'segments': 439,
+                            'stalls': ['678.9583333310641', '0.0', '2195.0',
+                                       '780.0000000000009', '1.8189894035458565e-12'],
+                            'unit_mix': {'branch': 17370,
+                                         'int_alu': 51189,
+                                         'int_mul': 126,
+                                         'load': 120,
+                                         'store': 134,
+                                         'system': 4},
+                            'wake_rates': ['0.12202195354752873',
+                                           '0.15098154629335084',
+                                           '0.13829144129811902', '0.2105727012408751',
+                                           '0.16586382437171493',
+                                           '0.12342825326128602',
+                                           '0.0779525930639433', '0.2609465478842306',
+                                           '0.2112010817690445', '0.25738148265991473',
+                                           '0.26614540248171653', '0.3498250079541609',
+                                           '0.2194543429843717', '0.18558383709826717',
+                                           '0.19618199172759054',
+                                           '0.09041202672603339'],
+                            'wall_ns': '13095.83333333174'},
           'milc/baseline': {'close_reasons': {},
                             'executed': 2493,
                             'faults_injected': 0,
@@ -430,9 +468,11 @@ def test_run_matches_recorded_fingerprint(case):
 
 
 def test_recorded_cases_exercise_recovery():
-    """The pinned set covers rollbacks, the SRAM map and DVS moves."""
+    """The pinned set covers rollbacks, the SRAM map, main-core traps and
+    DVS moves."""
     assert GOLDEN["resilient/sjeng"]["recoveries"] > 0
     assert GOLDEN["sram/bitcount"]["faults_injected"] > 0
+    assert GOLDEN["main/bitcount"]["recoveries"] > 0
     assert all(GOLDEN[f"{w}/paradox"]["segments"] > 0 for w in SUITE_WORKLOADS)
 
 

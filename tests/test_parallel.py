@@ -155,31 +155,23 @@ def _derive_remote(key):
 
 
 class TestSuiteBitIdentity:
-    @pytest.fixture(scope="class")
-    def serial_runs(self):
-        from repro.experiments.spec_runs import run_spec_suite
+    def test_jobs2_matches_serial(self):
+        from repro.experiments.spec_runs import SUITE_SYSTEMS, run_spec_suite
 
-        return run_spec_suite(
-            iterations=4, names=["bzip2"], seed=99, systems=("baseline", "paradox")
-        )
-
-    def test_jobs2_matches_serial(self, serial_runs):
-        from repro.experiments.spec_runs import run_spec_suite
-
-        fanned = run_spec_suite(
-            iterations=4,
-            names=["bzip2"],
-            seed=99,
-            systems=("baseline", "paradox"),
-            jobs=2,
-        )
-        for system in ("baseline", "paradox"):
-            mine = fanned.by_system(system)["bzip2"]
-            ref = serial_runs.by_system(system)["bzip2"]
-            assert mine.wall_ns == ref.wall_ns
-            assert mine.instructions == ref.instructions
-            assert len(mine.recoveries) == len(ref.recoveries)
-            assert mine.program_output == ref.program_output
+        names = ["bzip2", "milc"]
+        for jit in (True, False):
+            serial = run_spec_suite(iterations=4, names=names, seed=99, jit=jit)
+            fanned = run_spec_suite(
+                iterations=4, names=names, seed=99, jit=jit, jobs=2
+            )
+            for system in SUITE_SYSTEMS:
+                for name in names:
+                    mine = fanned.by_system(system)[name]
+                    ref = serial.by_system(system)[name]
+                    assert mine.wall_ns == ref.wall_ns, (jit, system, name)
+                    assert mine.instructions == ref.instructions
+                    assert len(mine.recoveries) == len(ref.recoveries)
+                    assert mine.program_output == ref.program_output
 
     def test_spread_seeds_stable_across_widths(self):
         from repro.experiments.spec_runs import run_spec_suite
