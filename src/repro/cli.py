@@ -594,6 +594,16 @@ def _parse_granularities(value: str):
         raise SystemExit(f"unknown granularity {value!r}; choose from {choices}")
 
 
+def _non_negative_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = -1
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    return number
+
+
 def cmd_diffcheck(args: argparse.Namespace) -> int:
     from .ioutil import atomic_write_json
     from .oracle import DifferentialRunner
@@ -758,7 +768,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=12345)
     run.add_argument("--scale", type=float, default=1.0, help="workload size factor")
     run.add_argument("--timeline", action="store_true", help="print the event timeline")
-    run.add_argument("--timeline-limit", type=int, default=40)
+    run.add_argument(
+        "--timeline-limit",
+        type=_non_negative_int,
+        default=40,
+        help="timeline lines to print (0 = all events)",
+    )
     run.add_argument(
         "--resilient",
         action="store_true",

@@ -46,7 +46,7 @@ from ..cores.main_core import MainCoreTiming
 from ..dvfs import VoltageController
 from ..faults.injector import FaultInjector
 from ..faults.voltage_model import VoltageErrorModel
-from ..isa import Executor, HaltTrap, MemoryImage, Program, SimTrap
+from ..isa import Executor, MemoryImage, Program, SimTrap
 from ..isa.decode import decode_table
 from ..isa.state import ArchState
 from ..jit import SuperblockJit
@@ -62,6 +62,7 @@ from ..lslog.segment import (
 from ..memory.cache import MemoryHierarchy
 from ..memory.unchecked import UncheckedLineTracker
 from ..resilience.guard import (
+    ForwardProgressDiagnostics,
     ForwardProgressFailure,
     ForwardProgressGuard,
     ResilienceConfig,
@@ -231,7 +232,7 @@ class SimulationEngine:
             config.checkpoint, adaptive=options.adaptive_checkpoints
         )
         self.dvfs: Optional[VoltageController] = None
-        if options.dvs:
+        if options.dvs and options.checking:
             self.dvfs = VoltageController(
                 config.dvfs,
                 config.main_core.frequency_hz,
@@ -260,14 +261,12 @@ class SimulationEngine:
         # Segment bookkeeping.
         self._next_seq = 1
         self._segment: Optional[LogSegment] = None
-        self._segment_start_wall: Dict[int, float] = {}
         self._pending: List[PendingCheck] = []
-        #: How many entries of ``_pending`` carry a detection.  Kept in
-        #: sync at dispatch and squash so the per-instruction detection
-        #: poll in the fill loop is a counter test, not a list scan.
-        self._pending_detected = 0
-        #: The earliest pending detection, or None until it is asked
-        #: for; dropped wherever ``_pending_detected`` changes.
+        #: The pending detection that lands first (ties: the oldest), or
+        #: None.  Detections enter ``_pending`` only at dispatch and leave
+        #: it only when squashed (commits never pass one), so the pointer
+        #: is kept exact at those two places and the per-instruction
+        #: detection poll is one attribute test.
         self._earliest_detection: Optional[PendingCheck] = None
         self._last_commit_ns = 0.0
         self._checkpoint_lengths: List[int] = []
@@ -366,15 +365,14 @@ class SimulationEngine:
             start_state=start_state,
             prev_checker_id=self._last_checker_id,
             main_id=self.main_id,
+            opened_ns=self.wall_ns,
         )
-        self._segment.text_footprint_bytes = self.program.text_bytes
         self.port.segment = self._segment
         if self.jit is not None:
             # Segment-boundary invalidation: compiled blocks record into
             # the segment the tier knows about; a stale recorder would
             # account instructions to a closed checkpoint.
             self.jit.note_segment(self._segment)
-        self._segment_start_wall[seq] = self.wall_ns
         if self.tracer is not None:
             self.tracer.now_ns = self.wall_ns
             self.tracer.emit("engine", "segment_open", segment=seq)
@@ -402,8 +400,8 @@ class SimulationEngine:
         self.timing.block_commit(block)
         self.stalls.checkpoint_ns += block * self._cycle_ns
 
-        # DVFS advances at every checkpoint boundary (error case is
-        # handled inside _recover).
+        # DVFS advances at every checkpoint boundary (the error case is
+        # handled inside _roll_back).
         self._dvfs_checkpoint(error=False)
 
         if self.pool is not None:
@@ -492,12 +490,12 @@ class SimulationEngine:
             )
             self.tracer.metrics.inc("scheduling.dispatches")
             self.tracer.metrics.observe("scheduling.busy_ns", duration_ns)
-        self._pending.append(
-            PendingCheck(segment, record, result, start_ns + duration_ns)
-        )
+        pending = PendingCheck(segment, record, result, start_ns + duration_ns)
+        self._pending.append(pending)
         if result.detected:
-            self._pending_detected += 1
-            self._earliest_detection = None
+            earliest = self._earliest_detection
+            if earliest is None or pending.end_ns < earliest.end_ns:
+                self._earliest_detection = pending
         if self.tracer is not None:
             self.tracer.emit(
                 "engine",
@@ -531,23 +529,6 @@ class SimulationEngine:
                 injector.begin_check(None)
 
     # -------------------------------------------------- commits & detections --
-    def _next_detection(self) -> Optional[PendingCheck]:
-        """The pending detection that lands first (ties: the oldest)."""
-        if not self._pending_detected:
-            return None
-        earliest = self._earliest_detection
-        if earliest is None:
-            # Detections leave _pending only when squashed, and commits
-            # never pass one, so the minimum holds until the next
-            # dispatch or squash clears it.
-            earliest = min(
-                (p for p in self._pending if p.result.detected),
-                key=lambda p: p.end_ns,
-                default=None,
-            )
-            self._earliest_detection = earliest
-        return earliest
-
     def _process_commits(self, up_to_ns: float) -> None:
         """Commit clean checks, oldest first, whose results land by ``up_to_ns``.
 
@@ -566,7 +547,6 @@ class SimulationEngine:
             self._last_commit_ns = effective
             self.tracker.release_through(head.segment.seq)
             self._pending.pop(0)
-            self._segment_start_wall.pop(head.segment.seq, None)
             committed = True
             if self.guard is not None:
                 self.guard.on_commit(head.segment.end_state.instret)
@@ -577,8 +557,38 @@ class SimulationEngine:
         if committed and self.paranoid is not None:
             self.paranoid.on_commit(self)
 
+    def _wait_for_checks(
+        self, bucket: StallBucket, address: Optional[int] = None
+    ) -> bool:
+        """Stall the main core on outstanding checks; True on rollback.
+
+        Each step waits, in ``bucket``, for whichever lands first: the
+        oldest check's commit or the earliest detection.  Waiting stops
+        once every check has committed or, with ``address``, once that
+        address's unchecked line fits.  Unlike the end-of-run
+        :meth:`_drain`, the main core is blocked here (on an external
+        write, a main-core trap or an eviction conflict), so every wait
+        costs wall time.
+        """
+        while (
+            self._pending if address is None else self.tracker.would_conflict(address)
+        ):
+            if not self._pending:
+                raise RuntimeError(
+                    f"unresolvable unchecked-line conflict at {address:#x}"
+                )
+            head_effective = max(self._pending[0].end_ns, self._last_commit_ns)
+            detection = self._earliest_detection
+            if detection is not None and detection.end_ns <= head_effective:
+                self._stall_to_wall(detection.end_ns, bucket)
+                self._handle_detection(detection)
+                return True
+            self._stall_to_wall(head_effective, bucket)
+            self._process_commits(head_effective)
+        return False
+
     def _handle_detection(self, pending: PendingCheck) -> None:
-        """Roll back to the start of the faulty segment and resume."""
+        """Squash the faulty segment and everything younger, then roll back."""
         faulty = pending.segment
         now = max(self.wall_ns, pending.end_ns)
         # Commit any older clean checks that finished before detection.
@@ -586,18 +596,14 @@ class SimulationEngine:
 
         # The faulty segment may no longer be the oldest pending; roll back
         # everything from it (inclusive) to the newest, plus the filler.
+        # ``_pending`` is in segment order, oldest first.
         to_squash = [p for p in self._pending if p.segment.seq >= faulty.seq]
         keep = [p for p in self._pending if p.segment.seq < faulty.seq]
-        segments_newest_first: List[LogSegment] = []
         filler = self._segment
-        if filler is not None and (filler.instruction_count or filler.store_count):
-            segments_newest_first.append(filler)
-        segments_newest_first.extend(
-            sorted((p.segment for p in to_squash), key=lambda s: s.seq, reverse=True)
+        segments_newest_first = (
+            [filler] if filler.instruction_count or filler.store_count else []
         )
-
-        rollback = rollback_memory(self.memory, segments_newest_first)
-        rollback_ns = rollback.cycles * self._cycle_ns
+        segments_newest_first += [p.segment for p in reversed(to_squash)]
 
         # Abort in-flight checks of squashed segments.
         for squashed in to_squash:
@@ -614,8 +620,43 @@ class SimulationEngine:
                 )
                 self.tracer.metrics.inc("scheduling.aborts")
         self._pending = keep
-        self._pending_detected = sum(1 for p in keep if p.result.detected)
-        self._earliest_detection = None
+        self._earliest_detection = min(
+            (p for p in keep if p.result.detected),
+            key=lambda p: p.end_ns,
+            default=None,
+        )
+
+        # Resilience: steer the retry to different hardware; its verdict
+        # vindicates or absolves the checker that reported this one.
+        if self.health is not None:
+            self._retry_suspect = (faulty.start_state.instret, pending.record.core_id)
+        self._roll_back(
+            faulty,
+            segments_newest_first,
+            pending.result.detection.channel,
+            now,
+            checker_id=pending.record.core_id,
+        )
+
+    def _roll_back(
+        self,
+        faulty: LogSegment,
+        segments_newest_first: List[LogSegment],
+        channel: DetectionChannel,
+        now: float,
+        checker_id: Optional[int] = None,
+    ) -> None:
+        """Recover from an error in ``faulty`` detected at wall time ``now``.
+
+        Walks the log of ``segments_newest_first`` back to ``faulty``'s
+        start, restores its checkpoint, accounts the walk as a rollback
+        stall and records the recovery, then adapts (shorter checkpoints,
+        a higher voltage, forward-progress escalation) and re-opens
+        filling from the restored state.  ``checker_id`` names the checker
+        that detected the error; None for a main-core trap.
+        """
+        rollback = rollback_memory(self.memory, segments_newest_first)
+        rollback_ns = rollback.cycles * self._cycle_ns
 
         # Restore architectural and tracker state.
         self.state.restore(faulty.start_state)
@@ -623,15 +664,14 @@ class SimulationEngine:
         self.timing.discard_inflight()
 
         # Account time: detection point, then the rollback walk.
-        wasted_ns = now - self._segment_start_wall.get(faulty.seq, now)
+        wasted_ns = max(now - faulty.opened_ns, 0.0)
         self._stall_to_wall(now + rollback_ns, StallBucket.ROLLBACK)
-
         self.recoveries.append(
             RecoveryEvent(
                 segment_seq=faulty.seq,
-                channel=pending.result.detection.channel,
+                channel=channel,
                 detect_ns=now,
-                wasted_execution_ns=max(wasted_ns, 0.0),
+                wasted_execution_ns=wasted_ns,
                 rollback_ns=rollback_ns,
                 rollback_entries=rollback.entries_restored,
                 segments_rolled_back=rollback.segments_walked,
@@ -644,8 +684,8 @@ class SimulationEngine:
                 "detect",
                 time_ns=now,
                 segment=faulty.seq,
-                core=pending.record.core_id,
-                detail=pending.result.detection.channel.value,
+                core=-1 if checker_id is None else checker_id,
+                detail=channel.value,
             )
             self.tracer.emit(
                 "engine",
@@ -657,33 +697,22 @@ class SimulationEngine:
                 f"{rollback.segments_walked} segments",
             )
             self.tracer.metrics.observe("engine.rollback_ns", rollback_ns)
-            self.tracer.metrics.observe(
-                "engine.wasted_ns", max(wasted_ns, 0.0)
-            )
-        for seq in list(self._segment_start_wall):
-            if seq >= faulty.seq:
-                del self._segment_start_wall[seq]
+            self.tracer.metrics.observe("engine.wasted_ns", wasted_ns)
 
         # Adapt: checkpoint length shrinks, voltage rises.
         self.length_controller.observe(faulty.instruction_count, LengthEvent.ERROR)
         self._dvfs_checkpoint(error=True)
 
-        # Resilience: steer the retry to different hardware, and let the
-        # forward-progress guard escalate if this checkpoint keeps
+        # Let the forward-progress guard escalate if this checkpoint keeps
         # rolling back (it raises ForwardProgressFailure when the storm
         # survives the safe voltage).
-        if self.health is not None:
-            self._retry_suspect = (
-                faulty.start_state.instret,
-                pending.record.core_id,
-            )
         if self.guard is not None:
             try:
                 self.guard.on_rollback(
                     faulty.start_state.instret,
                     self.wall_ns,
-                    checker_id=pending.record.core_id,
-                    channel=pending.result.detection.channel.value,
+                    checker_id=checker_id,
+                    channel=channel.value,
                 )
             finally:
                 # Escalation may have moved the voltage target; keep the
@@ -701,18 +730,14 @@ class SimulationEngine:
 
         With main-core injection enabled a bit flip can send the main core
         to a wild address or PC.  Hardware running ParaDox treats this
-        like any other error: drain outstanding checks (an older segment's
+        like any other error: wait for outstanding checks (an older segment's
         checker may pinpoint the corruption and trigger a full rollback),
         and otherwise revert the current segment locally and re-run it.
         A trap that recurs without any possible fault is a genuine program
         bug and is re-raised.
         """
-        if not self.options.checking:
-            raise RuntimeError(
-                f"unprotected main core trapped at pc {self.state.pc}: {trap!r}"
-            ) from trap
         # Prefer a pending detection: it rolls back further and clears more.
-        if self._drain_blocking():
+        if self._wait_for_checks(StallBucket.CHECKER_WAIT):
             self._trap_retries = 0
             return
         # No outstanding checks: the corruption is local to this segment.
@@ -727,70 +752,12 @@ class SimulationEngine:
                 f"recovery possible (deterministic bug?): {trap!r}"
             ) from trap
         filler = self._segment
-        if filler is None:
-            # The trap landed between a segment close and the next open
-            # (no filling segment): nothing was logged, so there is
-            # nothing to roll back.  Record a zero-cost recovery and
-            # restart filling from the current architectural state.
-            now = self.wall_ns
-            self.recoveries.append(
-                RecoveryEvent(
-                    segment_seq=self._next_seq,
-                    channel=DetectionChannel.MAIN_TRAP,
-                    detect_ns=now,
-                    wasted_execution_ns=0.0,
-                    rollback_ns=0.0,
-                    rollback_entries=0,
-                    segments_rolled_back=0,
-                )
-            )
-            self._dvfs_checkpoint(error=True)
-            if self.guard is not None:
-                try:
-                    self.guard.on_rollback(
-                        self.state.instret,
-                        self.wall_ns,
-                        channel=DetectionChannel.MAIN_TRAP.value,
-                    )
-                finally:
-                    self._sync_dvfs_outputs()
-            self._external_verified = False
-            self._open_segment(self.state.snapshot())
-            return
-        rollback = rollback_memory(self.memory, [filler] if filler.store_count else [])
-        rollback_ns = rollback.cycles * self._cycle_ns
-        now = self.wall_ns
-        wasted_ns = now - self._segment_start_wall.get(filler.seq, now)
-        self.state.restore(filler.start_state)
-        self.tracker.drop_after(filler.seq - 1)
-        self.timing.discard_inflight()
-        self._stall_to_wall(now + rollback_ns, StallBucket.ROLLBACK)
-        self.recoveries.append(
-            RecoveryEvent(
-                segment_seq=filler.seq,
-                channel=DetectionChannel.MAIN_TRAP,
-                detect_ns=now,
-                wasted_execution_ns=max(wasted_ns, 0.0),
-                rollback_ns=rollback_ns,
-                rollback_entries=rollback.entries_restored,
-                segments_rolled_back=rollback.segments_walked,
-            )
+        self._roll_back(
+            filler,
+            [filler] if filler.store_count else [],
+            DetectionChannel.MAIN_TRAP,
+            self.wall_ns,
         )
-        self.length_controller.observe(filler.instruction_count, LengthEvent.ERROR)
-        self._dvfs_checkpoint(error=True)
-        if self.guard is not None:
-            try:
-                self.guard.on_rollback(
-                    filler.start_state.instret,
-                    self.wall_ns,
-                    channel=DetectionChannel.MAIN_TRAP.value,
-                )
-            finally:
-                self._sync_dvfs_outputs()
-        self._external_verified = False
-        self._open_segment(filler.start_state.snapshot())
-        if self.paranoid is not None:
-            self.paranoid.on_rollback(self, filler.seq - 1)
 
     # ------------------------------------------------------------------- run --
     def run(self, max_instructions: int = 1_000_000) -> RunResult:
@@ -822,8 +789,7 @@ class SimulationEngine:
                     main_done_ns = self.wall_ns
                     break
                 # Program finished (or budget reached): close the last segment.
-                segment = self._segment
-                if segment is not None and segment.instruction_count > 0:
+                if self._segment.instruction_count > 0:
                     self._close_segment(SegmentCloseReason.PROGRAM_END)
                 # The application is complete here; outstanding checks
                 # drain in the background and only extend the run if one
@@ -837,7 +803,19 @@ class SimulationEngine:
             failure = fpf.diagnostics
             main_done_ns = self.wall_ns
 
-        wall = main_done_ns or self.wall_ns
+        return self._result(main_done_ns or self.wall_ns, outcome, failure)
+
+    def _result(
+        self,
+        wall: float,
+        outcome: RunOutcome,
+        failure: Optional[ForwardProgressDiagnostics],
+    ) -> RunResult:
+        """The run's statistics, with telemetry folded in when traced.
+
+        An unprotected run has no checkers, checkpoints, DVFS controller
+        or guard, so those fields keep their empty values.
+        """
         pool = self.pool
         result = RunResult(
             system=self.system_name,
@@ -869,7 +847,7 @@ class SimulationEngine:
                 if self._checkpoint_lengths
                 else 0.0
             ),
-            final_checkpoint_target=self.length_controller.target,
+            final_checkpoint_target=self.length_controller.target if pool else 0,
             outcome=outcome,
             failure=failure,
             quarantine_events=list(self.health.events) if self.health else [],
@@ -982,19 +960,7 @@ class SimulationEngine:
             unit_name = unit_names[info.pc_before]
             unit_mix[unit_name] = unit_mix_get(unit_name, 0) + 1
         self._executed_total += executed
-        result = RunResult(
-            system=self.system_name,
-            workload=self.program.name,
-            wall_ns=self.wall_ns,
-            instructions=state.instret,
-            instructions_executed=self._executed_total,
-            segments=0,
-            program_output=list(state.output),
-            mean_voltage=self.config.dvfs.nominal_voltage,
-            unit_mix=dict(self._unit_mix),
-        )
-        self._finalize_telemetry(result)
-        return result
+        return self._result(self.wall_ns, RunOutcome.COMPLETED, None)
 
     def _fill_loop(self, max_instructions: int, livelock_budget: int) -> bool:
         """Execute main-core instructions until halt or budget.
@@ -1020,7 +986,7 @@ class SimulationEngine:
         main_injection = injector is not None and injector.target == "main"
         jit = self.jit
         jit_active_get = jit._active.get if jit is not None else None
-        while not state.halted and state.instret < max_instructions:
+        while not state.halted and (before := state.instret) < max_instructions:
             if self._executed_total >= livelock_budget:
                 if self.guard is not None:
                     # Resilient mode: a persistent defect at the safe
@@ -1034,73 +1000,55 @@ class SimulationEngine:
                 # has committed clean before letting the write proceed.
                 if self._segment.instruction_count > 0:
                     self._close_segment(SegmentCloseReason.EXTERNAL)
-                if self._drain_blocking():
+                if self._wait_for_checks(StallBucket.CHECKER_WAIT):
                     segment_target = self.length_controller.target
                     continue  # a detection rolled us back; retry
                 self._external_verified = True
-            if jit_active_get is not None and not self._external_verified:
-                # Compiled dispatch.  A block runs only when every
-                # per-instruction obligation of the interpreted path is
-                # provably a no-op across its whole span: no pending
-                # detection can mature (_pending_detected only changes
-                # inside _dispatch/_squash, never mid-block), no
-                # external syscall sits inside a block (SYSCALL is not
-                # compilable), no main-core injector exists (tier is
-                # not built then), and the segment target, instruction
-                # budget and livelock budget all have room for the full
-                # block.  Anything short of that falls through to the
-                # interpreter below.
-                entry = jit_active_get(state.pc)
-                if entry is None:
-                    entry = jit.runner(state.pc)
-                if (
-                    entry is not None
-                    and not self._pending_detected
-                    and self._segment.instruction_count + entry.length
-                    <= segment_target
-                    and state.instret + entry.length <= max_instructions
-                    and self._executed_total + entry.length <= livelock_budget
-                ):
-                    before = state.instret
-                    try:
-                        entry.run(jit._rec)
-                    except SegmentFull:
-                        self._executed_total += state.instret - before
-                        self._close_segment(SegmentCloseReason.LOG_CAPACITY)
-                        segment_target = self.length_controller.target
-                        continue
-                    except UncheckedConflictStall as stall:
-                        self._executed_total += state.instret - before
-                        self._handle_conflict(stall.address)
-                        segment_target = self.length_controller.target
-                        continue
-                    except SimTrap as trap:
-                        self._executed_total += state.instret - before
-                        self._handle_main_trap(trap)
-                        segment_target = self.length_controller.target
-                        continue
-                    self._executed_total += entry.length
-                    stats = jit.stats
-                    stats.dispatches += 1
-                    stats.instructions += entry.length
-                    if self._segment.instruction_count >= segment_target:
-                        self._close_segment(SegmentCloseReason.TARGET_LENGTH)
-                        segment_target = self.length_controller.target
-                    continue
             try:
+                if jit_active_get is not None and not self._external_verified:
+                    # Compiled dispatch.  A block runs only when every
+                    # per-instruction obligation of the interpreted path
+                    # is provably a no-op across its whole span: no
+                    # pending detection can mature (the pointer changes
+                    # only at dispatch and squash, never mid-block), no
+                    # external syscall sits inside a block (SYSCALL is
+                    # not compilable), no main-core injector exists (the
+                    # tier is not built then), and the segment target,
+                    # instruction budget and livelock budget all have
+                    # room for the full block.  Anything short of that
+                    # falls through to the interpreter below.
+                    entry = jit_active_get(state.pc)
+                    if entry is None:
+                        entry = jit.runner(state.pc)
+                    if (
+                        entry is not None
+                        and self._earliest_detection is None
+                        and self._segment.instruction_count + entry.length
+                        <= segment_target
+                        and state.instret + entry.length <= max_instructions
+                        and self._executed_total + entry.length <= livelock_budget
+                    ):
+                        entry.run(jit._rec)
+                        self._executed_total += entry.length
+                        stats = jit.stats
+                        stats.dispatches += 1
+                        stats.instructions += entry.length
+                        if self._segment.instruction_count >= segment_target:
+                            self._close_segment(SegmentCloseReason.TARGET_LENGTH)
+                            segment_target = self.length_controller.target
+                        continue
                 info = step()
-            except SegmentFull:
-                self._close_segment(SegmentCloseReason.LOG_CAPACITY)
-                segment_target = self.length_controller.target
-                continue
-            except UncheckedConflictStall as stall:
-                self._handle_conflict(stall.address)
-                segment_target = self.length_controller.target
-                continue
-            except HaltTrap:  # pragma: no cover - defensive
-                break
-            except SimTrap as trap:
-                self._handle_main_trap(trap)
+            except (SegmentFull, UncheckedConflictStall, SimTrap) as exc:
+                # Blocks keep instret exact up to the raising
+                # instruction and a raising step retires nothing, so the
+                # instret delta is what ran.
+                self._executed_total += state.instret - before
+                if isinstance(exc, SegmentFull):
+                    self._close_segment(SegmentCloseReason.LOG_CAPACITY)
+                elif isinstance(exc, UncheckedConflictStall):
+                    self._handle_conflict(exc.address)
+                else:
+                    self._handle_main_trap(exc)
                 segment_target = self.length_controller.target
                 continue
 
@@ -1119,17 +1067,15 @@ class SimulationEngine:
                 self._external_verified = False
                 pending_text = state.output[-1][1] if state.output else ""
                 self._close_segment(SegmentCloseReason.EXTERNAL)
-                if self._drain_blocking():
-                    segment_target = self.length_controller.target
-                    continue
-                self.external_flushes.append((self.wall_ns, pending_text))
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "engine",
-                        "external_flush",
-                        time_ns=self.wall_ns,
-                        detail=pending_text,
-                    )
+                if not self._wait_for_checks(StallBucket.CHECKER_WAIT):
+                    self.external_flushes.append((self.wall_ns, pending_text))
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            "engine",
+                            "external_flush",
+                            time_ns=self.wall_ns,
+                            detail=pending_text,
+                        )
                 segment_target = self.length_controller.target
                 continue
             if main_injection:
@@ -1137,12 +1083,11 @@ class SimulationEngine:
 
             # Detections interrupt execution as soon as the main core's
             # wall clock passes the detection point.
-            if self._pending_detected:
-                detection = self._next_detection()
-                if detection is not None and detection.end_ns <= self.wall_ns:
-                    self._handle_detection(detection)
-                    segment_target = self.length_controller.target
-                    continue
+            detection = self._earliest_detection
+            if detection is not None and detection.end_ns <= self.wall_ns:
+                self._handle_detection(detection)
+                segment_target = self.length_controller.target
+                continue
 
             if state.halted:
                 break
@@ -1152,49 +1097,11 @@ class SimulationEngine:
         return False
 
     def _handle_conflict(self, address: int) -> None:
-        """An unchecked-line conflict: drain checkers until the write fits."""
-        segment = self._segment
-        if segment.instruction_count > 0:
+        """An unchecked-line conflict: wait on checks until the write fits."""
+        if self._segment.instruction_count > 0:
             self._close_segment(SegmentCloseReason.EVICTION_CONFLICT)
-        # Wait for commits (in order) until the set has a free way.
-        while self.tracker.would_conflict(address):
-            detection = self._next_detection()
-            if self._pending:
-                head = self._pending[0]
-                head_effective = max(head.end_ns, self._last_commit_ns)
-            else:
-                head_effective = None
-            if detection is not None and (
-                head_effective is None or detection.end_ns <= head_effective
-            ):
-                self._stall_to_wall(detection.end_ns, StallBucket.CONFLICT)
-                self._handle_detection(detection)
-                return  # state rolled back; the conflicting store may not recur
-            if head_effective is None:
-                raise RuntimeError(
-                    f"unresolvable unchecked-line conflict at {address:#x}"
-                )
-            self._stall_to_wall(head_effective, StallBucket.CONFLICT)
-            self._process_commits(head_effective)
-
-    def _drain_blocking(self) -> bool:
-        """Stall the main core until all checks commit; True on rollback.
-
-        Unlike the end-of-run :meth:`_drain`, the main core here is *not*
-        finished — it is blocked on an external operation — so waiting
-        for clean commits costs real wall time (checker-wait stalls).
-        """
-        while self._pending:
-            detection = self._next_detection()
-            head = self._pending[0]
-            head_effective = max(head.end_ns, self._last_commit_ns)
-            if detection is not None and detection.end_ns <= head_effective:
-                self._stall_to_wall(detection.end_ns, StallBucket.CHECKER_WAIT)
-                self._handle_detection(detection)
-                return True
-            self._stall_to_wall(head_effective, StallBucket.CHECKER_WAIT)
-            self._process_commits(head_effective)
-        return False
+        # A detection rolls the state back; the conflicting store may not recur.
+        self._wait_for_checks(StallBucket.CONFLICT, address)
 
     def _drain(self) -> bool:
         """Resolve all outstanding checks; True if a rollback re-opened work.
@@ -1205,26 +1112,11 @@ class SimulationEngine:
         run with recovery and re-execution.
         """
         while self._pending:
-            detection = self._next_detection()
-            head = self._pending[0]
-            head_effective = max(head.end_ns, self._last_commit_ns)
+            head_effective = max(self._pending[0].end_ns, self._last_commit_ns)
+            detection = self._earliest_detection
             if detection is not None and detection.end_ns <= head_effective:
                 self._stall_to_wall(detection.end_ns, StallBucket.DRAIN)
                 self._handle_detection(detection)
                 return True
-            self._last_commit_ns = head_effective
-            self.tracker.release_through(head.segment.seq)
-            self._pending.pop(0)
-            self._segment_start_wall.pop(head.segment.seq, None)
-            if self.guard is not None:
-                self.guard.on_commit(head.segment.end_state.instret)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "engine",
-                    "commit",
-                    time_ns=head_effective,
-                    segment=head.segment.seq,
-                )
-        if self.paranoid is not None:
-            self.paranoid.on_commit(self)
+            self._process_commits(head_effective)
         return False

@@ -181,12 +181,6 @@ class Instruction:
         return self.opcode in BRANCH_OPCODES
 
     @property
-    def is_conditional_branch(self) -> bool:
-        return (
-            self.opcode in CONDITIONAL_FLAG_BRANCHES or self.opcode in CONDITIONAL_REG_BRANCHES
-        )
-
-    @property
     def is_memory(self) -> bool:
         return self.opcode in MEMORY_OPCODES
 

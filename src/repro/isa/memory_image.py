@@ -58,15 +58,6 @@ class MemoryImage:
         self._check(address)
         self.words[address] = value & MASK64
 
-    def preload(self, words: Dict[int, int]) -> None:
-        """Bulk-initialise from an address -> word mapping (workload setup).
-
-        Validates every address up front, then installs the words with a
-        single dict update instead of one checked :meth:`store` per word
-        — workload images run to hundreds of thousands of words.
-        """
-        self.words.update(self.validated(words))
-
     def validated(self, words: Dict[int, int]) -> Dict[int, int]:
         """``words`` checked against this image and masked to 64 bits.
 

@@ -258,11 +258,6 @@ class ProgramBuilder:
     def syscall(self, number: int) -> "ProgramBuilder":
         return self.op(Opcode.SYSCALL, imm=int(number))
 
-    def print_int(self) -> "ProgramBuilder":
-        from .instructions import Syscall
-
-        return self.syscall(Syscall.PRINT_INT)
-
     # -- finalisation -----------------------------------------------------------------------
     def build(self) -> Program:
         """Resolve labels and return the immutable program."""

@@ -2,10 +2,10 @@
 
 Two layers of caching, keyed by entry PC:
 
-* ``_code`` — the compiled code object (plus emitted source and the
-  StepInfo templates), shared by every tier over the same program
-  object and emission mode (``_SHARED_CODE``).  Programs are immutable,
-  so this layer is never invalidated.
+* ``_code`` — the compiled code object (plus the StepInfo templates),
+  shared by every tier over the same program object and emission mode
+  (``_SHARED_CODE``).  Programs are immutable, so this layer is never
+  invalidated.
 * ``_active`` — bound block runners: the factory executed against the
   run's live context (state, register lists, port methods, timing
   ``commit``, unit-mix dict).  None of these depends on the supply
@@ -63,12 +63,11 @@ def _shared_code_for(
 class _Compiled:
     """Per-PC compile()d artifact, shared by every run of the program."""
 
-    __slots__ = ("factory", "source", "length", "infos")
+    __slots__ = ("factory", "length", "infos")
 
     #: The block's ``__factory__``: called with a run's context, returns
     #: the bound block function.
     factory: Callable[[Dict[str, Any]], Callable[..., None]]
-    source: str
     length: int
     infos: Optional[Tuple[StepInfo, ...]]
 
@@ -224,7 +223,7 @@ class SuperblockJit:
             tuple(table.step_info(pc + i) for i in range(length)) if commit else None
         )
         self.stats.blocks_compiled += 1
-        return _Compiled(factory, source, length, infos)
+        return _Compiled(factory, length, infos)
 
     def _bind(self, compiled: _Compiled) -> Callable[..., None]:
         ctx = self._ctx
@@ -236,13 +235,3 @@ class SuperblockJit:
         """A new log segment opened: rebind the recorder."""
         self._rec = segment.record_instruction
         self.stats.segment_rebinds += 1
-
-    # -- introspection ----------------------------------------------------
-    def source_for(self, pc: int) -> Optional[str]:
-        """Emitted source of the block entered at ``pc`` (tests/debug)."""
-        compiled = self._code.get(pc, _MISS)
-        if compiled is _MISS:
-            compiled = self._compile(pc)
-            if 0 <= pc < len(self.program.instructions):
-                self._code[pc] = compiled
-        return compiled.source if compiled is not None else None

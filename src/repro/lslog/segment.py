@@ -84,6 +84,9 @@ class LogSegment:
     #: Main core that produced this segment (0 unless several mains
     #: share a checker pool — each keeps its own log and checkpoints).
     main_id: int = 0
+    #: Main-core wall time at which the segment opened; a rollback to
+    #: it wastes everything executed since.
+    opened_ns: float = 0.0
 
     # Detection side (FIFO order).
     loads: List[Tuple[int, int]] = field(default_factory=list)
@@ -103,9 +106,6 @@ class LogSegment:
     close_reason: Optional[SegmentCloseReason] = None
     detection_bytes: int = 0
     rollback_bytes: int = 0
-    #: Set when the fill loop saw a taken-branch-heavy footprint; consumed
-    #: by the checker I-cache model.
-    text_footprint_bytes: int = 0
 
     # -- capacity ------------------------------------------------------------------
     def bytes_used(self) -> int:

@@ -32,10 +32,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def reset(self) -> None:
         self.hits = self.misses = self.evictions = 0
         self.prefetches = self.prefetch_hits = 0

@@ -111,26 +111,17 @@ class ParanoidChecker:
                 f"pending seq beyond allocator: {seqs} vs next "
                 f"{engine._next_seq}",
             )
-        detected = sum(1 for p in engine._pending if p.result.detected)
-        if detected != engine._pending_detected:
+        earliest = min(
+            (p for p in engine._pending if p.result.detected),
+            key=lambda p: p.end_ns,
+            default=None,
+        )
+        if engine._earliest_detection is not earliest:
             raise EngineInvariantError(
                 where,
-                f"detection counter {engine._pending_detected} != actual "
-                f"{detected}",
+                f"earliest detection {engine._earliest_detection!r} is stale "
+                f"(actual {earliest!r})",
             )
-        cached = engine._earliest_detection
-        if cached is not None:
-            earliest = min(
-                (p for p in engine._pending if p.result.detected),
-                key=lambda p: p.end_ns,
-                default=None,
-            )
-            if cached is not earliest:
-                raise EngineInvariantError(
-                    where,
-                    f"cached earliest detection {cached!r} is stale "
-                    f"(actual {earliest!r})",
-                )
 
     @staticmethod
     def _check_tracker(engine: "SimulationEngine", where: str) -> None:

@@ -50,10 +50,6 @@ class OverclockScenario:
         return self.voltage - PARADOX_BASE_VOLTAGE
 
 
-def _relative_power(point: OperatingPoint, reference: OperatingPoint) -> float:
-    return main_core_power(point, reference) / main_core_power(reference, reference)
-
-
 def restore_performance(slowdown: float = 1.045) -> OverclockScenario:
     """Overclock just enough to cancel ParaDox's slowdown."""
     base = OperatingPoint(PARADOX_BASE_VOLTAGE, XGENE3_NOMINAL_FREQUENCY_HZ)

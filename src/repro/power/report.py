@@ -43,9 +43,6 @@ class EnergyRow:
     checker_power: float
     undervolt_voltage: float
 
-    def as_tuple(self) -> "tuple[str, float, float, float]":
-        return (self.workload, self.power, self.slowdown, self.edp)
-
 
 def energy_row(
     workload: str,

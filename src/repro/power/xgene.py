@@ -33,10 +33,6 @@ class UndervoltPoint:
     workload: str
     undervolt_voltage: float
 
-    @property
-    def voltage_ratio(self) -> float:
-        return self.undervolt_voltage / XGENE3_NOMINAL_VOLTAGE
-
 
 #: Synthetic per-workload safe undervolt voltages (see module docstring).
 #: Memory-bound workloads (mcf, lbm, GemsFDTD, bwaves) sit near the low

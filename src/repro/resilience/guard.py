@@ -179,10 +179,6 @@ class ForwardProgressGuard:
         self._channels.clear()
         self._checkers.clear()
 
-    def on_progress(self) -> None:
-        """Unconditional reset: the run is known to be moving again."""
-        self._reset()
-
     def on_commit(self, end_instret: int) -> None:
         """A check committed clean up to ``end_instret``.
 

@@ -55,10 +55,6 @@ class RecoveryEvent:
     #: Segments rolled back (faulty segment through newest).
     segments_rolled_back: int
 
-    @property
-    def total_recovery_ns(self) -> float:
-        return self.wasted_execution_ns + self.rollback_ns
-
 
 class StallBucket(enum.Enum):
     """Why the main core stalled.

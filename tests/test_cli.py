@@ -52,6 +52,14 @@ class TestCommands:
         assert "dispatch" in out
         assert "c00" in out  # gantt row
 
+    def test_timeline_limit_rejects_negative(self, capsys):
+        argv = ["run", "crc32", "--timeline", "--timeline-limit", "-3"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--timeline-limit: expected an integer >= 0, got '-3'" in err
+
     def test_compare_all_systems(self, capsys):
         main(["compare", "quicksort", "--scale", "0.3"])
         out = capsys.readouterr().out

@@ -1,13 +1,15 @@
 """Golden fingerprints of whole engine runs.
 
-Every value below was recorded from the engine before its per-PC decode
-table, flat scoreboard and integer unit counts existed.  A speed change
+Every value below was recorded from the engine before the change that
+pinned its case: the suite cases before the per-PC decode table, flat
+scoreboard and integer unit counts existed, the external-write and
+full-log cases before the engine shared one rollback path.  A speed change
 to the engine must leave each run's simulated numbers exactly as they
 were, so any difference here is a behaviour change, not noise.
 
 To print the fingerprints of the current tree::
 
-    PYTHONPATH=src python tests/test_engine_golden.py
+    PYTHONPATH=src python -m tests.test_engine_golden
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from repro.core import (
 from repro.experiments.common import steady_state_dvfs_config
 from repro.faults import default_injector
 from repro.faults.sram import sram_injector
-from repro.workloads import build_bitcount, build_spec_workload
+from repro.workloads import build_bitcount, build_spec_workload, build_stream
+from tests.test_external_state import external_workload
 
 ITERATIONS = 6
 SEED = 12345
@@ -69,6 +72,18 @@ def _run(case: str):
         )
         injector = default_injector(3e-3, seed=1, target="main")
         return system.run(workload, seed=1, injector=injector)
+    if case == "external/paradox":
+        # Faulty checks around external writes: segments close for
+        # ``external`` and the main core waits on every older check.
+        workload = external_workload(writes=8, work_per_write=300)
+        system = ParaDoxSystem(
+            config=table1_config().with_error_rate(2e-3, seed=3), resilient=True
+        )
+        return system.run(workload, seed=3)
+    if case == "capacity/stream":
+        # Store-heavy streaming: segments close when the log fills.
+        system = ParaMedicSystem(config=table1_config().with_error_rate(1e-3, seed=2))
+        return system.run(build_stream(), seed=2)
     workload_name, system_name = case.split("/")
     workload = build_spec_workload(workload_name, iterations=ITERATIONS, seed=SEED)
     return _suite_system(system_name).run(workload, seed=SEED)
@@ -105,9 +120,11 @@ CASES = [f"{w}/{s}" for w in SUITE_WORKLOADS for s in SYSTEMS] + [
     "resilient/sjeng",
     "sram/bitcount",
     "main/bitcount",
+    "external/paradox",
+    "capacity/stream",
 ]
 
-#: Recorded from the engine before the decode-table rewrite.
+#: Each case recorded before the change that pinned it (see above).
 GOLDEN = {'bzip2/baseline': {'close_reasons': {},
                              'executed': 3188,
                              'faults_injected': 0,
@@ -191,6 +208,49 @@ GOLDEN = {'bzip2/baseline': {'close_reasons': {},
                                              '0.19024855920517664',
                                              '0.025580737545521065', '0.0', '0.0'],
                               'wall_ns': '5892.291666666655'},
+          'capacity/stream': {'close_reasons': {'capacity': 78, 'halt': 28, 'target': 23},
+                              'executed': 133612,
+                              'faults_injected': 125,
+                              'instructions': 10256,
+                              'mean_checkpoint_length': '989.1317829457364',
+                              'outcome': 'completed',
+                              'recoveries': 38,
+                              'segments': 129,
+                              'stalls': ['0.0', '0.0', '645.0', '14331.250000000007',
+                                         '29012.270833343697'],
+                              'unit_mix': {'branch': 12212,
+                                           'fp_alu': 9462,
+                                           'fp_mul': 7610,
+                                           'int_alu': 70428,
+                                           'load': 21659,
+                                           'store': 12185,
+                                           'system': 56},
+                              'wake_rates': ['0.11773428684552731', '0.11785020857038199',
+                                             '0.07984915286730848', '0.052244893328948515',
+                                             '0.2034816221525866', '0.110341175006656',
+                                             '0.1459443880591316', '0.09266647972663883',
+                                             '0.08051596866072247', '0.07037015898305535',
+                                             '0.11429492117492247', '0.07789230907208494',
+                                             '0.12256045920600772', '0.14327535238240177',
+                                             '0.09992417230289537', '0.12028704629670026'],
+                              'wall_ns': '58768.10416670055'},
+          'external/paradox': {'close_reasons': {'external': 40, 'halt': 1, 'target': 143},
+                               'executed': 20995,
+                               'faults_injected': 39,
+                               'instructions': 7235,
+                               'mean_checkpoint_length': '114.09782608695652',
+                               'outcome': 'completed',
+                               'recoveries': 25,
+                               'segments': 184,
+                               'stalls': ['3342.458333332627', '0.0', '920.0', '250.0', '0.0'],
+                               'unit_mix': {'branch': 6998, 'int_alu': 13988, 'system': 9},
+                               'wake_rates': ['0.38544370000573275', '0.18312479224666964',
+                                              '0.2695227087671697', '0.2157919936079795',
+                                              '0.16049683910056087', '0.06343145895404322',
+                                              '0.023274466093137366', '0.0', '0.0', '0.0', '0.0',
+                                              '0.0', '0.4060833208807619', '0.2265295977896223',
+                                              '0.1132282038223398', '0.3892404387748753'],
+                               'wall_ns': '6831.520833334271'},
           'gobmk/baseline': {'close_reasons': {},
                              'executed': 19112,
                              'faults_injected': 0,
@@ -468,11 +528,17 @@ def test_run_matches_recorded_fingerprint(case):
 
 
 def test_recorded_cases_exercise_recovery():
-    """The pinned set covers rollbacks, the SRAM map, main-core traps and
-    DVS moves."""
+    """The pinned set covers rollbacks, the SRAM map, main-core traps,
+    external writes, full logs and DVS moves."""
     assert GOLDEN["resilient/sjeng"]["recoveries"] > 0
     assert GOLDEN["sram/bitcount"]["faults_injected"] > 0
     assert GOLDEN["main/bitcount"]["recoveries"] > 0
+    for case, reason in (
+        ("external/paradox", "external"),
+        ("capacity/stream", "capacity"),
+    ):
+        assert GOLDEN[case]["recoveries"] > 0
+        assert GOLDEN[case]["close_reasons"][reason] > 0
     assert all(GOLDEN[f"{w}/paradox"]["segments"] > 0 for w in SUITE_WORKLOADS)
 
 

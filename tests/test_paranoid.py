@@ -3,10 +3,14 @@
 import pytest
 
 from repro.core import ParaDoxSystem, ParaMedicSystem
+from repro.core.engine import PendingCheck
 from repro.core.systems import BaselineSystem
+from repro.cores.checker_core import CheckResult
 from repro.faults.injector import default_injector
 from repro.lslog import SegmentCloseReason
+from repro.lslog.detection import FinalStateMismatch
 from repro.oracle import EngineInvariantError, ParanoidChecker
+from repro.scheduling import DispatchRecord
 from repro.workloads import build_spec_workload
 
 
@@ -82,9 +86,19 @@ class TestDetectsCorruption:
             engine.paranoid.verify(engine, "test")
 
     def test_detection_counter_drift_raises(self):
+        # A detection queued behind the engine's back: the pointer to the
+        # earliest pending detection no longer names it.
         engine = self._running_engine()
-        engine._pending_detected += 3
-        with pytest.raises(EngineInvariantError, match="detection counter"):
+        segment = engine._segment
+        planted = PendingCheck(
+            segment,
+            DispatchRecord(0, segment.seq, engine.wall_ns, engine.wall_ns),
+            CheckResult(FinalStateMismatch("planted"), 0, 0.0),
+            engine.wall_ns,
+        )
+        engine._pending.append(planted)
+        assert engine._earliest_detection is not planted
+        with pytest.raises(EngineInvariantError, match="earliest detection"):
             engine.paranoid.verify(engine, "test")
 
     def test_stale_earliest_detection_raises(self):

@@ -1,16 +1,16 @@
 """Regression tests for stall accounting and main-trap edge cases.
 
-Covers two engine bugs fixed together:
+Covers:
 
 * ``_stall_to_wall`` took free-form bucket strings and silently dropped
   time for unknown ones — the end-of-run drain stall (``"drain"``)
   vanished from ``StallBreakdown.total_ns``.  Buckets are now the
   :class:`repro.stats.StallBucket` enum and the accounting is total by
   construction.
-* ``_handle_main_trap`` dereferenced ``self._segment.store_count`` with
-  no guard; between a segment close and the next open the attribute is
-  None and a main-core trap there crashed the simulator instead of
-  recovering.
+* A main-core trap with nothing to undo (no stores in the filling
+  segment, no check pending) must still recover: one ``MAIN_TRAP``
+  recovery that restores nothing, then filling re-opens at the same
+  instret.  An unprotected core has no recovery, so its trap propagates.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from repro.config import table1_config
 from repro.core import ParaDoxSystem
 from repro.core.engine import EngineOptions, SimulationEngine
+from repro.isa import ProgramBuilder
 from repro.isa.errors import InvalidPcTrap
 from repro.lslog.detection import DetectionChannel
 from repro.stats import StallBreakdown, StallBucket
@@ -89,25 +90,26 @@ class TestMainTrapWithoutSegment:
     def test_trap_between_segments_recovers(self):
         engine = _engine()
         engine._open_segment(engine.state.snapshot())
-        # Simulate the close/reopen window: no filling segment exists.
-        engine._segment = None
-        engine._pending.clear()
-        engine._pending_detected = 0
+        filler = engine._segment
+        for _ in range(5):
+            filler.record_instruction(0, False)
+            engine.executor.step()
+        assert filler.store_count == 0 and not engine._pending
         engine._handle_main_trap(InvalidPcTrap(10_000))
-        # Recovery recorded, nothing rolled back, and filling resumed.
-        assert engine._segment is not None
-        event = engine.recoveries[-1]
+        (event,) = engine.recoveries
         assert event.channel is DetectionChannel.MAIN_TRAP
+        assert event.segment_seq == filler.seq
         assert event.rollback_entries == 0
         assert event.segments_rolled_back == 0
-        assert event.rollback_ns == 0.0
+        reopened = engine._segment
+        assert reopened is not filler and not reopened.is_closed
+        assert reopened.start_state.instret == filler.start_state.instret
+        assert engine.state.instret == filler.start_state.instret
 
     def test_unprotected_trap_still_raises(self):
-        workload = build_bitcount(values=40)
+        program = ProgramBuilder("wild").movi(1, 10_000).jalr(1).halt().build()
         engine = SimulationEngine(
-            workload.program,
-            table1_config(),
-            EngineOptions(checking=False),
+            program, table1_config(), EngineOptions(checking=False)
         )
-        with pytest.raises(RuntimeError, match="unprotected"):
-            engine._handle_main_trap(InvalidPcTrap(10_000))
+        with pytest.raises(InvalidPcTrap):
+            engine.run()

@@ -6,7 +6,10 @@ import pytest
 
 from repro.config import table1_config
 from repro.core import ParaDoxSystem
+from repro.faults import default_injector
+from repro.lslog.detection import DetectionChannel
 from repro.telemetry import render_checker_gantt, render_timeline
+from repro.workloads import build_bitcount
 
 
 def run_with_timeline(workload, rate=0.0, seed=3):
@@ -96,6 +99,25 @@ class TestRecording:
         for event in lifecycle(tracer, "detect"):
             assert event.detail  # the detection channel
             assert event.core >= 0
+
+    def test_main_core_traps_are_traced(self):
+        # Faults on the main core: some recoveries are local rollbacks
+        # after a main-core trap, which no checker reports.
+        workload = build_bitcount(values=30)
+        config = table1_config().with_error_rate(3e-3, seed=1)
+        system = ParaDoxSystem(config=config, resilient=True, tracing=True)
+        engine = system.engine(
+            workload, seed=1, injector=default_injector(3e-3, seed=1, target="main")
+        )
+        result = engine.run(workload.max_instructions)
+        tracer = engine.tracer
+        detects = lifecycle(tracer, "detect")
+        assert len(result.recoveries) == 55
+        assert len(detects) == len(lifecycle(tracer, "rollback")) == 55
+        assert result.metrics["counters"]["engine.detections"] == 55
+        traps = [e for e in detects if e.detail == DetectionChannel.MAIN_TRAP.value]
+        assert traps and all(e.core == -1 for e in traps)
+        validate_ordering(tracer.of_source("engine"))
 
 
 class TestRendering:
