@@ -937,22 +937,24 @@ class SimulationEngine:
         unit_mix = self._unit_mix
         unit_mix_get = unit_mix.get
         unit_names = self._decode.unit_name
-        jit_active_get = jit._active.get if jit is not None else None
+        block_room = jit.block_room if jit is not None else None
         executed = 0
-        while not state.halted and state.instret < max_instructions:
-            if jit_active_get is not None:
-                entry = jit_active_get(state.pc)
-                if entry is None:
-                    entry = jit.runner(state.pc)
-                if (
-                    entry is not None
-                    and state.instret + entry.length <= max_instructions
-                ):
-                    entry.run()
-                    executed += entry.length
+        while not state.halted and (instret := state.instret) < max_instructions:
+            if block_room is not None:
+                pc = state.pc
+                try:
+                    room = block_room[pc]
+                except IndexError:  # a wild PC: step() traps on it
+                    room = 0
+                if room:
+                    n = min(room, max_instructions - instret)
+                    at = jit.region_start[pc]
+                    run = jit._active.get(at) or jit.runner(at)
+                    run(pc - at, pc - at + n)
+                    executed += n
                     stats = jit.stats
                     stats.dispatches += 1
-                    stats.instructions += entry.length
+                    stats.instructions += n
                     continue
             info = step()
             executed += 1
@@ -985,7 +987,7 @@ class SimulationEngine:
         injector = self.injector
         main_injection = injector is not None and injector.target == "main"
         jit = self.jit
-        jit_active_get = jit._active.get if jit is not None else None
+        block_room = jit.block_room if jit is not None else None
         while not state.halted and (before := state.instret) < max_instructions:
             if self._executed_total >= livelock_budget:
                 if self.guard is not None:
@@ -1005,38 +1007,46 @@ class SimulationEngine:
                     continue  # a detection rolled us back; retry
                 self._external_verified = True
             try:
-                if jit_active_get is not None and not self._external_verified:
-                    # Compiled dispatch.  A block runs only when every
+                if (
+                    block_room is not None
+                    and not self._external_verified
+                    and self._earliest_detection is None
+                ):
+                    # Compiled dispatch.  A block runs where every
                     # per-instruction obligation of the interpreted path
-                    # is provably a no-op across its whole span: no
-                    # pending detection can mature (the pointer changes
-                    # only at dispatch and squash, never mid-block), no
-                    # external syscall sits inside a block (SYSCALL is
-                    # not compilable), no main-core injector exists (the
-                    # tier is not built then), and the segment target,
-                    # instruction budget and livelock budget all have
-                    # room for the full block.  Anything short of that
-                    # falls through to the interpreter below.
-                    entry = jit_active_get(state.pc)
-                    if entry is None:
-                        entry = jit.runner(state.pc)
-                    if (
-                        entry is not None
-                        and self._earliest_detection is None
-                        and self._segment.instruction_count + entry.length
-                        <= segment_target
-                        and state.instret + entry.length <= max_instructions
-                        and self._executed_total + entry.length <= livelock_budget
-                    ):
-                        entry.run(jit._rec)
-                        self._executed_total += entry.length
-                        stats = jit.stats
-                        stats.dispatches += 1
-                        stats.instructions += entry.length
-                        if self._segment.instruction_count >= segment_target:
-                            self._close_segment(SegmentCloseReason.TARGET_LENGTH)
-                            segment_target = self.length_controller.target
-                        continue
+                    # is provably a no-op across its span: no pending
+                    # detection can mature (the pointer changes only at
+                    # dispatch and squash, never mid-block), no external
+                    # syscall sits inside a region (SYSCALL is not
+                    # compilable), and no main-core injector exists (the
+                    # tier is not built then).  The segment target and
+                    # the instruction and livelock budgets cut the block
+                    # short instead, so it stops exactly where the
+                    # interpreter would close the segment or return.
+                    pc = state.pc
+                    try:
+                        room = block_room[pc]
+                    except IndexError:  # a wild PC: step() traps on it
+                        room = 0
+                    if room:
+                        n = min(
+                            room,
+                            segment_target - self._segment.instruction_count,
+                            max_instructions - before,
+                            livelock_budget - self._executed_total,
+                        )
+                        if n > 0:
+                            at = jit.region_start[pc]
+                            run = jit._active.get(at) or jit.runner(at)
+                            run(jit._rec, pc - at, pc - at + n)
+                            self._executed_total += n
+                            stats = jit.stats
+                            stats.dispatches += 1
+                            stats.instructions += n
+                            if self._segment.instruction_count >= segment_target:
+                                self._close_segment(SegmentCloseReason.TARGET_LENGTH)
+                                segment_target = self.length_controller.target
+                            continue
                 info = step()
             except (SegmentFull, UncheckedConflictStall, SimTrap) as exc:
                 # Blocks keep instret exact up to the raising

@@ -12,7 +12,10 @@ keeps them as flat lists indexed by PC:
 * the registers read and the register written, as flat integer
   *slots* (``x0..x31``, then ``f0..f15``, then the flags register), so
   the main core's scoreboard is a list instead of a tuple-keyed dict;
-* which PCs hold a syscall whose effect escapes the rollback domain.
+* which PCs hold a syscall whose effect escapes the rollback domain;
+* the compiled tier's regions: where each PC's region starts and how
+  many instructions a block entered there may run
+  (:func:`repro.jit.superblock.region_columns`).
 
 The read and write slots mirror exactly what
 :class:`~repro.isa.executor.Executor` reports in each
@@ -144,7 +147,9 @@ class DecodeTable:
     main-core timing columns into one tuple per PC so
     :meth:`MainCoreTiming.commit <repro.cores.main_core.MainCoreTiming.commit>`
     pays one index for all of them, and :attr:`external_pcs` is the set
-    of PCs the engine must drain checks before.
+    of PCs the engine must drain checks before.  :attr:`block_room` and
+    :attr:`region_start` are what every dispatch loop reads before it
+    enters the compiled tier.
     """
 
     __slots__ = (
@@ -160,6 +165,8 @@ class DecodeTable:
         "writes_register",
         "main_rows",
         "external_pcs",
+        "region_start",
+        "block_room",
     )
 
     def __init__(self, program: Program) -> None:
@@ -194,6 +201,10 @@ class DecodeTable:
             for pc, instr in enumerate(instructions)
             if instr.opcode is Opcode.SYSCALL and instr.imm in EXTERNAL_SYSCALLS
         )
+        # Imported here: repro.jit builds on this package.
+        from ..jit.superblock import region_columns
+
+        self.region_start, self.block_room = region_columns(instructions)
 
     def step_info(self, pc: int) -> StepInfo:
         """The :class:`StepInfo` a fall-through retire of ``pc`` reports,

@@ -161,11 +161,13 @@ class Executor:
         jit = self.jit
         if jit is not None:
             # Retired count comes from the instret delta: both step()
-            # and compiled blocks advance instret exactly once per
-            # retired instruction, and the blocks' flush discipline
+            # and compiled regions advance instret exactly once per
+            # retired instruction, and the regions' flush discipline
             # keeps it exact even when a port trap propagates out.
             start = state.instret
             limit = start + max_instructions
+            block_room = jit.block_room
+            region_start = jit.region_start
             active_get = jit._active.get
             runner = jit.runner
             step = self.step
@@ -176,15 +178,18 @@ class Executor:
                     instret = state.instret
                     if instret >= limit:
                         break
-                    # None doubles as "cached non-block" and "miss";
-                    # runner() resolves both (the former in one probe).
-                    entry = active_get(state.pc)
-                    if entry is None:
-                        entry = runner(state.pc)
-                    if entry is not None and instret + entry.length <= limit:
-                        entry.run()
+                    pc = state.pc
+                    try:
+                        room = block_room[pc]
+                    except IndexError:  # a wild PC: step() traps on it
+                        room = 0
+                    if room:
+                        n = min(room, limit - instret)
+                        at = region_start[pc]
+                        run = active_get(at) or runner(at)
+                        run(pc - at, pc - at + n)
                         dispatches += 1
-                        block_instructions += entry.length
+                        block_instructions += n
                         continue
                     step()
             finally:

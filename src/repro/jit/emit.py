@@ -1,19 +1,31 @@
-"""Source emission for compiled superblocks.
+"""Source emission for compiled regions.
 
-One superblock becomes one generated factory::
+One region (see :mod:`repro.jit.superblock`) becomes one generated
+factory::
 
     def __factory__(__ctx__):
         state = __ctx__['state']
         x = __ctx__['x']
-        ...                      # only the names this block actually uses
-        def __superblock__():    # or (rec) when segment recording is on
-            _i0 = state.instret
-            x[3] = (x[1] + x[2]) & M
-            ...
-            state.pc = 17
-            state.instret = _i0 + 5
-        return __superblock__
+        ...                        # only the names this region uses
+        def __region__(s, e):      # or (rec, s, e) when recording
+            _b = state.instret - s
+            while True:
+                if s <= 0:
+                    x[3] = (x[1] + x[2]) & M
+                    if e == 1: break
+                if s <= 1:
+                    ...
+                break
+            state.pc = 12 + e
+            state.instret = _b + e
+        return __region__
     __block__ = __factory__
+
+``__region__(s, e)`` runs the region's offsets ``s`` to ``e - 1`` and
+nothing else: each instruction is guarded by its offset, the entry
+guards skip what lies before ``s``, and the exit check after offset
+``e - 1`` leaves the loop.  So one compiled function serves every entry
+PC of its region and every budget a dispatch loop cuts it to.
 
 Register indices, immediates (pre-wrapped through ``to_unsigned`` where
 the interpreter does it), FMOVI bit patterns and PC values are folded
@@ -21,22 +33,21 @@ into the source as literals, and so are the unit index and "writes a
 register" flag each ``rec`` call passes, read from the program's
 :class:`~repro.isa.decode.DecodeTable`; everything dynamic is a
 ``LOAD_FAST`` of a factory local.  The factory indirection is what lets
-runs share compiled code: the module is ``compile()``d once per block
+runs share compiled code: the module is ``compile()``d once per region
 per process, and each run only re-runs ``__factory__`` against its own
 context (~µs), not the compiler.
 
 Equivalence contract (checked by the differential oracle and
 ``tests/test_jit.py``):
 
-* The data port is the only thing inside a block that can raise.  Before
-  every ``load``/``store`` call the block flushes ``state.pc`` to that
-  instruction's PC and ``state.instret`` to the entry value plus the
-  block offset — exactly the values the interpreter would hold at the
-  same point, because ``Executor.step`` bumps ``pc``/``instret`` only
-  *after* the handler returns.  The effective address is computed into a
-  temporary first, so a raising port call leaves zero partial
-  architectural effect, matching the port's own no-partial-effect
-  property.
+* The data port is the only thing inside a region that can raise.
+  Before every ``load``/``store`` call the region flushes ``state.pc`` to
+  that instruction's PC and ``state.instret`` to ``_b`` plus its offset
+  — exactly the values the interpreter would hold at the same point,
+  because ``Executor.step`` bumps ``pc``/``instret`` only *after* the
+  handler returns.  The effective address is computed into a temporary
+  first, so a raising port call leaves zero partial architectural
+  effect, matching the port's own no-partial-effect property.
 * Writes to ``x0`` are discarded exactly like ``RegisterFile.write_x``:
   pure ALU results to ``x0`` emit no architectural code at all (their
   bookkeeping still runs), while ``LDR`` to ``x0`` still issues the load
@@ -120,20 +131,20 @@ class _Emitter:
         self.table = table
         self.record = record
         self.commit = commit
+        #: The current instruction's lines.
         self.body: List[str] = []
         self.needs: Dict[str, None] = {"state": None}
-        self.uses_i0 = False
 
     def need(self, *names: str) -> None:
         for name in names:
             self.needs.setdefault(name)
 
     def _flush(self, i: int, pc: int) -> None:
-        # At i == 0 both values are still exactly the dispatch-time ones.
+        # At offset 0 the region was entered there, so both values are
+        # still exactly the dispatch-time ones.
         if i:
             self.body.append(f"state.pc = {pc}")
-            self.body.append(f"state.instret = _i0 + {i}")
-            self.uses_i0 = True
+            self.body.append(f"state.instret = _b + {i}")
 
     def _emit_arch(self, i: int, pc: int, instr: Instruction) -> bool:
         """Append the architectural effect; True if this was a memory op."""
@@ -277,38 +288,44 @@ class _Emitter:
 
 def emit_factory_source(
     table: DecodeTable,
-    entry_pc: int,
+    start: int,
     length: int,
     *,
     record: bool,
     commit: bool,
 ) -> str:
-    """Render the factory module source for one superblock.
+    """Render the factory module source for the region at ``start``.
 
     ``record`` wires in per-instruction ``rec(unit_index,
     writes_register)`` calls, both folded from the program's decode
-    table (the block takes the current segment's ``record_instruction``
-    as its only argument, so segment turnover never invalidates code);
+    table (the region takes the current segment's ``record_instruction``
+    as its first argument, so segment turnover never invalidates code);
     ``commit`` wires in timing ``commit(StepInfo)`` plus the engine's
     unit-mix histogram.  ``golden_run`` uses neither, the differential
     oracle records only, the unprotected engine commits only, and the
     protected engine does both.
     """
     em = _Emitter(table, record, commit)
+    body: List[str] = []
     for i in range(length):
-        pc = entry_pc + i
+        pc = start + i
         instr = table.instructions[pc]
         if instr.opcode not in COMPILABLE_OPCODES:
-            raise ValueError(f"pc {pc}: {instr.opcode} inside a superblock")
+            raise ValueError(f"pc {pc}: {instr.opcode} inside a region")
+        em.body = []
         is_memory = em._emit_arch(i, pc, instr)
         em._emit_bookkeeping(i, pc, is_memory)
-
-    end_pc = entry_pc + length
-    epilogue = [f"state.pc = {end_pc}"]
-    if em.uses_i0:
-        epilogue.append(f"state.instret = _i0 + {length}")
-    else:
-        epilogue.append(f"state.instret += {length}")
+        last = i == length - 1
+        if em.body:
+            body.append(f"if s <= {i}:")
+            body.extend(f"    {line}" for line in em.body)
+            if not last:
+                body.append(f"    if e == {i + 1}: break")
+        elif not last:
+            # Nothing to run (a bare-mode NOP or x0 write): s <= i
+            # whenever e == i + 1, so the exit needs no entry guard.
+            body.append(f"if e == {i + 1}: break")
+    body.append("break")
 
     lines = ["def __factory__(__ctx__):"]
     for name, hoist in _HOISTS.items():
@@ -319,13 +336,14 @@ def emit_factory_source(
     if commit:
         targets = ", ".join(f"_I{i}" for i in range(length))
         lines.append(f"    {targets}{',' if length == 1 else ''} = __ctx__['infos']")
-    lines.append("    def __superblock__(rec):" if record else "    def __superblock__():")
-    if em.uses_i0:
-        lines.append("        _i0 = state.instret")
-    for line in em.body:
-        lines.append(f"        {line}")
-    for line in epilogue:
-        lines.append(f"        {line}")
-    lines.append("    return __superblock__")
+    lines.append(
+        "    def __region__(rec, s, e):" if record else "    def __region__(s, e):"
+    )
+    lines.append("        _b = state.instret - s")
+    lines.append("        while True:")
+    lines.extend(f"            {line}" for line in body)
+    lines.append(f"        state.pc = {start} + e")
+    lines.append("        state.instret = _b + e")
+    lines.append("    return __region__")
     lines.append("__block__ = __factory__")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,8 @@
-"""Superblock discovery: which instructions may be compiled together.
+"""Region discovery: which instructions may be compiled together.
 
-A superblock is a maximal run of straight-line instructions starting at
-an entry PC.  Anything that can redirect control, halt, or touch
-external/engine state mid-stream ends the region **before** itself:
+A program's compilable instructions fall into maximal straight-line
+stretches.  Anything that can redirect control, halt, or touch
+external/engine state mid-stream ends a stretch **before** itself:
 
 * every branch (direct, conditional, ``CBZ``/``CBNZ``, ``JAL``/``JALR``)
   — the interpreter resolves targets and predictor state;
@@ -15,6 +15,14 @@ external/engine state mid-stream ends the region **before** itself:
   ``pc``/``instret`` immediately before every port call so a partially
   executed block leaves exactly the interpreter's state.
 
+Each stretch is cut into fixed **regions** of at most :data:`MAX_BLOCK`
+instructions, counted from the stretch's first instruction.  Regions
+partition the compilable PCs, so each instruction is compiled at most
+once per emission mode.  A dispatch enters its region at any offset and
+leaves it at any later one, so a branch into the middle of a stretch,
+a segment target or an instruction budget never needs a block of its
+own.
+
 Fault-injection points are excluded structurally rather than per-opcode:
 the engine only builds a tier at all when no main-core injector is
 attached (checker-targeted faults never see main-core execution), so no
@@ -23,37 +31,58 @@ instruction that could receive an injection is ever inside a block.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 from ..isa.instructions import BRANCH_OPCODES, Instruction, Opcode
 
-#: Opcodes that may appear inside a compiled superblock.
+#: Opcodes that may appear inside a compiled region.
 COMPILABLE_OPCODES = frozenset(Opcode) - BRANCH_OPCODES - {
     Opcode.HALT,
     Opcode.SYSCALL,
 }
 
-#: Blocks shorter than this are not worth a dispatch (cache probe +
-#: call) and stay interpreted.
+#: Dispatches that could run fewer instructions than this from their
+#: entry PC to the end of its region are not worth a call and stay
+#: interpreted (the budgets may still cut an admitted one shorter).
 MIN_BLOCK = 3
-#: Length cap: bounds compile time per block and keeps the budget gates
-#: (segment target, instruction budget, livelock) usefully tight.
+#: Region length cap: bounds compile time per region.
 MAX_BLOCK = 64
 
 
-def superblock_length(instructions: Sequence[Instruction], pc: int) -> int:
-    """Length of the superblock entered at ``pc``, or 0 if none.
+def region_columns(
+    instructions: Sequence[Instruction],
+) -> Tuple[List[int], List[int]]:
+    """Per-PC ``(region_start, block_room)`` columns of a program.
 
-    Returns 0 for out-of-range PCs, for entries sitting on a
-    non-compilable opcode, and for runs shorter than :data:`MIN_BLOCK`.
-    A branch *into the middle* of a longer block simply defines its own
-    (overlapping) block — discovery is per-entry, not a partition.
+    ``region_start[pc]`` is the first PC of the region holding ``pc``
+    (-1 off every region); ``block_room[pc]`` is the number of
+    instructions from ``pc`` to the end of its region, or 0 where that
+    is fewer than :data:`MIN_BLOCK` or ``pc`` is not compilable.
     """
+    size = len(instructions)
+    region_start = [-1] * size
+    block_room = [0] * size
+    # The trailing False ends the last stretch.
+    compilable = [instr.opcode in COMPILABLE_OPCODES for instr in instructions]
+    compilable.append(False)
+    pc = 0
+    while pc < size:
+        if not compilable[pc]:
+            pc += 1
+            continue
+        stretch_end = compilable.index(False, pc)
+        for start in range(pc, stretch_end, MAX_BLOCK):
+            end = min(start + MAX_BLOCK, stretch_end)
+            for at in range(start, end):
+                region_start[at] = start
+                if end - at >= MIN_BLOCK:
+                    block_room[at] = end - at
+        pc = stretch_end
+    return region_start, block_room
+
+
+def superblock_length(instructions: Sequence[Instruction], pc: int) -> int:
+    """The block room at ``pc`` (see :func:`region_columns`), 0 off the program."""
     if pc < 0 or pc >= len(instructions):
         return 0
-    end = min(len(instructions), pc + MAX_BLOCK)
-    scan = pc
-    while scan < end and instructions[scan].opcode in COMPILABLE_OPCODES:
-        scan += 1
-    length = scan - pc
-    return length if length >= MIN_BLOCK else 0
+    return region_columns(instructions)[1][pc]

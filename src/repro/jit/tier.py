@@ -1,24 +1,30 @@
-"""The superblock cache: compile once per program, bind once per run.
+"""The region cache: compile once per process, bind once per run.
 
-Two layers of caching, keyed by entry PC:
+Two layers of caching, keyed by region start (see
+:mod:`repro.jit.superblock`):
 
-* ``_code`` — the compiled code object (plus the StepInfo templates),
-  shared by every tier over the same program object and emission mode
-  (``_SHARED_CODE``).  Programs are immutable, so this layer is never
-  invalidated.
-* ``_active`` — bound block runners: the factory executed against the
-  run's live context (state, register lists, port methods, timing
+* ``_code`` — the compiled factory (plus the region's StepInfo
+  templates), shared by every tier over the same program object and
+  emission mode (``_SHARED_CODE``).  Programs are immutable, so this
+  layer is never invalidated.
+* ``_active`` — bound region functions: the factory executed against
+  the run's live context (state, register lists, port methods, timing
   ``commit``, unit-mix dict).  None of these depends on the supply
   voltage — a DVFS move re-thresholds fault maps and re-times the core
-  through the engine's clock anchors, not through anything a block
-  holds — so a bound block lives for the whole run and each entry PC
-  is bound at most once.
+  through the engine's clock anchors, not through anything a region
+  holds — so a bound region lives for the whole run and each region is
+  bound at most once.
 
-Segment turnover costs no cache traffic either: compiled blocks take the
-recorder as a call argument, so :meth:`SuperblockJit.note_segment` just
-swaps the ``_rec`` binding the engine passes on the next dispatch.
-:class:`JitStats` counts binds and rebinds so tests and telemetry can
-see the protocol working.
+Both layers fill only through :meth:`SuperblockJit.runner`, which the
+dispatch loops call for a dispatch they have already admitted (the
+decode table's ``block_room`` says whether one exists), so a region
+that never runs is never compiled.
+
+Segment turnover costs no cache traffic either: record-mode regions
+take the recorder as a call argument, so
+:meth:`SuperblockJit.note_segment` just swaps the ``_rec`` binding the
+engine passes on the next dispatch.  :class:`JitStats` counts binds and
+rebinds so tests and telemetry can see the protocol working.
 """
 
 from __future__ import annotations
@@ -32,9 +38,6 @@ from ..isa.executor import StepInfo
 from ..isa.registers import bits_to_float, float_to_bits
 from . import runtime
 from .emit import emit_factory_source
-from .superblock import superblock_length
-
-_MISS = object()
 
 # compile()d artifacts shared across tiers over the same program object
 # and emission mode.  Program is an eq-compared (unhashable) dataclass,
@@ -44,12 +47,10 @@ _MISS = object()
 # through their StepInfo ``address`` slots, which every consumer
 # overwrites before reading — and runs within one process are
 # sequential (parallelism in this repo is process fan-out).
-_SHARED_CODE: Dict[Tuple[int, bool, bool], Dict[int, Optional["_Compiled"]]] = {}
+_SHARED_CODE: Dict[Tuple[int, bool, bool], Dict[int, "_Compiled"]] = {}
 
 
-def _shared_code_for(
-    program, record: bool, commit: bool
-) -> Dict[int, Optional["_Compiled"]]:
+def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, "_Compiled"]:
     key = (id(program), record, commit)
     cache = _SHARED_CODE.get(key)
     if cache is None:
@@ -61,32 +62,25 @@ def _shared_code_for(
 
 @dataclass
 class _Compiled:
-    """Per-PC compile()d artifact, shared by every run of the program."""
+    """Per-region compile()d artifact, shared by every run of the program."""
 
-    __slots__ = ("factory", "length", "infos")
+    __slots__ = ("factory", "infos")
 
-    #: The block's ``__factory__``: called with a run's context, returns
-    #: the bound block function.
+    #: The region's ``__factory__``: called with a run's context, returns
+    #: the bound region function.
     factory: Callable[[Dict[str, Any]], Callable[..., None]]
-    length: int
+    #: One StepInfo template per region instruction (commit mode only).
     infos: Optional[Tuple[StepInfo, ...]]
-
-
-class BlockEntry:
-    """A bound, directly callable superblock."""
-
-    __slots__ = ("run", "length")
-
-    def __init__(self, run: Callable[..., None], length: int) -> None:
-        self.run = run
-        self.length = length
 
 
 @dataclass
 class JitStats:
     """Counters for the tier's caches and dispatch volume.
 
-    ``voltage_invalidations`` is always 0: bound blocks survive voltage
+    ``blocks_compiled`` counts regions this tier compiled (not found in
+    the shared cache), ``activations`` regions it bound, ``dispatches``
+    region calls and ``instructions`` the instructions they ran.
+    ``voltage_invalidations`` is always 0: bound regions survive voltage
     moves.  It stays in the record because telemetry and the benchmark
     ledger report it.
     """
@@ -112,13 +106,19 @@ class JitStats:
 class SuperblockJit:
     """Per-run compiled tier over one program/state/port triple.
 
-    Bound blocks belong to one run, because they hold that run's state,
+    Bound regions belong to one run, because they hold that run's state,
     port and timing model.  Compiled code is shared across runs: every
     tier over the same program object and emission mode draws on one
-    ``_SHARED_CODE`` cache, so a program is compiled once per process.
+    ``_SHARED_CODE`` cache, so a region is compiled once per process.
 
-    ``record`` adds per-instruction segment recording (the block
-    receives the recorder as its call argument); ``commit``/``unit_mix``
+    A dispatch loop reads the decode table's ``block_room[pc]``; where it
+    is non-zero the loop cuts it to its own budgets (``n``), looks the
+    region up by ``region_start[pc]`` in ``_active`` (calling
+    :meth:`runner` on a miss) and calls it with offsets
+    ``pc - start`` and ``pc - start + n``.
+
+    ``record`` adds per-instruction segment recording (the region
+    receives the recorder as its first argument); ``commit``/``unit_mix``
     add the engine's timing commit and histogram.  Callers pick the
     combination matching the loop they replace — see
     :func:`repro.jit.emit.emit_factory_source`.
@@ -141,9 +141,12 @@ class SuperblockJit:
         self._commit = commit
         self._unit_mix = unit_mix
         self._table = decode_table(program)
+        #: The dispatch loops' per-PC columns.
+        self.region_start = self._table.region_start
+        self.block_room = self._table.block_room
         self._code = _shared_code_for(program, record, commit is not None)
         regs = state.regs
-        #: What every factory call binds (``infos`` is set per block).
+        #: What every factory call binds (``infos`` is set per region).
         self._ctx: Dict[str, Any] = {
             "state": state,
             "regs": regs,
@@ -164,71 +167,54 @@ class SuperblockJit:
             "um": unit_mix,
             "infos": None,
         }
-        self._active: Dict[int, Optional[BlockEntry]] = {}
+        self._active: Dict[int, Callable[..., None]] = {}
         #: Current segment's ``record_instruction``; the engine passes
         #: this into every record-mode dispatch.
         self._rec: Optional[Callable[..., None]] = None
         self.stats = JitStats()
 
     # -- dispatch ---------------------------------------------------------
-    def runner(self, pc: int) -> Optional[BlockEntry]:
-        """The bound block entered at ``pc``, or None to interpret."""
-        entry = self._active.get(pc, _MISS)
-        if entry is not _MISS:
-            return entry
-        return self._activate(pc)
-
-    def _activate(self, pc: int) -> Optional[BlockEntry]:
-        compiled = self._code.get(pc, _MISS)
-        if compiled is _MISS:
-            compiled = self._compile(pc)
-            if compiled is None and not (
-                0 <= pc < len(self.program.instructions)
-            ):
-                # Never memoise wild PCs (e.g. a fuzzed JALR target):
-                # the interpreter turns them into InvalidPcTrap and the
-                # cache must not grow without bound.
-                return None
-            self._code[pc] = compiled
-        if compiled is None:
-            self._active[pc] = None
-            return None
-        entry = BlockEntry(self._bind(compiled), compiled.length)
-        self._active[pc] = entry
-        self.stats.activations += 1
-        return entry
+    def runner(self, start: int) -> Callable[..., None]:
+        """The bound region starting at ``start``: compiled on the
+        process's first dispatch into it, bound on the run's first."""
+        run = self._active.get(start)
+        if run is None:
+            compiled = self._code.get(start)
+            if compiled is None:
+                compiled = self._compile(start)
+                self._code[start] = compiled
+            ctx = self._ctx
+            ctx["infos"] = compiled.infos
+            run = compiled.factory(ctx)
+            self._active[start] = run
+            self.stats.activations += 1
+        return run
 
     # -- compilation ------------------------------------------------------
-    def _compile(self, pc: int) -> Optional[_Compiled]:
-        instructions = self.program.instructions
-        length = superblock_length(instructions, pc)
-        if length == 0:
-            return None
-        commit = self._commit is not None
+    def _compile(self, start: int) -> _Compiled:
         table = self._table
+        length = table.block_room[start]
+        commit = self._commit is not None
         source = emit_factory_source(
-            table, pc, length, record=self.record, commit=commit
+            table, start, length, record=self.record, commit=commit
         )
         namespace: Dict[str, Any] = {}
-        exec(compile(source, f"<superblock pc={pc}>", "exec"), namespace)
+        exec(compile(source, f"<region pc={start}>", "exec"), namespace)
         # The factory's globals are this namespace: take it out so the
         # two do not form a reference cycle.
         factory = namespace.pop("__block__")
         del namespace["__factory__"]
-        # StepInfo templates, one per slot: everything but ``address``
-        # is static, so they are built once and reused across dispatches
-        # (memory ops overwrite ``address`` right before ``commit``,
-        # which reads the info and drops it).
+        # StepInfo templates, one per instruction: everything but
+        # ``address`` is static, so they are built once and reused across
+        # dispatches (memory ops overwrite ``address`` right before
+        # ``commit``, which reads the info and drops it).
         infos = (
-            tuple(table.step_info(pc + i) for i in range(length)) if commit else None
+            tuple(table.step_info(start + i) for i in range(length))
+            if commit
+            else None
         )
         self.stats.blocks_compiled += 1
-        return _Compiled(factory, length, infos)
-
-    def _bind(self, compiled: _Compiled) -> Callable[..., None]:
-        ctx = self._ctx
-        ctx["infos"] = compiled.infos
-        return compiled.factory(ctx)
+        return _Compiled(factory, infos)
 
     # -- segment turnover -------------------------------------------------
     def note_segment(self, segment) -> None:

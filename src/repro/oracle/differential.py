@@ -361,15 +361,21 @@ class DifferentialRunner:
             jit = SuperblockJit(workload.program, state, port, record=True)
         while not state.halted and state.instret < budget:
             if jit is not None:
-                entry = jit.runner(state.pc)
-                if (
-                    entry is not None
-                    and segment.instruction_count + entry.length <= interval
-                    and state.instret + entry.length <= budget
-                ):
+                pc = state.pc
+                try:
+                    room = jit.block_room[pc]
+                except IndexError:  # a wild PC: step() traps on it
+                    room = 0
+                n = min(
+                    room,
+                    interval - segment.instruction_count,
+                    budget - state.instret,
+                )
+                if n > 0:
+                    at = jit.region_start[pc]
                     before = state.instret
                     try:
-                        entry.run(segment.record_instruction)
+                        jit.runner(at)(segment.record_instruction, pc - at, pc - at + n)
                     except SegmentFull:
                         report.instructions += state.instret - before
                         if not close_and_check(SegmentCloseReason.LOG_CAPACITY):
@@ -382,10 +388,10 @@ class DifferentialRunner:
                         ):
                             return report
                         continue
-                    report.instructions += entry.length
+                    report.instructions += n
                     stats = jit.stats
                     stats.dispatches += 1
-                    stats.instructions += entry.length
+                    stats.instructions += n
                     if segment.instruction_count >= interval:
                         if not close_and_check(SegmentCloseReason.TARGET_LENGTH):
                             return report

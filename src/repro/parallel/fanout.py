@@ -12,8 +12,10 @@ from:
 * **One process per payload, no pool.**  A dying pool worker poisons
   the whole pool; a dying dedicated process costs exactly one result.
 * **Private pipe per run.**  Workers ship one message and exit; the
-  parent never blocks on a worker (results are polled, deadlines
-  enforced with ``terminate``/``kill``).
+  parent sleeps in one ``multiprocessing.connection.wait`` on every
+  result pipe and process sentinel, so it wakes when a worker finishes
+  or dies, or at the nearest deadline (enforced with
+  ``terminate``/``kill``).
 * **Determinism is the payload's job.**  Every payload must carry its
   own seed(s); the fan-out guarantees only that results come back in
   payload order, regardless of completion order.  Workers therefore
@@ -28,6 +30,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, List, Optional, Sequence
 
 __all__ = [
@@ -42,12 +45,18 @@ __all__ = [
 def resolve_jobs(jobs: int) -> int:
     """Map a user-facing ``jobs`` value to a concrete worker count.
 
-    ``jobs <= 0`` means "auto": one worker per CPU, capped at 8 so a
-    big machine is not saturated by default.
+    ``jobs <= 0`` means "auto": one worker per CPU this process may run
+    on (its affinity mask, where the platform has one, so a container
+    pinned to fewer CPUs than the host has is not oversubscribed),
+    capped at 8 so a big machine is not saturated by default.
     """
     if jobs > 0:
         return jobs
-    return max(1, min(8, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(8, cpus))
 
 
 @dataclass
@@ -164,10 +173,21 @@ def run_fanout(
             running.append((next_index, process, parent_conn, deadline))
             next_index += 1
 
+        # Sleep until a worker sends its result or exits, or until the
+        # nearest deadline.
+        deadlines = [deadline for *_, deadline in running if deadline is not None]
+        wait(
+            [conn for _, _, conn, _ in running]
+            + [process.sentinel for _, process, _, _ in running],
+            max(0.0, min(deadlines) - time.monotonic()) if deadlines else None,
+        )
         still_running: List[tuple] = []
-        made_progress = False
         for index, process, conn, deadline in running:
             outcome: Optional[FanoutOutcome] = None
+            # Liveness before the pipe: a worker that exits between the
+            # two checks has already sent its result, so it is never
+            # taken for one that died without sending.
+            alive = process.is_alive()
             if conn.poll():
                 try:
                     message = conn.recv()
@@ -186,7 +206,7 @@ def run_fanout(
                     )
                 else:
                     outcome = FanoutOutcome(index, "ok", value=message["value"])
-            elif not process.is_alive():
+            elif not alive:
                 process.join()
                 outcome = FanoutOutcome(index, "died", exitcode=process.exitcode)
             elif deadline is not None and time.monotonic() >= deadline:
@@ -197,10 +217,7 @@ def run_fanout(
             else:
                 conn.close()
                 finish(outcome)
-                made_progress = True
         running = still_running
-        if running and not made_progress:
-            time.sleep(0.02)
 
     return [outcome for outcome in outcomes if outcome is not None]
 

@@ -1,19 +1,26 @@
 """Golden fingerprints of whole engine runs.
 
-Every value below was recorded from the engine before the change that
-pinned its case: the suite cases before the per-PC decode table, flat
-scoreboard and integer unit counts existed, the external-write and
+Every value in ``GOLDEN`` was recorded from the engine before the change
+that pinned its case: the suite cases before the per-PC decode table,
+flat scoreboard and integer unit counts existed, the external-write and
 full-log cases before the engine shared one rollback path.  A speed change
 to the engine must leave each run's simulated numbers exactly as they
 were, so any difference here is a behaviour change, not noise.
 
-To print the fingerprints of the current tree::
+``GOLDEN_JIT`` pins how much of each run the compiled tier covered
+(dispatches, instructions run in regions, regions bound), recorded when
+blocks began to stop at the segment target and the budgets.  These
+counts are not simulated results, so a change may move them on purpose;
+a fall in ``instructions`` is a coverage regression.
+
+To print the fingerprints and tier counts of the current tree::
 
     PYTHONPATH=src python -m tests.test_engine_golden
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -47,14 +54,14 @@ def _suite_system(name: str):
     return ParaDoxSystem(config=steady_state_dvfs_config(), dvs=True)
 
 
-def _run(case: str):
-    """The RunResult of one named case."""
+def _setup(case: str):
+    """The system, workload, seed and injector of one named case."""
     if case == "resilient/sjeng":
         workload = build_spec_workload("sjeng", iterations=3)
         system = ParaDoxSystem(
             config=table1_config().with_error_rate(1e-3, seed=7), resilient=True
         )
-        return system.run(workload, seed=7)
+        return system, workload, 7, None
     if case == "sram/bitcount":
         workload = build_bitcount(values=10)
         config = table1_config()
@@ -63,7 +70,7 @@ def _run(case: str):
         injector = sram_injector(
             1, checkers=config.checker.count, voltage=config.dvfs.safe_voltage - 0.15
         )
-        return system.run(workload, seed=3, injector=injector)
+        return system, workload, 3, injector
     if case == "main/bitcount":
         # Faults on the main core: wild traps with checks still pending.
         workload = build_bitcount(values=30)
@@ -71,7 +78,7 @@ def _run(case: str):
             config=table1_config().with_error_rate(3e-3, seed=1), resilient=True
         )
         injector = default_injector(3e-3, seed=1, target="main")
-        return system.run(workload, seed=1, injector=injector)
+        return system, workload, 1, injector
     if case == "external/paradox":
         # Faulty checks around external writes: segments close for
         # ``external`` and the main core waits on every older check.
@@ -79,14 +86,27 @@ def _run(case: str):
         system = ParaDoxSystem(
             config=table1_config().with_error_rate(2e-3, seed=3), resilient=True
         )
-        return system.run(workload, seed=3)
+        return system, workload, 3, None
     if case == "capacity/stream":
         # Store-heavy streaming: segments close when the log fills.
         system = ParaMedicSystem(config=table1_config().with_error_rate(1e-3, seed=2))
-        return system.run(build_stream(), seed=2)
+        return system, build_stream(), 2, None
     workload_name, system_name = case.split("/")
     workload = build_spec_workload(workload_name, iterations=ITERATIONS, seed=SEED)
-    return _suite_system(system_name).run(workload, seed=SEED)
+    return _suite_system(system_name), workload, SEED, None
+
+
+@functools.lru_cache(maxsize=None)
+def _run(case: str):
+    """The RunResult of one named case, and its compiled tier's counts
+    (None when the run had no tier)."""
+    system, workload, seed, injector = _setup(case)
+    engine = system.engine(workload, seed=seed, injector=injector)
+    result = engine.run(workload.max_instructions)
+    if engine.jit is None:
+        return result, None
+    stats = engine.jit.stats
+    return result, (stats.dispatches, stats.instructions, stats.activations)
 
 
 def fingerprint(result) -> dict:
@@ -522,9 +542,39 @@ GOLDEN = {'bzip2/baseline': {'close_reasons': {},
                             'wall_ns': '2463.581857888942'}}
 
 
+#: Each case's tier counts as (dispatches, instructions run in regions,
+#: regions bound), recorded when blocks began to stop at the segment
+#: target and the budgets; None: the run has no tier (a main-core
+#: injector).
+GOLDEN_JIT = {
+    "bzip2/baseline": (167, 2891, 30),
+    "bzip2/detection": (168, 2889, 30),
+    "bzip2/paradox": (168, 2889, 30),
+    "bzip2/paramedic": (168, 2889, 30),
+    "capacity/stream": (4195, 40125, 4),
+    "external/paradox": (13, 45, 1),
+    "gobmk/baseline": (1081, 16688, 197),
+    "gobmk/detection": (1096, 16687, 197),
+    "gobmk/paradox": (1145, 16525, 197),
+    "gobmk/paramedic": (1092, 16514, 197),
+    "main/bitcount": None,
+    "milc/baseline": (86, 2383, 16),
+    "milc/detection": (88, 2383, 16),
+    "milc/paradox": (88, 2383, 16),
+    "milc/paramedic": (88, 2383, 16),
+    "resilient/sjeng": (414, 6868, 102),
+    "sram/bitcount": (1334, 5275, 5),
+}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_run_matches_recorded_fingerprint(case):
-    assert fingerprint(_run(case)) == GOLDEN[case]
+    assert fingerprint(_run(case)[0]) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_matches_recorded_jit_counts(case):
+    assert _run(case)[1] == GOLDEN_JIT[case]
 
 
 def test_recorded_cases_exercise_recovery():
@@ -546,5 +596,6 @@ if __name__ == "__main__":
     import pprint
 
     pprint.pprint(
-        {case: fingerprint(_run(case)) for case in CASES}, width=88, compact=True
+        {case: fingerprint(_run(case)[0]) for case in CASES}, width=88, compact=True
     )
+    pprint.pprint({case: _run(case)[1] for case in CASES})

@@ -4,14 +4,18 @@ The contract under test: running any workload through the tier
 (``golden_run(jit=True)``, ``EngineOptions.jit``, or the oracle's
 ``use_jit``) is *bit-identical* to pure interpretation — same final
 architectural state, same retired-instruction count, same timing, same
-telemetry-visible bookkeeping.  The cache protocol (bound blocks survive
-DVFS voltage moves, segment turnover rebinds the recorder) and the
+telemetry-visible bookkeeping.  Every region is checked on its own too:
+any offsets ``[s, e)`` of it equal ``e - s`` interpreted steps, also
+when the data port raises part-way.  The cache protocol (a region is
+compiled only when a run dispatches into it, bound regions survive DVFS
+voltage moves, segment turnover rebinds the recorder) and the
 structural exclusion of fault-injection points (no tier exists under a
 main-core injector) are pinned explicitly.
 """
 
 from __future__ import annotations
 
+import random
 import signal
 import time
 import types
@@ -20,15 +24,19 @@ import pytest
 
 from repro.core import ParaDoxSystem
 from repro.faults.injector import default_injector
-from repro.isa import ArchState, MemoryImage, Opcode, assemble
+from repro.isa import ArchState, Executor, MemoryImage, Opcode, assemble
+from repro.isa.decode import UNIT_INDEX, decode_table
 from repro.isa.instructions import BRANCH_OPCODES
+from repro.isa.registers import MASK64
 from repro.jit import (
     COMPILABLE_OPCODES,
     MAX_BLOCK,
     MIN_BLOCK,
     SuperblockJit,
+    region_columns,
     superblock_length,
 )
+from repro.jit.tier import _SHARED_CODE
 from repro.oracle.fuzzer import PROFILES, build_workload, generate_case, run_case
 from repro.parallel import run_fanout
 from repro.workloads import Workload, build_spec_workload, golden_run
@@ -86,6 +94,22 @@ class TestSuperblockDiscovery:
                     assert instr.opcode in COMPILABLE_OPCODES
 
 
+    def test_stretches_are_cut_into_fixed_regions(self):
+        source = "\n".join(f"movi x{1 + (i % 5)}, {i}" for i in range(MAX_BLOCK + 4))
+        program = assemble("b skip\nskip:\n" + source + "\nhalt")
+        region_start, block_room = region_columns(program.instructions)
+        assert region_start[0] == -1 and block_room[0] == 0  # the branch
+        first, second = 1, 1 + MAX_BLOCK
+        assert region_start[first : second] == [first] * MAX_BLOCK
+        assert region_start[second : second + 4] == [second] * 4
+        assert block_room[first] == MAX_BLOCK
+        # Entering near a region's end leaves too little room to dispatch.
+        assert block_room[second - 3 : second] == [3, 0, 0]
+        assert block_room[second : second + 4] == [4, 3, 0, 0]
+        assert region_start[-1] == -1  # halt
+        assert decode_table(program).block_room == block_room
+
+
 # ---------------------------------------------------------------------------
 # bit-identity: bare executor
 
@@ -128,6 +152,188 @@ class TestExecutorIdentity:
             _assert_golden_identical(
                 build_workload(generate_case(seed, profile))
             )
+
+
+# ---------------------------------------------------------------------------
+# bit-identity: every region, entered and left anywhere
+
+
+class _PortStop(Exception):
+    pass
+
+
+class _Port:
+    """A data port that logs every access, loads a hash of the address,
+    and raises on its ``fail_at``-th call."""
+
+    def __init__(self, fail_at=None):
+        self.log = []
+        self.fail_at = fail_at
+
+    def _access(self, entry):
+        if len(self.log) == self.fail_at:
+            raise _PortStop
+        self.log.append(entry)
+
+    def load(self, address):
+        self._access(("load", address))
+        return (address * 0x9E3779B97F4A7C15 + 1) & MASK64
+
+    def store(self, address, value):
+        self._access(("store", address, value))
+
+
+def _random_state(seed, pc):
+    rng = random.Random(seed)
+    state = ArchState(pc=pc, instret=1000 + seed % 977)
+    state.regs.x[1:] = [rng.getrandbits(64) for _ in range(31)]
+    state.regs.f[:] = [rng.getrandbits(64) for _ in range(len(state.regs.f))]
+    state.regs.flags = rng.getrandbits(4)
+    return state
+
+
+def _commit_row(info):
+    return (
+        info.instruction,
+        info.pc_before,
+        info.pc_after,
+        info.reads,
+        info.dest,
+        info.address,
+        info.taken,
+    )
+
+
+class _Harness:
+    """An interpreter and a tier in one emission mode over one state and
+    one port; each run starts from a seeded random state."""
+
+    def __init__(self, program, record, commit):
+        self.state = ArchState()
+        self.port = _Port()
+        self.executor = Executor(program, self.state, self.port)
+        self.recs, self.commits, self.mix = [], [], {}
+        self.record, self.commit = record, commit
+        self.jit = SuperblockJit(
+            program,
+            self.state,
+            self.port,
+            commit=self._commit if commit else None,
+            unit_mix=self.mix if commit else None,
+            record=record,
+        )
+
+    def _commit(self, info):
+        self.commits.append(_commit_row(info))
+
+    def _rec(self, unit, writes):
+        self.recs.append((unit, writes))
+
+    def _start(self, seed, pc, fail_at):
+        self.state.restore(_random_state(seed, pc))
+        self.port.log = []
+        self.port.fail_at = fail_at
+        self.recs.clear()
+        self.commits.clear()
+        self.mix.clear()
+
+    def _observe(self, raised):
+        regs = self.state.regs
+        return {
+            "x": list(regs.x),
+            "f": list(regs.f),
+            "flags": regs.flags,
+            "pc": self.state.pc,
+            "instret": self.state.instret,
+            "port": self.port.log,
+            "raised": raised,
+            "recs": list(self.recs),
+            "commits": list(self.commits),
+            "mix": dict(self.mix),
+        }
+
+    def interpreted(self, seed, pc, steps, fail_at):
+        """``steps`` interpreted instructions, with the engine loop's
+        bookkeeping, in its order, where this mode has it."""
+        self._start(seed, pc, fail_at)
+        raised = False
+        try:
+            for _ in range(steps):
+                info = self.executor.step()
+                unit = info.instruction.unit
+                if self.commit:
+                    self._commit(info)
+                    self.mix[unit.value] = self.mix.get(unit.value, 0) + 1
+                if self.record:
+                    self._rec(UNIT_INDEX[unit], info.dest is not None)
+        except _PortStop:
+            raised = True
+        return self._observe(raised)
+
+    def compiled(self, seed, start, s, e, fail_at):
+        """Offsets ``[s, e)`` of the region at ``start``."""
+        self._start(seed, start + s, fail_at)
+        run = self.jit.runner(start)
+        raised = False
+        try:
+            if self.record:
+                run(self._rec, s, e)
+            else:
+                run(s, e)
+        except _PortStop:
+            raised = True
+        return self._observe(raised)
+
+
+def _region_spans(program):
+    table = decode_table(program)
+    rooms = enumerate(table.block_room)
+    starts = {table.region_start[pc] for pc, room in rooms if room}
+    return [(start, table.block_room[start]) for start in sorted(starts)]
+
+
+def _assert_regions_match_interpreter(program, record, commit):
+    spans = _region_spans(program)
+    assert spans
+    harness = _Harness(program, record, commit)
+    for start, length in spans:
+        rng = random.Random(start * 131 + length)
+        pairs = {(0, length), (length - 1, length), (0, 1)}
+        while len(pairs) < min(8, length * (length + 1) // 2):
+            s = rng.randrange(length)
+            pairs.add((s, rng.randrange(s + 1, length + 1)))
+        memory_ops = sum(
+            program.instructions[pc].opcode
+            in (Opcode.LDR, Opcode.FLDR, Opcode.STR, Opcode.FSTR)
+            for pc in range(start, start + length)
+        )
+        cases = [(s, e, None) for s, e in sorted(pairs)]
+        # A port that raises at each of the region's memory operations.
+        cases += [(0, length, fail_at) for fail_at in range(memory_ops)]
+        for s, e, fail_at in cases:
+            seed = start * 7919 + s * 97 + e
+            got = harness.compiled(seed, start, s, e, fail_at)
+            want = harness.interpreted(seed, start + s, e - s, fail_at)
+            assert got == want, (start, s, e, fail_at)
+            assert got["raised"] == (fail_at is not None)
+
+
+_MODES = [(False, False), (True, False), (False, True), (True, True)]
+_MODE_IDS = ["bare", "record", "commit", "record+commit"]
+
+
+class TestRegionEquivalence:
+    @pytest.mark.parametrize("record,commit", _MODES, ids=_MODE_IDS)
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_every_fuzz_region(self, profile, record, commit):
+        for seed in (1, 7, 23):
+            program = build_workload(generate_case(seed, profile)).program
+            _assert_regions_match_interpreter(program, record, commit)
+
+    @pytest.mark.parametrize("record,commit", _MODES, ids=_MODE_IDS)
+    def test_every_spec_region(self, record, commit):
+        program = build_spec_workload("gobmk", iterations=2).program
+        _assert_regions_match_interpreter(program, record, commit)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +443,36 @@ class TestInvalidation:
         assert stats.dispatches > 0 and stats.instructions > 0
         assert stats.segment_rebinds > 0
         assert stats.voltage_invalidations == 0
-        # Every activation bound a distinct entry PC: nothing was
-        # dropped and re-bound after a voltage move.
-        bound = [entry for entry in jit._active.values() if entry is not None]
-        assert stats.activations == len(bound)
+        # One bind per region, keyed by its start: nothing was dropped
+        # and re-bound after a voltage move, and blocks entered in the
+        # middle of a region shared its one binding.
+        assert stats.activations == len(jit._active)
+        assert all(jit.region_start[pc] == pc for pc in jit._active)
+        assert stats.dispatches > stats.activations
+
+
+class TestCompileVolume:
+    def test_paradox_run_compiles_only_what_it_runs(self):
+        # A freshly built program object: its code cache starts empty.
+        workload = build_spec_workload("gobmk", iterations=3)
+        program = workload.program
+        engine = ParaDoxSystem().engine(workload, seed=11)
+        engine.run(workload.max_instructions)
+        jit = engine.jit
+        code = _SHARED_CODE[(id(program), True, True)]
+        # Every compiled region was bound, and so dispatched, by this run.
+        assert code.keys() == jit._active.keys()
+        assert jit.stats.blocks_compiled == len(code) == jit.stats.activations
+        # Within one emission mode, compiled regions never overlap.
+        table = decode_table(program)
+        for (program_id, _record, _commit), regions in _SHARED_CODE.items():
+            if program_id != id(program):
+                continue
+            seen = set()
+            for start in regions:
+                span = set(range(start, start + table.block_room[start]))
+                assert not span & seen
+                seen |= span
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,19 @@ class TestResolveJobs:
         assert 1 <= auto <= 8
         assert resolve_jobs(-3) == auto
 
+    def test_auto_follows_cpu_affinity(self, monkeypatch):
+        # A container pinned to two CPUs of a 64-CPU host gets 2, not 8.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert resolve_jobs(0) == 2
+
+    def test_auto_without_affinity_counts_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resolve_jobs(0) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_jobs(0) == 8
+
 
 class TestRunFanout:
     def test_results_in_payload_order(self):
@@ -93,6 +106,17 @@ class TestRunFanout:
         seen: "list[FanoutOutcome]" = []
         run_fanout(_square, [1, 2, 3], jobs=3, on_outcome=seen.append)
         assert sorted(o.index for o in seen) == [0, 1, 2]
+
+    def test_parent_waits_without_polling(self, monkeypatch):
+        # The parent sleeps on the result pipes and process sentinels;
+        # a sleep-and-poll loop would call time.sleep here.
+        def no_sleep(_seconds):
+            raise AssertionError("run_fanout polled with time.sleep")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        outcomes = run_fanout(_square, [1, 2, 3, 4, 5], jobs=2, timeout_s=60)
+        assert [o.value for o in outcomes] == [1, 4, 9, 16, 25]
+        assert all(o.ok for o in outcomes)
 
     def test_empty_payloads(self):
         assert run_fanout(_square, [], jobs=4) == []
