@@ -129,7 +129,10 @@ class EngineOptions:
     #: Drive main-core execution through the compiled superblock tier
     #: (:mod:`repro.jit`) wherever the fill loop's per-instruction
     #: obligations allow, falling back to the interpreter at block
-    #: exits, traps, segment boundaries and external syscalls.  Timing,
+    #: exits, traps, segment boundaries and external syscalls.  ``run``
+    #: builds one tier for either path, and both loops enter it only
+    #: through :meth:`~repro.jit.tier.SuperblockJit.run_block`, passing
+    #: the instructions they may run before they must look again.  Timing,
     #: stall accounting and telemetry are bit-identical either way (the
     #: differential oracle gates this); disable to force pure
     #: interpretation.  Ignored — the tier is never built — when a
@@ -177,8 +180,9 @@ class SimulationEngine:
         self.port = MainMemoryPort(self.memory, self.tracker, options.granularity)
         self.executor = Executor(program, self.state, self.port)
         #: Compiled superblock tier for the main core; built at run()
-        #: time (the emission mode depends on the execution path taken)
-        #: and None when disabled or under main-core fault injection.
+        #: time (with checkers it records into the segment log, without
+        #: them it binds the raw memory image) and None when disabled or
+        #: under main-core fault injection.
         self.jit: Optional[SuperblockJit] = None
 
         # Checker pool.  Occupancy is physical and lives in the pool: a
@@ -763,20 +767,23 @@ class SimulationEngine:
     def run(self, max_instructions: int = 1_000_000) -> RunResult:
         """Simulate until the program halts or the useful budget is reached."""
         options = self.options
-        if not options.checking:
-            return self._run_unprotected(max_instructions)
-        livelock_budget = int(max_instructions * options.livelock_factor)
+        checking = options.checking
         if options.jit and (self.injector is None or self.injector.target != "main"):
-            # Protected path: blocks record into the live segment and
-            # commit to the timing model, exactly like the fill loop.
+            # Blocks commit to the timing model like the loop they
+            # replace.  With checkers they also record into the live
+            # segment through the logging port; without, they bind the
+            # raw memory image the unprotected loop steps against.
             self.jit = SuperblockJit(
                 self.program,
                 self.state,
-                self.port,
+                self.port if checking else self.memory,
                 commit=self.timing.commit,
                 unit_mix=self._unit_mix,
-                record=True,
+                record=checking,
             )
+        if not checking:
+            return self._run_unprotected(max_instructions)
+        livelock_budget = int(max_instructions * options.livelock_factor)
         self._open_segment(self.state.snapshot())
 
         outcome = RunOutcome.COMPLETED
@@ -917,44 +924,19 @@ class SimulationEngine:
         state = self.state
         # Bypass the logging port entirely.
         self.executor.port = self.memory
-        options = self.options
-        jit = None
-        if options.jit and (self.injector is None or self.injector.target != "main"):
-            # Built after the port rebind above so blocks bind the raw
-            # memory image, like the interpreted steps they replace.
-            # No segments here, so commit-only emission (no recorder).
-            jit = SuperblockJit(
-                self.program,
-                self.state,
-                self.memory,
-                commit=self.timing.commit,
-                unit_mix=self._unit_mix,
-            )
-            self.jit = jit
         # Hot loop: bind the per-instruction callees once.
         step = self.executor.step
         commit = self.timing.commit
         unit_mix = self._unit_mix
         unit_mix_get = unit_mix.get
         unit_names = self._decode.unit_name
-        block_room = jit.block_room if jit is not None else None
+        run_block = self.jit.run_block if self.jit is not None else None
         executed = 0
         while not state.halted and (instret := state.instret) < max_instructions:
-            if block_room is not None:
-                pc = state.pc
-                try:
-                    room = block_room[pc]
-                except IndexError:  # a wild PC: step() traps on it
-                    room = 0
-                if room:
-                    n = min(room, max_instructions - instret)
-                    at = jit.region_start[pc]
-                    run = jit._active.get(at) or jit.runner(at)
-                    run(pc - at, pc - at + n)
+            if run_block is not None:
+                n = run_block(max_instructions - instret)
+                if n:
                     executed += n
-                    stats = jit.stats
-                    stats.dispatches += 1
-                    stats.instructions += n
                     continue
             info = step()
             executed += 1
@@ -986,8 +968,7 @@ class SimulationEngine:
         external_pcs = decode.external_pcs
         injector = self.injector
         main_injection = injector is not None and injector.target == "main"
-        jit = self.jit
-        block_room = jit.block_room if jit is not None else None
+        run_block = self.jit.run_block if self.jit is not None else None
         while not state.halted and (before := state.instret) < max_instructions:
             if self._executed_total >= livelock_budget:
                 if self.guard is not None:
@@ -1008,7 +989,7 @@ class SimulationEngine:
                 self._external_verified = True
             try:
                 if (
-                    block_room is not None
+                    run_block is not None
                     and not self._external_verified
                     and self._earliest_detection is None
                 ):
@@ -1023,30 +1004,19 @@ class SimulationEngine:
                     # the instruction and livelock budgets cut the block
                     # short instead, so it stops exactly where the
                     # interpreter would close the segment or return.
-                    pc = state.pc
-                    try:
-                        room = block_room[pc]
-                    except IndexError:  # a wild PC: step() traps on it
-                        room = 0
-                    if room:
-                        n = min(
-                            room,
+                    n = run_block(
+                        min(
                             segment_target - self._segment.instruction_count,
                             max_instructions - before,
                             livelock_budget - self._executed_total,
                         )
-                        if n > 0:
-                            at = jit.region_start[pc]
-                            run = jit._active.get(at) or jit.runner(at)
-                            run(jit._rec, pc - at, pc - at + n)
-                            self._executed_total += n
-                            stats = jit.stats
-                            stats.dispatches += 1
-                            stats.instructions += n
-                            if self._segment.instruction_count >= segment_target:
-                                self._close_segment(SegmentCloseReason.TARGET_LENGTH)
-                                segment_target = self.length_controller.target
-                            continue
+                    )
+                    if n:
+                        self._executed_total += n
+                        if self._segment.instruction_count >= segment_target:
+                            self._close_segment(SegmentCloseReason.TARGET_LENGTH)
+                            segment_target = self.length_controller.target
+                        continue
                 info = step()
             except (SegmentFull, UncheckedConflictStall, SimTrap) as exc:
                 # Blocks keep instret exact up to the raising

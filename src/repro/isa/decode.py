@@ -13,9 +13,10 @@ keeps them as flat lists indexed by PC:
   *slots* (``x0..x31``, then ``f0..f15``, then the flags register), so
   the main core's scoreboard is a list instead of a tuple-keyed dict;
 * which PCs hold a syscall whose effect escapes the rollback domain;
-* the compiled tier's regions: where each PC's region starts and how
-  many instructions a block entered there may run
-  (:func:`repro.jit.superblock.region_columns`).
+* the compiled tier's regions, as one mapping rather than a list: for
+  each PC where a block may start, its region's start and how many
+  instructions a block entered there may run
+  (:func:`repro.jit.superblock.region_blocks`).
 
 The read and write slots mirror exactly what
 :class:`~repro.isa.executor.Executor` reports in each
@@ -147,9 +148,10 @@ class DecodeTable:
     main-core timing columns into one tuple per PC so
     :meth:`MainCoreTiming.commit <repro.cores.main_core.MainCoreTiming.commit>`
     pays one index for all of them, and :attr:`external_pcs` is the set
-    of PCs the engine must drain checks before.  :attr:`block_room` and
-    :attr:`region_start` are what every dispatch loop reads before it
-    enters the compiled tier.
+    of PCs the engine must drain checks before.  :attr:`blocks` maps
+    each PC where a compiled block may start to ``(region start,
+    room)``; :meth:`SuperblockJit.run_block
+    <repro.jit.tier.SuperblockJit.run_block>` is its only reader.
     """
 
     __slots__ = (
@@ -165,8 +167,7 @@ class DecodeTable:
         "writes_register",
         "main_rows",
         "external_pcs",
-        "region_start",
-        "block_room",
+        "blocks",
     )
 
     def __init__(self, program: Program) -> None:
@@ -202,9 +203,9 @@ class DecodeTable:
             if instr.opcode is Opcode.SYSCALL and instr.imm in EXTERNAL_SYSCALLS
         )
         # Imported here: repro.jit builds on this package.
-        from ..jit.superblock import region_columns
+        from ..jit.superblock import region_blocks
 
-        self.region_start, self.block_room = region_columns(instructions)
+        self.blocks: Dict[int, Tuple[int, int]] = region_blocks(instructions)
 
     def step_info(self, pc: int) -> StepInfo:
         """The :class:`StepInfo` a fall-through retire of ``pc`` reports,

@@ -106,9 +106,9 @@ class Executor:
             for instruction in program.instructions
         ]
         # Optional compiled superblock tier; attach_jit() installs one
-        # and run() then prefers compiled dispatch.  step() is always
+        # and run() then offers every PC to it first.  step() is always
         # pure interpretation — engine loops that need per-instruction
-        # control keep using it and drive the tier themselves.
+        # control keep using it and enter the tier themselves.
         self.jit = None
 
     _CONDITIONS = {
@@ -132,7 +132,10 @@ class Executor:
     def attach_jit(self):
         """Install a bare-mode superblock tier and return it.
 
-        Imported lazily: :mod:`repro.jit` builds on this module.
+        :meth:`run` then offers each PC to its
+        :meth:`~repro.jit.tier.SuperblockJit.run_block` with the budget
+        left and interprets the PCs it declines.  Imported lazily:
+        :mod:`repro.jit` builds on this module.
         """
         from ..jit import SuperblockJit
 
@@ -158,50 +161,16 @@ class Executor:
     def run(self, max_instructions: int) -> int:
         """Run until HALT or the instruction budget; return instructions retired."""
         state = self.state
-        jit = self.jit
-        if jit is not None:
-            # Retired count comes from the instret delta: both step()
-            # and compiled regions advance instret exactly once per
-            # retired instruction, and the regions' flush discipline
-            # keeps it exact even when a port trap propagates out.
-            start = state.instret
-            limit = start + max_instructions
-            block_room = jit.block_room
-            region_start = jit.region_start
-            active_get = jit._active.get
-            runner = jit.runner
-            step = self.step
-            dispatches = 0
-            block_instructions = 0
-            try:
-                while not state.halted:
-                    instret = state.instret
-                    if instret >= limit:
-                        break
-                    pc = state.pc
-                    try:
-                        room = block_room[pc]
-                    except IndexError:  # a wild PC: step() traps on it
-                        room = 0
-                    if room:
-                        n = min(room, limit - instret)
-                        at = region_start[pc]
-                        run = active_get(at) or runner(at)
-                        run(pc - at, pc - at + n)
-                        dispatches += 1
-                        block_instructions += n
-                        continue
-                    step()
-            finally:
-                stats = jit.stats
-                stats.dispatches += dispatches
-                stats.instructions += block_instructions
-            return state.instret - start
-        retired = 0
-        while not state.halted and retired < max_instructions:
-            self.step()
-            retired += 1
-        return retired
+        step = self.step
+        run_block = self.jit.run_block if self.jit is not None else None
+        # Both step() and compiled blocks advance instret once per
+        # retired instruction, so the budget and the count read it.
+        start = state.instret
+        limit = start + max_instructions
+        while not state.halted and (instret := state.instret) < limit:
+            if run_block is None or not run_block(limit - instret):
+                step()
+        return state.instret - start
 
     # -- dispatch construction --------------------------------------------------------
     def _build_dispatch(self) -> None:

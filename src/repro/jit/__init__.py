@@ -12,43 +12,40 @@ folded constants burned in as literals, the source run through
 and is cached by its start PC.  Each call runs any offsets ``s..e-1``
 of the region, so a block can start at any PC in it (a branch target)
 and stop at any later one (a segment target or an instruction budget).
-Control flow, traps, syscalls and fault-injection points are never
-folded into a region; execution falls back to the interpreter there,
-and the two paths are bit-identical by construction (the differential
-oracle in :mod:`repro.oracle` is the merge gate for every change to
-this package).
+Every dispatch loop enters the tier through one call,
+:meth:`SuperblockJit.run_block`: it runs the block at the current PC
+for at most the loop's budget and returns how many instructions ran, 0
+meaning "interpret this PC", so the region format stays inside this
+package.  Control flow, traps, syscalls and fault-injection points are
+never folded into a region; execution falls back to the interpreter
+there, and the two paths are bit-identical by construction (the
+differential oracle in :mod:`repro.oracle` is the merge gate for every
+change to this package).
 
 Layering:
 
 * :mod:`repro.jit.superblock` — region discovery (which opcodes may be
-  folded, where a region must end, the per-PC region start and block
-  room columns);
+  folded, where a region must end, the decode table's ``blocks``
+  mapping of block-start PCs to region start and room);
 * :mod:`repro.jit.runtime` — the handful of out-of-line helpers the
   generated code calls (signed division, IEEE division, NZCV packing);
 * :mod:`repro.jit.emit` — per-opcode source emission and the per-mode
   bookkeeping (timing commit / unit mix / segment recording), with the
   static per-instruction facts read from the program's
   :class:`~repro.isa.decode.DecodeTable`;
-* :mod:`repro.jit.tier` — the cache: regions compiled once per
-  process and shared across runs, bound once per run (they survive
-  voltage moves), per-segment recorder rebinding.
+* :mod:`repro.jit.tier` — dispatch (``run_block``) and the cache:
+  regions compiled once per process and shared across runs, bound once
+  per run (they survive voltage moves), per-segment recorder
+  rebinding.
 """
 
-from .superblock import (
-    COMPILABLE_OPCODES,
-    MAX_BLOCK,
-    MIN_BLOCK,
-    region_columns,
-    superblock_length,
-)
+from .superblock import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK
 from .tier import JitStats, SuperblockJit
 
 __all__ = [
     "COMPILABLE_OPCODES",
     "MAX_BLOCK",
     "MIN_BLOCK",
-    "region_columns",
-    "superblock_length",
     "JitStats",
     "SuperblockJit",
 ]

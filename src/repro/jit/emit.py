@@ -25,7 +25,8 @@ factory::
 nothing else: each instruction is guarded by its offset, the entry
 guards skip what lies before ``s``, and the exit check after offset
 ``e - 1`` leaves the loop.  So one compiled function serves every entry
-PC of its region and every budget a dispatch loop cuts it to.
+PC of its region and every budget :meth:`SuperblockJit.run_block
+<repro.jit.tier.SuperblockJit.run_block>` cuts it to.
 
 Register indices, immediates (pre-wrapped through ``to_unsigned`` where
 the interpreter does it), FMOVI bit patterns and PC values are folded

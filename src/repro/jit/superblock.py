@@ -21,7 +21,11 @@ partition the compilable PCs, so each instruction is compiled at most
 once per emission mode.  A dispatch enters its region at any offset and
 leaves it at any later one, so a branch into the middle of a stretch,
 a segment target or an instruction budget never needs a block of its
-own.
+own.  :func:`region_blocks` records, for every PC where a block may
+start, its region's start and the room left to the region's end; the
+decode table keeps that one mapping as ``blocks``, and
+:meth:`SuperblockJit.run_block <repro.jit.tier.SuperblockJit.run_block>`
+is its only reader.
 
 Fault-injection points are excluded structurally rather than per-opcode:
 the engine only builds a tier at all when no main-core injector is
@@ -31,7 +35,7 @@ instruction that could receive an injection is ever inside a block.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..isa.instructions import BRANCH_OPCODES, Instruction, Opcode
 
@@ -49,19 +53,18 @@ MIN_BLOCK = 3
 MAX_BLOCK = 64
 
 
-def region_columns(
+def region_blocks(
     instructions: Sequence[Instruction],
-) -> Tuple[List[int], List[int]]:
-    """Per-PC ``(region_start, block_room)`` columns of a program.
+) -> Dict[int, Tuple[int, int]]:
+    """Where a block may start: ``{pc: (region start, room)}``.
 
-    ``region_start[pc]`` is the first PC of the region holding ``pc``
-    (-1 off every region); ``block_room[pc]`` is the number of
-    instructions from ``pc`` to the end of its region, or 0 where that
-    is fewer than :data:`MIN_BLOCK` or ``pc`` is not compilable.
+    ``room`` is the number of instructions from ``pc`` to the end of its
+    region.  Only PCs with at least :data:`MIN_BLOCK` of room are
+    present, so a PC off every region, near a region's end or outside
+    the program (negative or past the end) has no entry.
     """
     size = len(instructions)
-    region_start = [-1] * size
-    block_room = [0] * size
+    blocks: Dict[int, Tuple[int, int]] = {}
     # The trailing False ends the last stretch.
     compilable = [instr.opcode in COMPILABLE_OPCODES for instr in instructions]
     compilable.append(False)
@@ -73,16 +76,7 @@ def region_columns(
         stretch_end = compilable.index(False, pc)
         for start in range(pc, stretch_end, MAX_BLOCK):
             end = min(start + MAX_BLOCK, stretch_end)
-            for at in range(start, end):
-                region_start[at] = start
-                if end - at >= MIN_BLOCK:
-                    block_room[at] = end - at
+            for at in range(start, end - MIN_BLOCK + 1):
+                blocks[at] = (start, end - at)
         pc = stretch_end
-    return region_start, block_room
-
-
-def superblock_length(instructions: Sequence[Instruction], pc: int) -> int:
-    """The block room at ``pc`` (see :func:`region_columns`), 0 off the program."""
-    if pc < 0 or pc >= len(instructions):
-        return 0
-    return region_columns(instructions)[1][pc]
+    return blocks

@@ -1,4 +1,5 @@
-"""The region cache: compile once per process, bind once per run.
+"""Dispatch into the tier, and the region cache: compile once per
+process, bind once per run.
 
 Two layers of caching, keyed by region start (see
 :mod:`repro.jit.superblock`):
@@ -15,16 +16,18 @@ Two layers of caching, keyed by region start (see
   holds — so a bound region lives for the whole run and each region is
   bound at most once.
 
-Both layers fill only through :meth:`SuperblockJit.runner`, which the
-dispatch loops call for a dispatch they have already admitted (the
-decode table's ``block_room`` says whether one exists), so a region
-that never runs is never compiled.
+:meth:`SuperblockJit.run_block` is the one way into the tier: every
+dispatch loop hands it the instruction budget it has left, and it looks
+the PC up in the decode table's ``blocks``, cuts the region to that
+budget, binds it on a miss and counts the dispatch.  Both layers fill
+only through :meth:`SuperblockJit.runner`, which ``run_block`` calls on
+a miss, so a region that never runs is never compiled.
 
 Segment turnover costs no cache traffic either: record-mode regions
 take the recorder as a call argument, so
-:meth:`SuperblockJit.note_segment` just swaps the ``_rec`` binding the
-engine passes on the next dispatch.  :class:`JitStats` counts binds and
-rebinds so tests and telemetry can see the protocol working.
+:meth:`SuperblockJit.note_segment` just swaps the recorder
+``run_block`` passes on the next dispatch.  :class:`JitStats` counts
+binds and rebinds so tests and telemetry can see the protocol working.
 """
 
 from __future__ import annotations
@@ -111,16 +114,15 @@ class SuperblockJit:
     tier over the same program object and emission mode draws on one
     ``_SHARED_CODE`` cache, so a region is compiled once per process.
 
-    A dispatch loop reads the decode table's ``block_room[pc]``; where it
-    is non-zero the loop cuts it to its own budgets (``n``), looks the
-    region up by ``region_start[pc]`` in ``_active`` (calling
-    :meth:`runner` on a miss) and calls it with offsets
-    ``pc - start`` and ``pc - start + n``.
+    A dispatch loop calls :meth:`run_block` with the instructions it may
+    still run before it has to look again (segment target, instruction
+    and livelock budgets) and interprets one instruction when it
+    returns 0.
 
-    ``record`` adds per-instruction segment recording (the region
-    receives the recorder as its first argument); ``commit``/``unit_mix``
-    add the engine's timing commit and histogram.  Callers pick the
-    combination matching the loop they replace — see
+    ``record`` adds per-instruction segment recording into the segment
+    last passed to :meth:`note_segment`; ``commit``/``unit_mix`` add the
+    engine's timing commit and histogram.  Callers pick the combination
+    matching the loop they replace — see
     :func:`repro.jit.emit.emit_factory_source`.
     """
 
@@ -141,9 +143,7 @@ class SuperblockJit:
         self._commit = commit
         self._unit_mix = unit_mix
         self._table = decode_table(program)
-        #: The dispatch loops' per-PC columns.
-        self.region_start = self._table.region_start
-        self.block_room = self._table.block_room
+        self._blocks = self._table.blocks
         self._code = _shared_code_for(program, record, commit is not None)
         regs = state.regs
         #: What every factory call binds (``infos`` is set per region).
@@ -168,12 +168,40 @@ class SuperblockJit:
             "infos": None,
         }
         self._active: Dict[int, Callable[..., None]] = {}
-        #: Current segment's ``record_instruction``; the engine passes
-        #: this into every record-mode dispatch.
+        #: Current segment's ``record_instruction``; :meth:`run_block`
+        #: passes it into every record-mode dispatch.
         self._rec: Optional[Callable[..., None]] = None
         self.stats = JitStats()
 
     # -- dispatch ---------------------------------------------------------
+    def run_block(self, limit: int) -> int:
+        """Run the block at ``state.pc`` for at most ``limit`` instructions.
+
+        Returns how many instructions ran.  0 means "interpret this PC":
+        no block may start there (a branch, a region's last
+        instructions, or a PC outside the program) or ``limit`` is not
+        positive.  A data-port exception propagates with ``pc`` and
+        ``instret`` exact up to the raising instruction, uncounted.
+        """
+        pc = self.state.pc
+        block = self._blocks.get(pc)
+        if block is None:
+            return 0
+        start, room = block
+        n = room if room < limit else limit
+        if n <= 0:
+            return 0
+        run = self._active.get(start) or self.runner(start)
+        s = pc - start
+        if self.record:
+            run(self._rec, s, s + n)
+        else:
+            run(s, s + n)
+        stats = self.stats
+        stats.dispatches += 1
+        stats.instructions += n
+        return n
+
     def runner(self, start: int) -> Callable[..., None]:
         """The bound region starting at ``start``: compiled on the
         process's first dispatch into it, bound on the run's first."""
@@ -193,7 +221,7 @@ class SuperblockJit:
     # -- compilation ------------------------------------------------------
     def _compile(self, start: int) -> _Compiled:
         table = self._table
-        length = table.block_room[start]
+        length = table.blocks[start][1]
         commit = self._commit is not None
         source = emit_factory_source(
             table, start, length, record=self.record, commit=commit

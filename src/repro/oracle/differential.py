@@ -240,10 +240,18 @@ class DifferentialRunner:
             memory_size=memory.size,
         )
 
+        jit = None
+        if self.use_jit:
+            from ..jit import SuperblockJit
+
+            jit = SuperblockJit(workload.program, state, port, record=True)
+
         trace: Deque[str] = deque(maxlen=TRACE_WINDOW)
         seq = 1
         segment = self._open_segment(seq, state.snapshot())
         port.segment = segment
+        if jit is not None:
+            jit.note_segment(segment)
 
         def diverge(stage: str, found: tuple) -> None:
             report.divergence = Divergence(
@@ -351,68 +359,40 @@ class DifferentialRunner:
             seq += 1
             segment = self._open_segment(seq, state.snapshot())
             port.segment = segment
+            if jit is not None:
+                jit.note_segment(segment)
             return True
 
         interval = self.checkpoint_interval
-        jit = None
-        if self.use_jit:
-            from ..jit import SuperblockJit
-
-            jit = SuperblockJit(workload.program, state, port, record=True)
-        while not state.halted and state.instret < budget:
-            if jit is not None:
-                pc = state.pc
-                try:
-                    room = jit.block_room[pc]
-                except IndexError:  # a wild PC: step() traps on it
-                    room = 0
-                n = min(
-                    room,
-                    interval - segment.instruction_count,
-                    budget - state.instret,
-                )
-                if n > 0:
-                    at = jit.region_start[pc]
-                    before = state.instret
-                    try:
-                        jit.runner(at)(segment.record_instruction, pc - at, pc - at + n)
-                    except SegmentFull:
-                        report.instructions += state.instret - before
-                        if not close_and_check(SegmentCloseReason.LOG_CAPACITY):
-                            return report
-                        continue
-                    except UncheckedConflictStall:
-                        report.instructions += state.instret - before
-                        if not close_and_check(
-                            SegmentCloseReason.EVICTION_CONFLICT
-                        ):
-                            return report
-                        continue
-                    report.instructions += n
-                    stats = jit.stats
-                    stats.dispatches += 1
-                    stats.instructions += n
-                    if segment.instruction_count >= interval:
-                        if not close_and_check(SegmentCloseReason.TARGET_LENGTH):
-                            return report
-                    continue
+        while not state.halted and (before := state.instret) < budget:
+            limit = min(interval - segment.instruction_count, budget - before)
             try:
-                info = executor.step()
+                ran = jit.run_block(limit) if jit is not None else 0
+                if not ran:
+                    info = executor.step()
             except SegmentFull:
+                # A raising block keeps instret exact up to the raising
+                # instruction; a raising step retires nothing.
+                report.instructions += state.instret - before
                 if not close_and_check(SegmentCloseReason.LOG_CAPACITY):
                     return report
                 continue
             except UncheckedConflictStall:
                 # Committing the closed segment releases every unchecked
                 # line, so the retried store cannot conflict again.
+                report.instructions += state.instret - before
                 if not close_and_check(SegmentCloseReason.EVICTION_CONFLICT):
                     return report
                 continue
-            report.instructions += 1
-            segment.record_instruction(
-                UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
-            )
-            trace.append(f"{info.pc_before}: {info.instruction}")
+            if ran:
+                report.instructions += ran
+            else:
+                report.instructions += 1
+                segment.record_instruction(
+                    UNIT_INDEX[info.instruction.unit],
+                    writes_register=info.dest is not None,
+                )
+                trace.append(f"{info.pc_before}: {info.instruction}")
             if segment.instruction_count >= interval:
                 if not close_and_check(SegmentCloseReason.TARGET_LENGTH):
                     return report

@@ -4,7 +4,8 @@ The contract under test: running any workload through the tier
 (``golden_run(jit=True)``, ``EngineOptions.jit``, or the oracle's
 ``use_jit``) is *bit-identical* to pure interpretation — same final
 architectural state, same retired-instruction count, same timing, same
-telemetry-visible bookkeeping.  Every region is checked on its own too:
+telemetry-visible bookkeeping, and the same trap at a PC outside the
+program.  Every region is checked on its own too:
 any offsets ``[s, e)`` of it equal ``e - s`` interpreted steps, also
 when the data port raises part-way.  The cache protocol (a region is
 compiled only when a run dispatches into it, bound regions survive DVFS
@@ -22,20 +23,27 @@ import types
 
 import pytest
 
-from repro.core import ParaDoxSystem
+from repro.core import (
+    BaselineSystem,
+    DetectionOnlySystem,
+    ParaDoxSystem,
+    ParaMedicSystem,
+)
 from repro.faults.injector import default_injector
-from repro.isa import ArchState, Executor, MemoryImage, Opcode, assemble
+from repro.isa import (
+    ArchState,
+    Executor,
+    Instruction,
+    InvalidPcTrap,
+    MemoryImage,
+    Opcode,
+    Program,
+    assemble,
+)
 from repro.isa.decode import UNIT_INDEX, decode_table
 from repro.isa.instructions import BRANCH_OPCODES
 from repro.isa.registers import MASK64
-from repro.jit import (
-    COMPILABLE_OPCODES,
-    MAX_BLOCK,
-    MIN_BLOCK,
-    SuperblockJit,
-    region_columns,
-    superblock_length,
-)
+from repro.jit import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK, SuperblockJit
 from repro.jit.tier import _SHARED_CODE
 from repro.oracle.fuzzer import PROFILES, build_workload, generate_case, run_case
 from repro.parallel import run_fanout
@@ -53,61 +61,57 @@ class TestSuperblockDiscovery:
 
     def test_out_of_range_pc(self):
         program = assemble("movi x1, 1\nmovi x2, 2\nmovi x3, 3\nhalt")
-        assert superblock_length(program.instructions, -1) == 0
-        assert superblock_length(program.instructions, 99) == 0
+        blocks = decode_table(program).blocks
+        assert blocks == {0: (0, 3)}
+        assert -1 not in blocks and 99 not in blocks
 
     def test_entry_on_branch_is_not_a_block(self):
         program = assemble("loop:\nmovi x1, 1\nmovi x2, 2\nmovi x3, 3\nb loop")
-        assert superblock_length(program.instructions, 3) == 0
+        assert 3 not in decode_table(program).blocks
 
     def test_short_runs_stay_interpreted(self):
         program = assemble("movi x1, 1\nmovi x2, 2\nhalt")
-        assert superblock_length(program.instructions, 0) == 0
+        assert decode_table(program).blocks == {}
         assert MIN_BLOCK == 3
 
     def test_region_stops_before_terminator(self):
         program = assemble(
             "movi x1, 1\nmovi x2, 2\nadd x3, x1, x2\nsub x4, x3, x1\nhalt"
         )
-        assert superblock_length(program.instructions, 0) == 4
+        assert decode_table(program).blocks[0] == (0, 4)
 
     def test_overlapping_entries(self):
         program = assemble(
             "movi x1, 1\nmovi x2, 2\nadd x3, x1, x2\nsub x4, x3, x1\n"
             "mul x5, x4, x2\nhalt"
         )
-        assert superblock_length(program.instructions, 0) == 5
-        assert superblock_length(program.instructions, 1) == 4
-        assert superblock_length(program.instructions, 2) == 3
+        assert decode_table(program).blocks == {0: (0, 5), 1: (0, 4), 2: (0, 3)}
 
     def test_length_cap(self):
         source = "\n".join(f"movi x{1 + (i % 5)}, {i}" for i in range(200))
         program = assemble(source + "\nhalt")
-        assert superblock_length(program.instructions, 0) == MAX_BLOCK
+        assert decode_table(program).blocks[0] == (0, MAX_BLOCK)
 
     def test_fuzz_blocks_never_contain_excluded_opcodes(self):
         for profile in PROFILES:
             program = build_workload(generate_case(11, profile)).program
-            for pc in range(len(program.instructions)):
-                length = superblock_length(program.instructions, pc)
-                for instr in program.instructions[pc : pc + length]:
+            for pc, (start, room) in decode_table(program).blocks.items():
+                assert start <= pc
+                for instr in program.instructions[start : pc + room]:
                     assert instr.opcode in COMPILABLE_OPCODES
-
 
     def test_stretches_are_cut_into_fixed_regions(self):
         source = "\n".join(f"movi x{1 + (i % 5)}, {i}" for i in range(MAX_BLOCK + 4))
         program = assemble("b skip\nskip:\n" + source + "\nhalt")
-        region_start, block_room = region_columns(program.instructions)
-        assert region_start[0] == -1 and block_room[0] == 0  # the branch
+        blocks = decode_table(program).blocks
         first, second = 1, 1 + MAX_BLOCK
-        assert region_start[first : second] == [first] * MAX_BLOCK
-        assert region_start[second : second + 4] == [second] * 4
-        assert block_room[first] == MAX_BLOCK
-        # Entering near a region's end leaves too little room to dispatch.
-        assert block_room[second - 3 : second] == [3, 0, 0]
-        assert block_room[second : second + 4] == [4, 3, 0, 0]
-        assert region_start[-1] == -1  # halt
-        assert decode_table(program).block_room == block_room
+        # Neither the branch (pc 0) nor the halt is a block start, and
+        # entering near a region's end leaves too little room to dispatch.
+        assert sorted(blocks) == [*range(first, second - 2), second, second + 1]
+        assert blocks[first] == (first, MAX_BLOCK)
+        assert blocks[second - 3] == (first, 3)
+        assert blocks[second] == (second, 4)
+        assert blocks[second + 1] == (second, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +143,7 @@ class TestExecutorIdentity:
             "mul x3, x1, x2\nadd x4, x3, x0\nhalt"
         )
         # The x0-dest instructions sit inside one compiled block.
-        assert superblock_length(program.instructions, 0) == 6
+        assert decode_table(program).blocks[0] == (0, 6)
         workload = Workload(name="x0", program=program, max_instructions=100)
         _assert_golden_identical(workload)
         golden = golden_run(workload, jit=True)
@@ -286,10 +290,9 @@ class _Harness:
 
 
 def _region_spans(program):
-    table = decode_table(program)
-    rooms = enumerate(table.block_room)
-    starts = {table.region_start[pc] for pc, room in rooms if room}
-    return [(start, table.block_room[start]) for start in sorted(starts)]
+    """``(start, length)`` of every region a block can enter."""
+    blocks = decode_table(program).blocks
+    return sorted({blocks[start] for start, _room in blocks.values()})
 
 
 def _assert_regions_match_interpreter(program, record, commit):
@@ -364,6 +367,21 @@ class TestEngineIdentity:
         interp = ParaDoxSystem(jit=False).run(bitcount_small, seed=7)
         assert _result_fingerprint(jitted) == _result_fingerprint(interp)
 
+    @pytest.mark.parametrize(
+        "system",
+        [BaselineSystem, DetectionOnlySystem, ParaMedicSystem, ParaDoxSystem],
+        ids=["baseline", "detection", "paramedic", "paradox"],
+    )
+    def test_every_system_with_and_without_the_tier(self, bitcount_small, system):
+        # Baseline runs the unprotected loop (commit-only blocks over the
+        # memory image); the others run the fill loop (blocks that also
+        # record into the segment log).
+        engine = system().engine(bitcount_small, seed=7)
+        jitted = engine.run(bitcount_small.max_instructions)
+        assert engine.jit.stats.dispatches > 0
+        interp = system(jit=False).run(bitcount_small, seed=7)
+        assert _result_fingerprint(jitted) == _result_fingerprint(interp)
+
     def test_dvs_run(self):
         workload = build_spec_workload("milc", iterations=12)
         jitted = ParaDoxSystem(dvs=True).run(workload, seed=3)
@@ -381,6 +399,53 @@ class TestEngineIdentity:
         assert jitted.faults_injected > 0
         assert jitted.recoveries  # rollbacks replayed through both paths
         assert _result_fingerprint(jitted) == _result_fingerprint(interp)
+
+
+# ---------------------------------------------------------------------------
+# wild PCs
+
+
+def _wild_pc_workload():
+    """A branch to PC -4, eight ``addi x1, x1, 1`` and ``halt``: a PC
+    outside the program that the per-PC tables would index from their
+    end.  Built from instructions, as the assembler resolves labels only.
+    """
+    instructions = (
+        (Instruction(Opcode.B, target=-4),)
+        + (Instruction(Opcode.ADDI, rd=1, rs1=1, imm=1),) * 8
+        + (Instruction(Opcode.HALT),)
+    )
+    program = Program(instructions=instructions, labels={}, name="wild_pc")
+    return Workload(name="wild_pc", program=program, max_instructions=100)
+
+
+class TestWildPc:
+    def test_negative_pc_traps_where_the_interpreter_does(self):
+        workload = _wild_pc_workload()
+        for jit in (False, True):
+            with pytest.raises(InvalidPcTrap, match="^pc -4 outside"):
+                golden_run(workload, jit=jit)
+        # The unprotected loop lets the trap out; ParaDox retries it from
+        # the checkpoint until it gives up on a deterministic bug.
+        for system in (BaselineSystem, ParaDoxSystem):
+            ends = []
+            for jit in (False, True):
+                engine = system(jit=jit).engine(workload)
+                with pytest.raises((InvalidPcTrap, RuntimeError)) as raised:
+                    engine.run(workload.max_instructions)
+                assert (engine.jit is not None) == jit
+                state = engine.state
+                ends.append(
+                    (
+                        type(raised.value),
+                        str(raised.value),
+                        state.pc,
+                        state.instret,
+                        state.regs.x[1],
+                    )
+                )
+            assert ends[0] == ends[1]
+            assert ends[0][2:] == (-4, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +512,8 @@ class TestInvalidation:
         # and re-bound after a voltage move, and blocks entered in the
         # middle of a region shared its one binding.
         assert stats.activations == len(jit._active)
-        assert all(jit.region_start[pc] == pc for pc in jit._active)
+        blocks = decode_table(jit.program).blocks
+        assert all(blocks[pc][0] == pc for pc in jit._active)
         assert stats.dispatches > stats.activations
 
 
@@ -470,7 +536,7 @@ class TestCompileVolume:
                 continue
             seen = set()
             for start in regions:
-                span = set(range(start, start + table.block_room[start]))
+                span = set(range(start, start + table.blocks[start][1]))
                 assert not span & seen
                 seen |= span
 
