@@ -291,8 +291,6 @@ class SimulationEngine:
         self._external_verified = False
         #: (wall_ns, text) for every externally visible write performed.
         self.external_flushes: List["tuple[float, str]"] = []
-        #: Executed instructions per unit class, wasted re-runs included.
-        self._unit_mix: Dict[str, int] = {}
         #: Optional structured telemetry (EngineOptions.tracing): one
         #: tracer per engine, shared by every instrumented subcomponent.
         self.tracer: Optional[Tracer] = None
@@ -778,7 +776,6 @@ class SimulationEngine:
                 self.state,
                 self.port if checking else self.memory,
                 commit=self.timing.commit,
-                unit_mix=self._unit_mix,
                 record=checking,
             )
         if not checking:
@@ -861,7 +858,7 @@ class SimulationEngine:
             escalations=list(self.guard.events) if self.guard else [],
             livelocked=outcome is RunOutcome.LIVELOCK,
             external_flushes=list(self.external_flushes),
-            unit_mix=dict(self._unit_mix),
+            unit_mix=dict(self.timing.unit_mix),
         )
         self._finalize_telemetry(result)
         return result
@@ -927,9 +924,6 @@ class SimulationEngine:
         # Hot loop: bind the per-instruction callees once.
         step = self.executor.step
         commit = self.timing.commit
-        unit_mix = self._unit_mix
-        unit_mix_get = unit_mix.get
-        unit_names = self._decode.unit_name
         run_block = self.jit.run_block if self.jit is not None else None
         executed = 0
         while not state.halted and (instret := state.instret) < max_instructions:
@@ -940,9 +934,7 @@ class SimulationEngine:
                     continue
             info = step()
             executed += 1
-            commit(info)
-            unit_name = unit_names[info.pc_before]
-            unit_mix[unit_name] = unit_mix_get(unit_name, 0) + 1
+            commit(info.pc_before, info.address, info.taken, info.pc_after)
         self._executed_total += executed
         return self._result(self.wall_ns, RunOutcome.COMPLETED, None)
 
@@ -956,13 +948,10 @@ class SimulationEngine:
         segment_target = self.length_controller.target
         # Hot loop: bind per-instruction callees and constants once.
         # (self.executor and self.timing are never rebound while the
-        # protected path runs; self._unit_mix is mutated, not replaced.)
+        # protected path runs.)
         step = self.executor.step
         commit = self.timing.commit
-        unit_mix = self._unit_mix
-        unit_mix_get = unit_mix.get
         decode = self._decode
-        unit_names = decode.unit_name
         unit_indices = decode.unit_index
         writes_register = decode.writes_register
         external_pcs = decode.external_pcs
@@ -1033,10 +1022,8 @@ class SimulationEngine:
                 continue
 
             self._executed_total += 1
-            commit(info)
             pc = info.pc_before
-            unit_name = unit_names[pc]
-            unit_mix[unit_name] = unit_mix_get(unit_name, 0) + 1
+            commit(pc, info.address, info.taken, info.pc_after)
             segment = self._segment
             segment.record_instruction(unit_indices[pc], writes_register[pc])
             if self._external_verified:

@@ -9,7 +9,7 @@ from .icache_model import (
     icache_penalty,
     miss_probability,
 )
-from .main_core import MainCoreStats, MainCoreTiming
+from .main_core import MainCoreTiming
 
 __all__ = [
     "BranchStats",
@@ -18,7 +18,6 @@ __all__ = [
     "ICachePenalty",
     "L0_MISS_CYCLES",
     "L1_MISS_CYCLES",
-    "MainCoreStats",
     "MainCoreTiming",
     "SegmentFaultHook",
     "TIMEOUT_FACTOR",

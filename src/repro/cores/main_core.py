@@ -18,10 +18,8 @@ each register checkpoint.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional
 
-from ..isa import StepInfo
 from ..isa.decode import SLOT_COUNT, decode_table
 from ..memory.cache import MemoryHierarchy
 from .branch_predictor import TournamentPredictor
@@ -31,24 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isa import Program
 
 
-@dataclass
-class MainCoreStats:
-    """Aggregate timing statistics for the main core."""
-
-    checkpoint_blocks: int = 0
-    stall_cycles: float = 0.0  # cycles spent waiting for checkers / conflicts
-
-    def reset(self) -> None:
-        self.checkpoint_blocks = 0
-        self.stall_cycles = 0.0
-
-
 class MainCoreTiming:
     """Commit-time calculator for the out-of-order main core.
 
     All times are in *main-core cycles* as floats; the engine converts to
     wall-clock using the (DVFS-scaled) frequency of the current interval.
-    Every static fact about an instruction (unit latency, load and branch
+    :meth:`commit` takes the PC of each retired instruction plus what
+    only the run knows (a memory operation's address, a branch's outcome
+    and target); every static fact (unit, latency, load and branch
     flags, registers read and written) comes from the program's
     :func:`~repro.isa.decode.decode_table`.
     """
@@ -63,8 +51,13 @@ class MainCoreTiming:
         self.config = config
         self.hierarchy = hierarchy
         self.predictor = predictor
-        #: Per PC: (unit latency, is_load, is_branch, read slots, write slot).
-        self._rows = decode_table(program).main_rows
+        table = decode_table(program)
+        #: Per PC: a :data:`~repro.isa.decode.MainRow`.
+        self._rows = table.main_rows
+        self._instructions = table.instructions
+        #: Committed instructions per unit name, in first-seen order,
+        #: wasted re-runs included (the run's energy mix).
+        self.unit_mix: Dict[str, int] = {}
         #: Completion cycle per register slot.  Never-written registers
         #: read 0.0, which no ready time (itself >= 0) is below.
         self._reg_ready = [0.0] * SLOT_COUNT
@@ -79,13 +72,23 @@ class MainCoreTiming:
         self.now: float = 0.0
         self._commit_slot = 1.0 / config.commit_width
         self._last_fetch_line: Optional[int] = None
-        self.stats = MainCoreStats()
 
     # -- main entry point -------------------------------------------------------------
-    def commit(self, info: StepInfo) -> float:
-        """Account one retired instruction; return its commit cycle."""
-        pc = info.pc_before
-        latency, is_load, is_branch, reads, write = self._rows[pc]
+    def commit(
+        self,
+        pc: int,
+        address: Optional[int] = None,
+        taken: Optional[bool] = None,
+        pc_after: Optional[int] = None,
+    ) -> float:
+        """Account the instruction retired at ``pc``; return its commit cycle.
+
+        ``address`` is a memory operation's effective address; ``taken``
+        and ``pc_after`` are a branch's outcome and next PC.
+        """
+        latency, is_load, is_branch, reads, write, unit = self._rows[pc]
+        mix = self.unit_mix
+        mix[unit] = mix.get(unit, 0) + 1
 
         # Front end: a new I-cache line (16 instructions per 64-byte
         # line) may miss, which delays the front end from now.
@@ -108,7 +111,6 @@ class MainCoreTiming:
         if len(rob) == self._rob_entries and rob[0] > ready:
             ready = rob[0]  # ROB full: wait for the oldest to commit
 
-        address = info.address
         if address is not None:
             access = self.hierarchy.data_access(address, pc=pc)
             if is_load:
@@ -127,7 +129,7 @@ class MainCoreTiming:
             reg_ready[write] = complete
         if is_branch:
             mispredicted = self.predictor.access(
-                pc, info.instruction, bool(info.taken), info.pc_after
+                pc, self._instructions[pc], bool(taken), pc_after
             )
             if mispredicted:
                 redirect = complete + self.predictor.config.mispredict_penalty_cycles
@@ -140,7 +142,6 @@ class MainCoreTiming:
         """Block commit for ``cycles`` (register checkpointing, 16 cycles)."""
         self.now += cycles
         self._fetch_ready = max(self._fetch_ready, self.now)
-        self.stats.checkpoint_blocks += 1
 
     def stall_until(self, cycle: float) -> float:
         """Stall the core until ``cycle`` (checker busy / L1 conflict).
@@ -149,7 +150,6 @@ class MainCoreTiming:
         """
         if cycle > self.now:
             stalled = cycle - self.now
-            self.stats.stall_cycles += stalled
             self.now = cycle
             self._fetch_ready = max(self._fetch_ready, self.now)
             return stalled

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ..cores.checker_core import CheckResult, CheckerCore
 from ..isa import ArchState, Executor, MemoryImage, Program, StepInfo
-from ..isa.decode import UNIT_INDEX
+from ..isa.decode import decode_table
 from ..isa.registers import RegisterCategory
 from ..lslog.ports import MainMemoryPort
 from ..lslog.segment import LogSegment, RollbackGranularity, SegmentCloseReason
@@ -80,14 +80,13 @@ def _fill_corrupted_segment(
     )
     port.segment = segment
     executor = Executor(program, state, port)
+    table = decode_table(program)
     index = 0
     while not state.halted and index < budget:
         if main_corruption is not None and index == main_corruption.instruction_index:
             main_corruption.apply(state)
-        info = executor.step()
-        segment.record_instruction(
-            UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
-        )
+        pc = executor.step().pc_before
+        segment.record_instruction(table.unit_index[pc], table.writes_register[pc])
         index += 1
     segment.close(state.snapshot(), SegmentCloseReason.PROGRAM_END)
     return segment, memory

@@ -36,7 +36,6 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CHECKER_FU_LATENCY, MAIN_FU_LATENCY
-from .executor import RegTag, StepInfo
 from .instructions import (
     CONDITIONAL_FLAG_BRANCHES,
     EXTERNAL_SYSCALLS,
@@ -62,14 +61,9 @@ SLOT_COUNT = FLAGS_SLOT + 1
 #: Write slot of an instruction that writes no register.
 NO_SLOT = -1
 
-
-def tag_of(slot: int) -> RegTag:
-    """The interpreter register tag of a flat slot."""
-    if slot == FLAGS_SLOT:
-        return ("flags", 0)
-    if slot >= F_BASE:
-        return ("f", slot - F_BASE)
-    return ("x", slot)
+#: One PC's main-core timing facts: unit latency, load flag, branch
+#: flag, read slots, write slot and unit name.
+MainRow = Tuple[float, bool, bool, Tuple[int, ...], int, str]
 
 
 _X_X_TO_X = frozenset(
@@ -145,7 +139,8 @@ class DecodeTable:
     """Per-PC static facts of one program; see the module docstring.
 
     Every column is a list indexed by PC.  :attr:`main_rows` packs the
-    main-core timing columns into one tuple per PC so
+    main-core timing columns and the unit name into one
+    :data:`MainRow` per PC so
     :meth:`MainCoreTiming.commit <repro.cores.main_core.MainCoreTiming.commit>`
     pays one index for all of them, and :attr:`external_pcs` is the set
     of PCs the engine must drain checks before.  :attr:`blocks` maps
@@ -194,8 +189,15 @@ class DecodeTable:
             self.reads.append(reads)
             self.write.append(write)
             self.writes_register.append(write != NO_SLOT)
-        self.main_rows: List[Tuple[float, bool, bool, Tuple[int, ...], int]] = list(
-            zip(self.main_latency, self.is_load, self.is_branch, self.reads, self.write)
+        self.main_rows: List[MainRow] = list(
+            zip(
+                self.main_latency,
+                self.is_load,
+                self.is_branch,
+                self.reads,
+                self.write,
+                self.unit_name,
+            )
         )
         self.external_pcs = frozenset(
             pc
@@ -206,20 +208,6 @@ class DecodeTable:
         from ..jit.superblock import region_blocks
 
         self.blocks: Dict[int, Tuple[int, int]] = region_blocks(instructions)
-
-    def step_info(self, pc: int) -> StepInfo:
-        """The :class:`StepInfo` a fall-through retire of ``pc`` reports,
-        with no address yet (memory ops fill it in at run time)."""
-        dest = self.write[pc]
-        return StepInfo(
-            self.instructions[pc],
-            pc,
-            pc + 1,
-            tuple(tag_of(slot) for slot in self.reads[pc]),
-            None if dest == NO_SLOT else tag_of(dest),
-            None,
-            None,
-        )
 
 
 _TABLES: Dict[int, DecodeTable] = {}

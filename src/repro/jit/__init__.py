@@ -30,13 +30,13 @@ Layering:
 * :mod:`repro.jit.runtime` — the handful of out-of-line helpers the
   generated code calls (signed division, IEEE division, NZCV packing);
 * :mod:`repro.jit.emit` — per-opcode source emission and the per-mode
-  bookkeeping (timing commit / unit mix / segment recording), with the
-  static per-instruction facts read from the program's
-  :class:`~repro.isa.decode.DecodeTable`;
+  bookkeeping (a timing ``commit(pc)`` per instruction, segment
+  recording), with the static per-instruction facts read from the
+  program's :class:`~repro.isa.decode.DecodeTable`;
 * :mod:`repro.jit.tier` — dispatch (``run_block``) and the cache:
-  regions compiled once per process and shared across runs, bound once
-  per run (they survive voltage moves), per-segment recorder
-  rebinding.
+  region factories compiled once per process and shared across runs
+  and threads (they hold code only), bound once per run (they survive
+  voltage moves), per-segment recorder rebinding.
 """
 
 from .superblock import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK

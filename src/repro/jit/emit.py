@@ -32,11 +32,14 @@ Register indices, immediates (pre-wrapped through ``to_unsigned`` where
 the interpreter does it), FMOVI bit patterns and PC values are folded
 into the source as literals, and so are the unit index and "writes a
 register" flag each ``rec`` call passes, read from the program's
-:class:`~repro.isa.decode.DecodeTable`; everything dynamic is a
-``LOAD_FAST`` of a factory local.  The factory indirection is what lets
-runs share compiled code: the module is ``compile()``d once per region
-per process, and each run only re-runs ``__factory__`` against its own
-context (~µs), not the compiler.
+:class:`~repro.isa.decode.DecodeTable`, and the PC each ``commit`` call
+passes (the timing model reads every other static fact from the same
+table); everything dynamic is a ``LOAD_FAST`` of a factory local.  The
+factory indirection is what lets runs share compiled code: the module
+is ``compile()``d once per region per process, and each run only
+re-runs ``__factory__`` against its own context (~µs), not the
+compiler.  A factory holds no run state, so runs and threads share it
+freely.
 
 Equivalence contract (checked by the differential oracle and
 ``tests/test_jit.py``):
@@ -54,9 +57,9 @@ Equivalence contract (checked by the differential oracle and
   bookkeeping still runs), while ``LDR`` to ``x0`` still issues the load
   for its log record and trap behaviour.
 * Per-instruction bookkeeping replays the engine/oracle loop order:
-  architectural effect, then timing ``commit(info)``, then the unit-mix
-  histogram, then ``segment.record_instruction`` — whichever of those
-  the execution mode wires in.
+  architectural effect, then the timing ``commit`` (which also counts
+  the unit mix), then ``segment.record_instruction`` — whichever of
+  those the execution mode wires in.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ _HOISTS: Dict[str, str] = {
     "fcvti": "fcvti = __ctx__['fcvti']",
     "flags_sub": "flags_sub = __ctx__['flags_sub']",
     "commit": "commit = __ctx__['commit']",
-    "um": "um = __ctx__['um']",
 }
 
 
@@ -272,15 +274,11 @@ class _Emitter:
             return True
         raise ValueError(f"{op} is not compilable")
 
-    def _emit_bookkeeping(self, i: int, pc: int, is_memory: bool) -> None:
+    def _emit_bookkeeping(self, pc: int, is_memory: bool) -> None:
         table = self.table
         if self.commit:
-            unit = table.unit_name[pc]
-            self.need("commit", "um")
-            if is_memory:
-                self.body.append(f"_I{i}.address = _a")
-            self.body.append(f"commit(_I{i})")
-            self.body.append(f"um['{unit}'] = um_get('{unit}', 0) + 1")
+            self.need("commit")
+            self.body.append(f"commit({pc}, _a)" if is_memory else f"commit({pc})")
         if self.record:
             self.body.append(
                 f"rec({table.unit_index[pc]}, {table.writes_register[pc]})"
@@ -301,8 +299,9 @@ def emit_factory_source(
     writes_register)`` calls, both folded from the program's decode
     table (the region takes the current segment's ``record_instruction``
     as its first argument, so segment turnover never invalidates code);
-    ``commit`` wires in timing ``commit(StepInfo)`` plus the engine's
-    unit-mix histogram.  ``golden_run`` uses neither, the differential
+    ``commit`` wires in the timing model's ``commit(pc)``, or
+    ``commit(pc, _a)`` for a memory operation, with the PC folded in as
+    a literal.  ``golden_run`` uses neither, the differential
     oracle records only, the unprotected engine commits only, and the
     protected engine does both.
     """
@@ -315,7 +314,7 @@ def emit_factory_source(
             raise ValueError(f"pc {pc}: {instr.opcode} inside a region")
         em.body = []
         is_memory = em._emit_arch(i, pc, instr)
-        em._emit_bookkeeping(i, pc, is_memory)
+        em._emit_bookkeeping(pc, is_memory)
         last = i == length - 1
         if em.body:
             body.append(f"if s <= {i}:")
@@ -332,11 +331,6 @@ def emit_factory_source(
     for name, hoist in _HOISTS.items():
         if name in em.needs:
             lines.append(f"    {hoist}")
-    if "um" in em.needs:
-        lines.append("    um_get = um.get")
-    if commit:
-        targets = ", ".join(f"_I{i}" for i in range(length))
-        lines.append(f"    {targets}{',' if length == 1 else ''} = __ctx__['infos']")
     lines.append(
         "    def __region__(rec, s, e):" if record else "    def __region__(s, e):"
     )

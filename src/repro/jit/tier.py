@@ -4,13 +4,13 @@ process, bind once per run.
 Two layers of caching, keyed by region start (see
 :mod:`repro.jit.superblock`):
 
-* ``_code`` — the compiled factory (plus the region's StepInfo
-  templates), shared by every tier over the same program object and
-  emission mode (``_SHARED_CODE``).  Programs are immutable, so this
-  layer is never invalidated.
+* ``_code`` — the compiled factories, shared by every tier over the
+  same program object and emission mode (``_SHARED_CODE``).  A factory
+  is code only: it holds nothing a run writes, and programs are
+  immutable, so this layer is never invalidated.
 * ``_active`` — bound region functions: the factory executed against
   the run's live context (state, register lists, port methods, timing
-  ``commit``, unit-mix dict).  None of these depends on the supply
+  ``commit``).  None of these depends on the supply
   voltage — a DVFS move re-thresholds fault maps and re-times the core
   through the engine's clock anchors, not through anything a region
   holds — so a bound region lives for the whole run and each region is
@@ -37,23 +37,25 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..isa.decode import decode_table
-from ..isa.executor import StepInfo
 from ..isa.registers import bits_to_float, float_to_bits
 from . import runtime
 from .emit import emit_factory_source
 
-# compile()d artifacts shared across tiers over the same program object
-# and emission mode.  Program is an eq-compared (unhashable) dataclass,
-# so the key is its identity; a weakref finalizer evicts the entry when
-# the program dies, before the id can be reused.  Sharing is safe
-# because programs are immutable and the artifacts are only mutated
-# through their StepInfo ``address`` slots, which every consumer
-# overwrites before reading — and runs within one process are
-# sequential (parallelism in this repo is process fan-out).
-_SHARED_CODE: Dict[Tuple[int, bool, bool], Dict[int, "_Compiled"]] = {}
+#: A compiled region's ``__factory__``: called with a run's context, it
+#: returns the bound region function.
+Factory = Callable[[Dict[str, Any]], Callable[..., None]]
+
+# Region factories shared across tiers over the same program object and
+# emission mode, keyed by region start.  Program is an eq-compared
+# (unhashable) dataclass, so the key is its identity; a weakref
+# finalizer evicts the entry when the program dies, before the id can
+# be reused.  Sharing is safe across runs and threads because programs
+# are immutable and a factory holds no state: everything a run touches
+# is bound from that run's context.
+_SHARED_CODE: Dict[Tuple[int, bool, bool], Dict[int, Factory]] = {}
 
 
-def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, "_Compiled"]:
+def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, Factory]:
     key = (id(program), record, commit)
     cache = _SHARED_CODE.get(key)
     if cache is None:
@@ -61,19 +63,6 @@ def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, "_Compile
         _SHARED_CODE[key] = cache
         weakref.finalize(program, _SHARED_CODE.pop, key, None)
     return cache
-
-
-@dataclass
-class _Compiled:
-    """Per-region compile()d artifact, shared by every run of the program."""
-
-    __slots__ = ("factory", "infos")
-
-    #: The region's ``__factory__``: called with a run's context, returns
-    #: the bound region function.
-    factory: Callable[[Dict[str, Any]], Callable[..., None]]
-    #: One StepInfo template per region instruction (commit mode only).
-    infos: Optional[Tuple[StepInfo, ...]]
 
 
 @dataclass
@@ -120,9 +109,11 @@ class SuperblockJit:
     returns 0.
 
     ``record`` adds per-instruction segment recording into the segment
-    last passed to :meth:`note_segment`; ``commit``/``unit_mix`` add the
-    engine's timing commit and histogram.  Callers pick the combination
-    matching the loop they replace — see
+    last passed to :meth:`note_segment`; ``commit`` adds the engine's
+    timing commit, called as ``commit(pc)`` or ``commit(pc, address)``
+    like :meth:`MainCoreTiming.commit
+    <repro.cores.main_core.MainCoreTiming.commit>`.  Callers pick the
+    combination matching the loop they replace — see
     :func:`repro.jit.emit.emit_factory_source`.
     """
 
@@ -132,8 +123,7 @@ class SuperblockJit:
         state,
         port,
         *,
-        commit: Optional[Callable[[StepInfo], None]] = None,
-        unit_mix: Optional[Dict[str, int]] = None,
+        commit: Optional[Callable[..., float]] = None,
         record: bool = False,
     ) -> None:
         self.program = program
@@ -141,12 +131,11 @@ class SuperblockJit:
         self.port = port
         self.record = record
         self._commit = commit
-        self._unit_mix = unit_mix
         self._table = decode_table(program)
         self._blocks = self._table.blocks
         self._code = _shared_code_for(program, record, commit is not None)
         regs = state.regs
-        #: What every factory call binds (``infos`` is set per region).
+        #: What every factory call binds.
         self._ctx: Dict[str, Any] = {
             "state": state,
             "regs": regs,
@@ -164,8 +153,6 @@ class SuperblockJit:
             "fcvti": runtime.fcvti,
             "flags_sub": runtime.flags_sub,
             "commit": commit,
-            "um": unit_mix,
-            "infos": None,
         }
         self._active: Dict[int, Callable[..., None]] = {}
         #: Current segment's ``record_instruction``; :meth:`run_block`
@@ -207,24 +194,21 @@ class SuperblockJit:
         process's first dispatch into it, bound on the run's first."""
         run = self._active.get(start)
         if run is None:
-            compiled = self._code.get(start)
-            if compiled is None:
-                compiled = self._compile(start)
-                self._code[start] = compiled
-            ctx = self._ctx
-            ctx["infos"] = compiled.infos
-            run = compiled.factory(ctx)
+            factory = self._code.get(start)
+            if factory is None:
+                factory = self._compile(start)
+                self._code[start] = factory
+            run = factory(self._ctx)
             self._active[start] = run
             self.stats.activations += 1
         return run
 
     # -- compilation ------------------------------------------------------
-    def _compile(self, start: int) -> _Compiled:
+    def _compile(self, start: int) -> Factory:
         table = self._table
         length = table.blocks[start][1]
-        commit = self._commit is not None
         source = emit_factory_source(
-            table, start, length, record=self.record, commit=commit
+            table, start, length, record=self.record, commit=self._commit is not None
         )
         namespace: Dict[str, Any] = {}
         exec(compile(source, f"<region pc={start}>", "exec"), namespace)
@@ -232,17 +216,8 @@ class SuperblockJit:
         # two do not form a reference cycle.
         factory = namespace.pop("__block__")
         del namespace["__factory__"]
-        # StepInfo templates, one per instruction: everything but
-        # ``address`` is static, so they are built once and reused across
-        # dispatches (memory ops overwrite ``address`` right before
-        # ``commit``, which reads the info and drops it).
-        infos = (
-            tuple(table.step_info(start + i) for i in range(length))
-            if commit
-            else None
-        )
         self.stats.blocks_compiled += 1
-        return _Compiled(factory, infos)
+        return factory
 
     # -- segment turnover -------------------------------------------------
     def note_segment(self, segment) -> None:

@@ -12,7 +12,7 @@ from .ecc import (
     extract_data,
     flip_bits,
 )
-from .unchecked import UncheckedLineTracker, UncheckedStats, WriteOutcome
+from .unchecked import UncheckedLineTracker
 
 __all__ = [
     "AccessResult",
@@ -26,8 +26,6 @@ __all__ = [
     "MemoryHierarchy",
     "StridePrefetcher",
     "UncheckedLineTracker",
-    "UncheckedStats",
-    "WriteOutcome",
     "decode",
     "encode",
     "extract_data",

@@ -21,23 +21,9 @@ occupied by unchecked dirty lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config import CacheConfig
-
-
-@dataclass
-class UncheckedStats:
-    """Counters for unchecked-line buffering behaviour."""
-
-    writes: int = 0
-    line_copies: int = 0  # old-line copies taken for rollback
-    conflicts: int = 0  # eviction attempts of unchecked dirty lines
-    released: int = 0  # lines released by completed checks
-
-    def reset(self) -> None:
-        self.writes = self.line_copies = self.conflicts = self.released = 0
 
 
 class UncheckedLineTracker:
@@ -53,7 +39,6 @@ class UncheckedLineTracker:
         self._timestamp: Dict[int, int] = {}
         #: per-set count of unchecked dirty lines.
         self._set_load: List[int] = [0] * self.num_sets
-        self.stats = UncheckedStats()
 
     # -- address helpers ---------------------------------------------------------
     def line_of(self, address: int) -> int:
@@ -90,11 +75,10 @@ class UncheckedLineTracker:
     def commit_write(self, address: int, checkpoint_id: int) -> None:
         """Record a store that has passed the conflict and capacity checks.
 
-        Two-phase counterpart of :meth:`record_write`: callers first check
-        :meth:`would_conflict` / :meth:`needs_copy` (and log capacity),
-        then commit.  Raises if a conflicting write is committed.
+        Callers first check :meth:`would_conflict` / :meth:`needs_copy`
+        (and log capacity), then commit.  Raises if a conflicting write
+        is committed.
         """
-        self.stats.writes += 1
         line = self.line_of(address)
         previous = self._timestamp.get(line)
         if previous is None:
@@ -104,38 +88,7 @@ class UncheckedLineTracker:
                     f"committed write to line {line:#x} despite set conflict"
                 )
             self._set_load[set_index] += 1
-        if previous is None or previous < checkpoint_id:
-            self.stats.line_copies += 1
         self._timestamp[line] = checkpoint_id
-
-    def record_write(self, address: int, checkpoint_id: int) -> "WriteOutcome":
-        """Record a store during ``checkpoint_id``.
-
-        Returns a :class:`WriteOutcome` telling the caller whether an old
-        copy of the line is needed for rollback (first write to the line
-        in this checkpoint) and whether the write conflicts with the L1
-        geometry (all ways of the set already hold unchecked lines).
-        """
-        self.stats.writes += 1
-        line = self.line_of(address)
-        previous = self._timestamp.get(line)
-        conflict = False
-        if previous is None:
-            set_index = self.set_index(address)
-            if self._set_load[set_index] >= self.ways:
-                conflict = True
-                self.stats.conflicts += 1
-            else:
-                self._set_load[set_index] += 1
-        needs_copy = previous is None or previous < checkpoint_id
-        if needs_copy:
-            self.stats.line_copies += 1
-        if previous is None and conflict:
-            # The line cannot be buffered; the caller must stall until a
-            # check completes, then retry.  State is unchanged.
-            return WriteOutcome(needs_copy=needs_copy, conflict=True)
-        self._timestamp[line] = checkpoint_id
-        return WriteOutcome(needs_copy=needs_copy, conflict=False)
 
     def release_through(self, checkpoint_id: int) -> int:
         """Mark all lines written at or before ``checkpoint_id`` as checked.
@@ -149,7 +102,6 @@ class UncheckedLineTracker:
         for line in released:
             del self._timestamp[line]
             self._set_load[(line >> self.line_shift) & self.set_mask] -= 1
-        self.stats.released += len(released)
         return len(released)
 
     def drop_after(self, checkpoint_id: int) -> int:
@@ -170,16 +122,3 @@ class UncheckedLineTracker:
         self._timestamp.clear()
         self._set_load = [0] * self.num_sets
 
-
-@dataclass(frozen=True)
-class WriteOutcome:
-    """Result of :meth:`UncheckedLineTracker.record_write`."""
-
-    #: First write to this line within the current checkpoint: the old
-    #: line contents must be copied into the rollback log (ParaDox) or the
-    #: old word recorded (ParaMedic handles this per word regardless).
-    needs_copy: bool
-    #: All ways of the set already hold unchecked dirty lines; the write
-    #: must wait for a check to complete (and, in ParaDox, shrink the
-    #: checkpoint target).
-    conflict: bool

@@ -7,7 +7,8 @@ diffs the *full* architectural state at every checkpoint boundary:
 2. the production :class:`~repro.isa.executor.Executor` behind a
    :class:`~repro.lslog.ports.MainMemoryPort`, filling real log segments
    exactly as the engine's fill loop does (close on target length, log
-   capacity, unchecked-line conflict, or halt);
+   capacity, unchecked-line conflict, or halt; a trap closes the segment
+   too, and the reference must then raise the same trap);
 3. a fault-free checker replay of every closed segment — both the
    production :meth:`~repro.cores.checker_core.CheckerCore.check_segment`
    path (its detection channels must stay silent) and a raw
@@ -37,7 +38,7 @@ from typing import Deque, Dict, List, Optional
 from ..config import SystemConfig, table1_config
 from ..cores.checker_core import CheckerCore
 from ..isa import ArchState, Executor, MemoryImage
-from ..isa.decode import UNIT_INDEX
+from ..isa.decode import decode_table
 from ..isa.errors import SimTrap
 from ..lslog.ports import CheckerReplayPort, MainMemoryPort, UncheckedConflictStall
 from ..lslog.segment import (
@@ -234,6 +235,9 @@ class DifferentialRunner:
         state = ArchState()
         executor = Executor(workload.program, state, port)
         checker = CheckerCore(0, self.config.checker, workload.program)
+        table = decode_table(workload.program)
+        unit_index = table.unit_index
+        writes_register = table.writes_register
         ref = ReferenceISS(
             workload.program,
             initial_words=workload.initial_words,
@@ -384,15 +388,30 @@ class DifferentialRunner:
                 if not close_and_check(SegmentCloseReason.EVICTION_CONFLICT):
                     return report
                 continue
+            except SimTrap as trap:
+                # The program itself traps: check what retired before
+                # it, then the reference must trap on the same
+                # instruction with the same trap.
+                report.instructions += state.instret - before
+                if segment.instruction_count > 0 and not close_and_check(
+                    SegmentCloseReason.PROGRAM_END
+                ):
+                    return report
+                try:
+                    ref.step()
+                    expected = "no trap"
+                except SimTrap as ref_trap:
+                    expected = repr(ref_trap)  # class name and message
+                if expected != repr(trap):
+                    diverge("executor", ("trap", expected, repr(trap)))
+                return report
             if ran:
                 report.instructions += ran
             else:
                 report.instructions += 1
-                segment.record_instruction(
-                    UNIT_INDEX[info.instruction.unit],
-                    writes_register=info.dest is not None,
-                )
-                trace.append(f"{info.pc_before}: {info.instruction}")
+                pc = info.pc_before
+                segment.record_instruction(unit_index[pc], writes_register[pc])
+                trace.append(f"{pc}: {info.instruction}")
             if segment.instruction_count >= interval:
                 if not close_and_check(SegmentCloseReason.TARGET_LENGTH):
                     return report

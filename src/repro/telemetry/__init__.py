@@ -40,7 +40,6 @@ from .exporters import (
     validate_jsonl_path,
     write_jsonl,
     write_jsonl_path,
-    write_perfetto_path,
 )
 from .metrics import DEFAULT_EDGES, Histogram, MetricsRegistry, merge_metrics
 from .tracer import Tracer
@@ -69,5 +68,4 @@ __all__ = [
     "validate_jsonl_path",
     "write_jsonl",
     "write_jsonl_path",
-    "write_perfetto_path",
 ]

@@ -327,16 +327,6 @@ def merge_traces(
     }
 
 
-def write_perfetto_path(
-    path: str,
-    events: Sequence[TraceEvent],
-    label: str = "run",
-) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_perfetto(events, label=label), handle)
-        handle.write("\n")
-
-
 def events_from_dicts(dicts: Iterable[Mapping[str, Any]]) -> List[TraceEvent]:
     """Rehydrate wire-format dicts (e.g. ``RunResult.trace``) to events."""
     return [TraceEvent.from_dict(data) for data in dicts]

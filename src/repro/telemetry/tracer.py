@@ -83,17 +83,6 @@ class Tracer:
             if event.source == source and event.kind == kind
         ]
 
-    def in_time_order(self) -> List[TraceEvent]:
-        """Events sorted by wall time (recording order can differ:
-        commit events carry earlier, lazily-resolved timestamps)."""
-        return sorted(self.events, key=lambda event: event.time_ns)
-
-    def span_ns(self) -> float:
-        if not self.events:
-            return 0.0
-        times = [event.time_ns for event in self.events]
-        return max(times) - min(times)
-
     # -- serialization ---------------------------------------------------------
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Wire-format event dicts, in recording order."""

@@ -23,18 +23,21 @@ import types
 
 import pytest
 
+from repro.config import table1_config
 from repro.core import (
     BaselineSystem,
     DetectionOnlySystem,
     ParaDoxSystem,
     ParaMedicSystem,
 )
+from repro.cores import MainCoreTiming, TournamentPredictor
 from repro.faults.injector import default_injector
 from repro.isa import (
     ArchState,
     Executor,
     Instruction,
     InvalidPcTrap,
+    MemoryBoundsTrap,
     MemoryImage,
     Opcode,
     Program,
@@ -45,6 +48,8 @@ from repro.isa.instructions import BRANCH_OPCODES
 from repro.isa.registers import MASK64
 from repro.jit import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK, SuperblockJit
 from repro.jit.tier import _SHARED_CODE
+from repro.memory import MemoryHierarchy
+from repro.oracle import differential
 from repro.oracle.fuzzer import PROFILES, build_workload, generate_case, run_case
 from repro.parallel import run_fanout
 from repro.workloads import Workload, build_spec_workload, golden_run
@@ -196,39 +201,32 @@ def _random_state(seed, pc):
     return state
 
 
-def _commit_row(info):
-    return (
-        info.instruction,
-        info.pc_before,
-        info.pc_after,
-        info.reads,
-        info.dest,
-        info.address,
-        info.taken,
-    )
-
-
 class _Harness:
     """An interpreter and a tier in one emission mode over one state and
-    one port; each run starts from a seeded random state."""
+    one port; each run starts from a seeded random state and, in commit
+    modes, a fresh main-core timing model."""
 
     def __init__(self, program, record, commit):
+        self.program = program
+        self.config = table1_config()
         self.state = ArchState()
         self.port = _Port()
         self.executor = Executor(program, self.state, self.port)
-        self.recs, self.commits, self.mix = [], [], {}
+        self.recs, self.commits = [], []
         self.record, self.commit = record, commit
+        self.timing = None
         self.jit = SuperblockJit(
             program,
             self.state,
             self.port,
             commit=self._commit if commit else None,
-            unit_mix=self.mix if commit else None,
             record=record,
         )
 
-    def _commit(self, info):
-        self.commits.append(_commit_row(info))
+    def _commit(self, pc, address=None, taken=None, pc_after=None):
+        # Regions hold no branch, so ``pc_after`` matters to neither path.
+        self.commits.append((pc, address, taken))
+        return self.timing.commit(pc, address, taken, pc_after)
 
     def _rec(self, unit, writes):
         self.recs.append((unit, writes))
@@ -239,7 +237,13 @@ class _Harness:
         self.port.fail_at = fail_at
         self.recs.clear()
         self.commits.clear()
-        self.mix.clear()
+        config = self.config
+        self.timing = MainCoreTiming(
+            config.main_core,
+            MemoryHierarchy(config),
+            TournamentPredictor(config.branch_predictor),
+            self.program,
+        )
 
     def _observe(self, raised):
         regs = self.state.regs
@@ -253,7 +257,8 @@ class _Harness:
             "raised": raised,
             "recs": list(self.recs),
             "commits": list(self.commits),
-            "mix": dict(self.mix),
+            "now": self.timing.now,
+            "mix": dict(self.timing.unit_mix),
         }
 
     def interpreted(self, seed, pc, steps, fail_at):
@@ -264,12 +269,12 @@ class _Harness:
         try:
             for _ in range(steps):
                 info = self.executor.step()
-                unit = info.instruction.unit
                 if self.commit:
-                    self._commit(info)
-                    self.mix[unit.value] = self.mix.get(unit.value, 0) + 1
+                    self._commit(
+                        info.pc_before, info.address, info.taken, info.pc_after
+                    )
                 if self.record:
-                    self._rec(UNIT_INDEX[unit], info.dest is not None)
+                    self._rec(UNIT_INDEX[info.instruction.unit], info.dest is not None)
         except _PortStop:
             raised = True
         return self._observe(raised)
@@ -446,6 +451,28 @@ class TestWildPc:
                 )
             assert ends[0] == ends[1]
             assert ends[0][2:] == (-4, 1, 0)
+
+    @pytest.mark.parametrize("use_jit", [True, False], ids=["jit", "interp"])
+    def test_diffcheck_compares_the_trap(self, use_jit):
+        # The branch retires and is cross-checked; the main core and the
+        # reference then trap on the same PC in the same way.
+        report = differential.diff_workload(_wild_pc_workload(), use_jit=use_jit)
+        assert report.ok, report.divergence
+        assert report.instructions == 1
+        assert report.segments == 1
+
+    def test_diffcheck_reports_a_different_trap(self, monkeypatch):
+        class OtherTrap(differential.ReferenceISS):
+            def step(self):
+                if self.pc < 0:
+                    raise MemoryBoundsTrap(0)
+                super().step()
+
+        monkeypatch.setattr(differential, "ReferenceISS", OtherTrap)
+        divergence = differential.diff_workload(_wild_pc_workload()).divergence
+        assert (divergence.stage, divergence.field) == ("executor", "trap")
+        assert divergence.expected == repr(MemoryBoundsTrap(0))
+        assert divergence.actual == repr(InvalidPcTrap(-4))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def time_program(build, max_instructions=100_000):
     retired = 0
     while not state.halted and retired < max_instructions:
         info = executor.step()
-        timing.commit(info)
+        timing.commit(info.pc_before, info.address, info.taken, info.pc_after)
         retired += 1
     return timing.now, retired, timing
 
@@ -161,7 +161,8 @@ class TestEngineHooks:
         before = timing.now
         timing.block_commit(16)
         assert timing.now == before + 16
-        assert timing.stats.checkpoint_blocks == 1
+        timing.block_commit(16)
+        assert timing.now == before + 32
 
     def test_stall_until(self):
         def build(b):

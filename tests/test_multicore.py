@@ -9,6 +9,7 @@ from repro.core import ParaDoxSystem, run_multicore
 from repro.core.multicore import CoreSpec, MulticoreEngine
 from repro.core.systems import BaselineSystem, DetectionOnlySystem, ParaMedicSystem
 from repro.experiments import ext_sharing
+from repro.jit.tier import _SHARED_CODE
 from repro.resilience import CampaignSpec, run_campaign
 from repro.resilience.campaign import MODEL_MIXES, _build_injector
 from repro.scheduling import POOL_POLICIES, CheckerPool, PoolPolicy
@@ -165,6 +166,45 @@ class TestDeterminism:
     def test_every_core_completes(self):
         result = run_mix(PoolPolicy.WORK_STEALING)
         assert [r.outcome.value for r in result.results] == ["completed"] * 2
+
+
+class TestSharedProgram:
+    """Mains that run one program object share its compiled regions, as
+    campaign cells' mains do; that must not change any result."""
+
+    @staticmethod
+    def run_pair(workloads, policy):
+        config = table1_config().with_error_rate(1e-3, seed=5)
+        harness = MulticoreEngine(
+            [CoreSpec(workload=w) for w in workloads],
+            policy=policy,
+            pool_size=4,
+            seed=9,
+            default_system=ParaDoxSystem(config=config),
+        )
+        return harness, harness.run()
+
+    @pytest.mark.parametrize(
+        "policy", [PoolPolicy.STATIC, PoolPolicy.WORK_STEALING], ids=["static", "steal"]
+    )
+    def test_one_program_object_matches_two_equal_programs(self, policy):
+        workload = build_bitcount(values=48, seed=7)
+        harness, shared = self.run_pair([workload, workload], policy)
+        _, separate = self.run_pair(
+            [build_bitcount(values=48, seed=7), build_bitcount(values=48, seed=7)],
+            policy,
+        )
+        assert shared.to_dict() == separate.to_dict()
+        assert [r.unit_mix for r in shared.results] == [
+            r.unit_mix for r in separate.results
+        ]
+        assert sum(r.faults_injected for r in shared.results) > 0
+        assert sum(len(r.recoveries) for r in shared.results) > 0
+        # Both tiers bind their regions from the program's one cache entry.
+        code = _SHARED_CODE[(id(workload.program), True, True)]
+        for engine in harness.engines:
+            assert engine.jit._code is code
+            assert engine.jit._active and engine.jit._active.keys() <= code.keys()
 
 
 class TestTelemetry:

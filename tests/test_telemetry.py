@@ -16,6 +16,7 @@ from repro.telemetry import (
     TraceEvent,
     Tracer,
     merge_metrics,
+    render_timeline,
     validate_event_dict,
 )
 
@@ -68,9 +69,11 @@ class TestTracer:
         tracer.emit("engine", "segment_open", time_ns=100.0, segment=1)
         tracer.emit("engine", "segment_close", time_ns=900.0, segment=1)
         tracer.emit("engine", "commit", time_ns=50.0, segment=1)
-        assert tracer.span_ns() == 850.0
-        times = [e.time_ns for e in tracer.in_time_order()]
-        assert times == sorted(times)
+        times = [e.time_ns for e in tracer.events]
+        assert times == [100.0, 900.0, 50.0]  # recording order is kept
+        assert max(times) - min(times) == 850.0
+        kinds = [line.split()[2] for line in render_timeline(tracer.events).splitlines()]
+        assert kinds == ["commit", "segment_open", "segment_close"]
 
     def test_filters(self):
         tracer = Tracer()

@@ -68,11 +68,11 @@ class TestConflicts:
         tracker = make_tracker(sets=4, ways=2)
         tracker.commit_write(0, 1)
         tracker.commit_write(256, 1)
-        outcome = tracker.record_write(512, 1)
-        assert outcome.conflict
-        assert tracker.stats.conflicts == 1
-        # State unchanged by the conflicting record_write.
+        assert tracker.would_conflict(512)
+        # Asking records nothing: the line stays clean, the set full.
         assert tracker.timestamp_of(512) is None
+        assert tracker.unchecked_lines() == 2
+        assert tracker.would_conflict(512)
 
 
 class TestReleaseAndDrop:
@@ -112,7 +112,9 @@ class TestReleaseAndDrop:
 
     def test_line_copy_stat(self):
         tracker = make_tracker()
-        tracker.commit_write(0, 1)  # first touch: copy
-        tracker.commit_write(8, 1)  # same line, same ckpt: no copy
-        tracker.commit_write(0, 2)  # newer ckpt: copy
-        assert tracker.stats.line_copies == 2
+        copies = []
+        for address, checkpoint_id in ((0, 1), (8, 1), (0, 2)):
+            copies.append(tracker.needs_copy(address, checkpoint_id))
+            tracker.commit_write(address, checkpoint_id)
+        # First touch, same line in the same checkpoint, newer checkpoint.
+        assert copies == [True, False, True]
