@@ -6,12 +6,14 @@ outcome, is a pure function of the program and the PC.  This module
 works those facts out once per :class:`~repro.isa.program.Program` and
 keeps them as flat lists indexed by PC:
 
-* the functional unit, as an index into :data:`UNITS` and as its name;
-* the main-core and checker-core unit latencies;
-* the load and branch flags;
-* the registers read and the register written, as flat integer
-  *slots* (``x0..x31``, then ``f0..f15``, then the flags register), so
-  the main core's scoreboard is a list instead of a tuple-keyed dict;
+* the functional unit, as an index into :data:`UNITS`, and whether the
+  instruction writes a register (what the log records);
+* the checker-core unit latency;
+* one :data:`MainRow` of main-core timing facts: the unit latency, the
+  load and branch flags, the registers read and the register written
+  as flat integer *slots* (``x0..x31``, then ``f0..f15``, then the
+  flags register, so the main core's scoreboard is a list instead of a
+  tuple-keyed dict) and the unit name;
 * which PCs hold a syscall whose effect escapes the rollback domain;
 * the compiled tier's regions, as one mapping rather than a list: for
   each PC where a block may start, its region's start and how many
@@ -21,8 +23,8 @@ keeps them as flat lists indexed by PC:
 The read and write slots mirror exactly what
 :class:`~repro.isa.executor.Executor` reports in each
 :class:`~repro.isa.executor.StepInfo` (``reads`` and ``dest``); the
-test suite checks that for every PC any workload or fuzz profile
-retires.
+test suite checks that, and every other field of the row, for every PC
+any workload or fuzz profile retires.
 
 Tables are cached per program object, like the compiled tier's code
 cache: ``Program`` is an unhashable dataclass, so the key is its
@@ -138,11 +140,10 @@ def reads_write(instr: Instruction) -> Tuple[Tuple[int, ...], int]:
 class DecodeTable:
     """Per-PC static facts of one program; see the module docstring.
 
-    Every column is a list indexed by PC.  :attr:`main_rows` packs the
-    main-core timing columns and the unit name into one
+    Every column is a list indexed by PC.  :attr:`main_rows` holds one
     :data:`MainRow` per PC so
     :meth:`MainCoreTiming.commit <repro.cores.main_core.MainCoreTiming.commit>`
-    pays one index for all of them, and :attr:`external_pcs` is the set
+    pays one index for all of its facts, and :attr:`external_pcs` is the set
     of PCs the engine must drain checks before.  :attr:`blocks` maps
     each PC where a compiled block may start to ``(region start,
     room)``; :meth:`SuperblockJit.run_block
@@ -152,13 +153,7 @@ class DecodeTable:
     __slots__ = (
         "instructions",
         "unit_index",
-        "unit_name",
-        "main_latency",
         "checker_latency",
-        "is_load",
-        "is_branch",
-        "reads",
-        "write",
         "writes_register",
         "main_rows",
         "external_pcs",
@@ -169,36 +164,25 @@ class DecodeTable:
         instructions = program.instructions
         self.instructions = instructions
         self.unit_index: List[int] = []
-        self.unit_name: List[str] = []
-        self.main_latency: List[float] = []
         self.checker_latency: List[float] = []
-        self.is_load: List[bool] = []
-        self.is_branch: List[bool] = []
-        self.reads: List[Tuple[int, ...]] = []
-        self.write: List[int] = []
         self.writes_register: List[bool] = []
+        self.main_rows: List[MainRow] = []
         for instr in instructions:
             unit = instr.opcode.unit
             reads, write = reads_write(instr)
             self.unit_index.append(UNIT_INDEX[unit])
-            self.unit_name.append(unit.value)
-            self.main_latency.append(float(MAIN_FU_LATENCY[unit.value]))
             self.checker_latency.append(float(CHECKER_FU_LATENCY[unit.value]))
-            self.is_load.append(instr.is_load)
-            self.is_branch.append(instr.is_branch)
-            self.reads.append(reads)
-            self.write.append(write)
             self.writes_register.append(write != NO_SLOT)
-        self.main_rows: List[MainRow] = list(
-            zip(
-                self.main_latency,
-                self.is_load,
-                self.is_branch,
-                self.reads,
-                self.write,
-                self.unit_name,
+            self.main_rows.append(
+                (
+                    float(MAIN_FU_LATENCY[unit.value]),
+                    instr.is_load,
+                    instr.is_branch,
+                    reads,
+                    write,
+                    unit.value,
+                )
             )
-        )
         self.external_pcs = frozenset(
             pc
             for pc, instr in enumerate(instructions)

@@ -139,9 +139,14 @@ class MemoryImage:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryImage):
             return NotImplemented
+        if self.size != other.size:
+            return False
+        if self.words == other.words:
+            return True
+        # An explicitly stored zero equals an untouched word.
         mine = {a: v for a, v in self.words.items() if v}
         theirs = {a: v for a, v in other.words.items() if v}
-        return self.size == other.size and mine == theirs
+        return mine == theirs
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(sorted(self.words.items()))

@@ -34,13 +34,15 @@ Layering:
   recording), with the static per-instruction facts read from the
   program's :class:`~repro.isa.decode.DecodeTable`;
 * :mod:`repro.jit.tier` — dispatch (``run_block``) and the cache:
-  region factories compiled once per process and shared across runs
-  and threads (they hold code only), bound once per run (they survive
-  voltage moves), per-segment recorder rebinding.
+  region factories compiled once per process (on first dispatch, or
+  for a whole program ahead of time with ``compile_regions``) and
+  shared across runs, threads and forked children (they hold code
+  only), bound once per run (they survive voltage moves), per-segment
+  recorder rebinding.
 """
 
 from .superblock import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK
-from .tier import JitStats, SuperblockJit
+from .tier import JitStats, SuperblockJit, compile_regions
 
 __all__ = [
     "COMPILABLE_OPCODES",
@@ -48,4 +50,5 @@ __all__ = [
     "MIN_BLOCK",
     "JitStats",
     "SuperblockJit",
+    "compile_regions",
 ]

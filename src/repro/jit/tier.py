@@ -19,9 +19,13 @@ Two layers of caching, keyed by region start (see
 :meth:`SuperblockJit.run_block` is the one way into the tier: every
 dispatch loop hands it the instruction budget it has left, and it looks
 the PC up in the decode table's ``blocks``, cuts the region to that
-budget, binds it on a miss and counts the dispatch.  Both layers fill
-only through :meth:`SuperblockJit.runner`, which ``run_block`` calls on
-a miss, so a region that never runs is never compiled.
+budget, binds it on a miss and counts the dispatch.  Bound regions come
+only from :meth:`SuperblockJit.runner`, which ``run_block`` calls on a
+miss.  Code comes from the same call, the first time a region runs, or
+ahead of any run from :func:`compile_regions`, which compiles a whole
+program in one emission mode: a campaign parent does that once per
+workload, so its forked cells only bind.  Both paths compile through
+one helper.
 
 Segment turnover costs no cache traffic either: record-mode regions
 take the recorder as a call argument, so
@@ -63,6 +67,35 @@ def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, Factory]:
         _SHARED_CODE[key] = cache
         weakref.finalize(program, _SHARED_CODE.pop, key, None)
     return cache
+
+
+def _compile_region(table, start: int, record: bool, commit: bool) -> Factory:
+    """Compile the region at ``start`` of ``table``'s program."""
+    source = emit_factory_source(
+        table, start, table.blocks[start][1], record=record, commit=commit
+    )
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<region pc={start}>", "exec"), namespace)
+    # The factory's globals are this namespace: take it out so the
+    # two do not form a reference cycle.
+    factory = namespace.pop("__block__")
+    del namespace["__factory__"]
+    return factory
+
+
+def compile_regions(program, *, record: bool, commit: bool) -> None:
+    """Compile every region of ``program`` in one emission mode ahead of
+    its first dispatch.
+
+    Tiers over the program in that mode then bind these factories and
+    compile nothing, as do processes forked after this call: a campaign
+    parent prepares each workload once and every cell inherits it.
+    """
+    table = decode_table(program)
+    code = _shared_code_for(program, record, commit)
+    for start, _ in table.blocks.values():
+        if start not in code:
+            code[start] = _compile_region(table, start, record, commit)
 
 
 @dataclass
@@ -196,28 +229,15 @@ class SuperblockJit:
         if run is None:
             factory = self._code.get(start)
             if factory is None:
-                factory = self._compile(start)
+                factory = _compile_region(
+                    self._table, start, self.record, self._commit is not None
+                )
                 self._code[start] = factory
+                self.stats.blocks_compiled += 1
             run = factory(self._ctx)
             self._active[start] = run
             self.stats.activations += 1
         return run
-
-    # -- compilation ------------------------------------------------------
-    def _compile(self, start: int) -> Factory:
-        table = self._table
-        length = table.blocks[start][1]
-        source = emit_factory_source(
-            table, start, length, record=self.record, commit=self._commit is not None
-        )
-        namespace: Dict[str, Any] = {}
-        exec(compile(source, f"<region pc={start}>", "exec"), namespace)
-        # The factory's globals are this namespace: take it out so the
-        # two do not form a reference cycle.
-        factory = namespace.pop("__block__")
-        del namespace["__factory__"]
-        self.stats.blocks_compiled += 1
-        return factory
 
     # -- segment turnover -------------------------------------------------
     def note_segment(self, segment) -> None:

@@ -16,6 +16,11 @@ from:
   result pipe and process sentinel, so it wakes when a worker finishes
   or dies, or at the nearest deadline (enforced with
   ``terminate``/``kill``).
+* **Workers fork where they can.**  On Linux every worker is a
+  ``fork`` of the parent, so what the parent built before the fan-out
+  (a campaign's workloads, golden runs and compiled code) is already
+  there in each worker; elsewhere workers start cold and build it
+  themselves, to the same result.
 * **Determinism is the payload's job.**  Every payload must carry its
   own seed(s); the fan-out guarantees only that results come back in
   payload order, regardless of completion order.  Workers therefore
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import time
 import traceback
 from dataclasses import dataclass
@@ -143,7 +149,12 @@ def run_fanout(
     that crashes, raises, or outlives ``timeout_s`` yields a non-``ok``
     outcome without disturbing the other slots.
     """
-    ctx = multiprocessing.get_context()
+    # ``fork`` on Linux, where Python 3.14 stops defaulting to it, so
+    # every worker inherits what the parent prepared; elsewhere the
+    # platform default.
+    ctx = multiprocessing.get_context(
+        "fork" if sys.platform.startswith("linux") else None
+    )
     outcomes: List[Optional[FanoutOutcome]] = [None] * len(payloads)
     workers = resolve_jobs(jobs)
     #: (payload index, process, parent pipe end, absolute deadline).

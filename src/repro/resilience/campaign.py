@@ -24,7 +24,11 @@ Each run executes in its own worker process with a private pipe via
 segfaulting or hanging simulation can neither take down the campaign nor
 stall it: the fan-out enforces a wall-clock deadline per run and
 terminates offenders.  (A pool is deliberately *not* used — a dying pool
-worker poisons the whole pool.)
+worker poisons the whole pool.)  Before the fan-out the parent prepares
+each distinct ``(workload, scale)`` once — builds it, golden-runs it and
+compiles its regions — in a memo that lives for the process, and every
+forked cell inherits it warm; a cell that finds it cold builds it
+itself, so warm and cold cells run the same code to the same result.
 
 The report is JSON-serialisable and carries the two acceptance signals
 of the resilience layer besides the class counts: how many checkers were
@@ -45,6 +49,7 @@ shard stores merged back into one.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import os
 import time
@@ -547,6 +552,32 @@ def _build_injector(payload: Dict[str, Any], checker_count: int):
     raise ValueError(f"unknown fault-model mix {model!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _prepared(name: str, scale: float) -> Tuple[Any, Any]:
+    """The workload ``name`` at ``scale`` and its golden run, with every
+    region compiled for the protected engine, built once per process.
+
+    :func:`run_campaign` calls this before it forks a campaign's cells,
+    so they inherit the result warm and only bind compiled code; a cell
+    whose parent could not prepare it builds it here, cold, with the
+    same code.  A failure is not memoised: it raises again in every
+    cell, which records it as a ``crash``.  The memo is unbounded; a
+    process meets few distinct keys (one per campaign grid, shared by
+    every genome of an explore search), and nothing mutates what it
+    holds.
+    """
+    # Looked up at call time, like callers elsewhere, so the names can
+    # be wrapped from outside.
+    from ..cli import resolve_workload
+    from ..jit import compile_regions
+    from ..workloads import golden_run
+
+    workload = resolve_workload(name, scale)
+    golden = golden_run(workload)
+    compile_regions(workload.program, record=True, commit=True)
+    return workload, golden
+
+
 def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one campaign run in-process and return a result dict.
 
@@ -574,7 +605,6 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     import numpy as np
 
-    from ..cli import resolve_workload
     from ..config import table1_config
     from ..core.engine import EngineOptions, SimulationEngine
     from ..core.multicore import fairness_trace_events, run_engines
@@ -583,11 +613,9 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..scheduling import POOL_POLICIES, CheckerPool, SchedulingPolicy
     from ..stats import RunOutcome
     from ..stats.fairness import FairnessReport
-    from ..workloads import golden_run
 
     started = time.perf_counter()
-    workload = resolve_workload(payload["workload"], payload["scale"])
-    golden = golden_run(workload)
+    workload, golden = _prepared(payload["workload"], payload["scale"])
 
     config = table1_config()
     resilience_config = ResilienceConfig()
@@ -873,6 +901,14 @@ def run_campaign(
                             notify_cached(records[i])
 
         pending = [i for i in selected if records[i] is None]
+        if pending:
+            # Prepared here, the workload reaches every forked cell
+            # warm.  If it fails it stays cold, and each cell reports
+            # the failure as its own crash, traceback included.
+            try:
+                _prepared(spec.workload, spec.scale)
+            except (Exception, SystemExit):
+                pass
 
         def handle_outcome(outcome: FanoutOutcome) -> None:
             index = pending[outcome.index]

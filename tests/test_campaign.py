@@ -1,12 +1,20 @@
 """Campaign runner: classification, crash isolation, watchdog, report."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
 from repro.cli import build_parser, campaign_spec_from_args
+from repro.parallel import run_fanout
 from repro.resilience import CampaignSpec, RunClass, run_campaign, smoke_spec
 from repro.resilience.campaign import classify_result, execute_run
+
+#: SHA-256 of the canonical reports of the two traced campaigns in
+#: ``TestWarmCells``, recorded when every cell built, golden-ran and
+#: compiled its own workload.
+COLD_REPORTS_SHA256 = "9057fdae3bcddb1e295921c346d49599f162d253abba095dbee458f914b81f23"
 
 
 def ok_message(**overrides):
@@ -206,6 +214,91 @@ class TestEndToEnd:
         assert len(data["records"]) == 4
         assert set(data["counts"]) == {cls.value for cls in RunClass}
         assert report.summary_table()
+
+
+def _regions_compiled_in_cell(payload):
+    """Run one campaign cell; return the regions it compiled and its status."""
+    from repro.jit import tier
+
+    compile_region = tier._compile_region
+    compiled = []
+
+    def counting(table, start, *args):
+        compiled.append(start)
+        return compile_region(table, start, *args)
+
+    tier._compile_region = counting
+    try:
+        result = execute_run(payload)
+    finally:
+        tier._compile_region = compile_region
+    return len(compiled), result["status"]
+
+
+class TestWarmCells:
+    """The campaign parent prepares each workload once; cells fork from it."""
+
+    def test_traced_reports_match_cold_cells(self):
+        specs = [
+            CampaignSpec(
+                workload="bitcount",
+                scale=0.2,
+                seeds=2,
+                rates=(1e-4, 3e-4),
+                models=("transient", "burst", "stuckat", "sram"),
+                tracing=True,
+                workers=2,
+            ),
+            CampaignSpec(
+                workload="gcc",
+                scale=0.1,
+                seeds=2,
+                models=("transient",),
+                main_cores=2,
+                tracing=True,
+                workers=2,
+            ),
+        ]
+        reports = [run_campaign(spec).to_dict(canonical=True) for spec in specs]
+        assert all(report["counts"]["crash"] == 0 for report in reports)
+        text = json.dumps(reports, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == COLD_REPORTS_SHA256
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="workers fork only on Linux"
+    )
+    def test_warm_cell_compiles_nothing(self):
+        from repro.resilience.campaign import _prepared
+
+        payload = {
+            "run_id": 0,
+            "workload": "bitcount",
+            "scale": 0.2,
+            "seed": 3,
+            "rate": 3e-4,
+            "model": "transient",
+            "dvs": True,
+            "initial_margin": 0.15,
+        }
+        _prepared(payload["workload"], payload["scale"])
+        (warm,) = run_fanout(_regions_compiled_in_cell, [payload], jobs=1)
+        assert warm.value == (0, "ok")
+        # The probe does see compiles: a cell forked from an empty memo
+        # builds and compiles its own workload.
+        _prepared.cache_clear()
+        (cold,) = run_fanout(_regions_compiled_in_cell, [payload], jobs=1)
+        compiled, status = cold.value
+        assert status == "ok" and compiled > 0
+
+    def test_unknown_workload_crashes_every_cell(self):
+        spec = CampaignSpec(
+            workload="nosuch", seeds=2, models=("transient",), workers=2
+        )
+        report = run_campaign(spec)
+        assert len(report.records) == 2
+        for record in report.records:
+            assert record.run_class is RunClass.CRASH
+            assert "unknown workload 'nosuch'" in (record.traceback or "")
 
 
 class TestSramCampaign:

@@ -123,6 +123,13 @@ class TestSnapshotsAndEquality:
         a.store(8, 1)
         assert a != b
 
+    def test_equality_checks_size(self):
+        a, b = MemoryImage(size=1 << 12), MemoryImage(size=1 << 13)
+        for mem in (a, b):
+            mem.store(8, 1)
+        assert a != b
+        assert MemoryImage(size=1 << 12) != MemoryImage(size=1 << 13)
+
     def test_len_counts_nonzero_words(self):
         mem = MemoryImage()
         mem.store(0, 1)
