@@ -33,6 +33,7 @@ buffering of unchecked stores that multicore correctness requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -74,6 +75,10 @@ from ..telemetry import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..oracle.invariants import ParanoidChecker
+
+#: How far below a pending detection's maturing cycle compiled blocks
+#: stop (see ``SimulationEngine._sync_detection_bound``).
+DETECTION_MARGIN_CYCLES = 1.0
 
 
 @dataclass
@@ -132,14 +137,17 @@ class EngineOptions:
     #: exits, traps, segment boundaries and external syscalls.  ``run``
     #: builds one tier for either path, and both loops enter it only
     #: through :meth:`~repro.jit.tier.SuperblockJit.run_block`, passing
-    #: the instructions they may run before they must look again.  Timing,
-    #: stall accounting and telemetry are bit-identical either way (the
-    #: differential oracle gates this); disable to force pure
-    #: interpretation.  Ignored — the tier is never built — when a
-    #: fault injector targets the main core, because injection points
-    #: are per-instruction hooks that must see every retired
-    #: instruction.  Checker cores never use the tier: their replay is
-    #: the independent cross-check.
+    #: the instructions they may run before they must look again; the
+    #: fill loop also passes the commit cycle at which the earliest
+    #: pending detection may mature, so blocks keep running while
+    #: checks are in flight and stop where the interpreter would handle
+    #: the detection.  Timing, stall accounting and telemetry are
+    #: bit-identical either way (the differential oracle gates this);
+    #: disable to force pure interpretation.  Ignored — the tier is
+    #: never built — when a fault injector targets the main core,
+    #: because injection points are per-instruction hooks that must see
+    #: every retired instruction.  Checker cores never use the tier:
+    #: their replay is the independent cross-check.
     jit: bool = True
 
 
@@ -272,6 +280,12 @@ class SimulationEngine:
         #: is kept exact at those two places and the per-instruction
         #: detection poll is one attribute test.
         self._earliest_detection: Optional[PendingCheck] = None
+        #: The commit cycle at or past which a compiled block must stop:
+        #: :data:`DETECTION_MARGIN_CYCLES` below the cycle at which the
+        #: wall clock reaches the earliest detection's ``end_ns``, or
+        #: +inf with nothing pending.  Re-derived only where the pointer
+        #: or the clock anchors change (:meth:`_sync_detection_bound`).
+        self._detection_bound = math.inf
         self._last_commit_ns = 0.0
         self._checkpoint_lengths: List[int] = []
         #: (checkpoint instret, checker id) of the last detection, pending
@@ -339,6 +353,28 @@ class SimulationEngine:
         self._base_cycles = self.timing.now
         self._frequency_hz = frequency_hz
         self._cycle_ns = 1e9 / frequency_hz
+        self._sync_detection_bound()
+
+    def _sync_detection_bound(self) -> None:
+        """Re-derive :attr:`_detection_bound` from the detection pointer
+        and the clock anchors; called wherever either changes.
+
+        A commit cycle below the bound maps to a wall time a whole
+        margin short of ``end_ns``, far beyond any rounding in
+        :attr:`wall_ns`, so a block that stops at the first commit at
+        or past the bound never runs past the instruction that matures
+        the detection.  Stopping inside the margin costs only an early
+        return: the next dispatch resumes at the exact PC.
+        """
+        detection = self._earliest_detection
+        if detection is None:
+            self._detection_bound = math.inf
+        else:
+            self._detection_bound = (
+                self._base_cycles
+                + (detection.end_ns - self._base_wall_ns) / self._cycle_ns
+                - DETECTION_MARGIN_CYCLES
+            )
 
     def _stall_to_wall(self, target_ns: float, bucket: StallBucket) -> None:
         """Stall the main core until wall time ``target_ns``.
@@ -498,6 +534,7 @@ class SimulationEngine:
             earliest = self._earliest_detection
             if earliest is None or pending.end_ns < earliest.end_ns:
                 self._earliest_detection = pending
+                self._sync_detection_bound()
         if self.tracer is not None:
             self.tracer.emit(
                 "engine",
@@ -627,6 +664,7 @@ class SimulationEngine:
             key=lambda p: p.end_ns,
             default=None,
         )
+        self._sync_detection_bound()
 
         # Resilience: steer the retry to different hardware; its verdict
         # vindicates or absolves the checker that reported this one.
@@ -976,37 +1014,33 @@ class SimulationEngine:
                     segment_target = self.length_controller.target
                     continue  # a detection rolled us back; retry
                 self._external_verified = True
+            n = 0
             try:
-                if (
-                    run_block is not None
-                    and not self._external_verified
-                    and self._earliest_detection is None
-                ):
-                    # Compiled dispatch.  A block runs where every
-                    # per-instruction obligation of the interpreted path
-                    # is provably a no-op across its span: no pending
-                    # detection can mature (the pointer changes only at
-                    # dispatch and squash, never mid-block), no external
-                    # syscall sits inside a region (SYSCALL is not
-                    # compilable), and no main-core injector exists (the
-                    # tier is not built then).  The segment target and
-                    # the instruction and livelock budgets cut the block
-                    # short instead, so it stops exactly where the
-                    # interpreter would close the segment or return.
+                if run_block is not None and not self._external_verified:
+                    # Compiled dispatch.  Before a block's last
+                    # instruction every per-instruction obligation of
+                    # the interpreted path is provably a no-op: no
+                    # external syscall sits in a region (SYSCALL is not
+                    # compilable), no main-core injector exists (the
+                    # tier is not built then), and the detection bound
+                    # ends the block no later than the instruction that
+                    # matures the earliest pending detection (the
+                    # pointer and the clock anchors change only at
+                    # dispatch, squash and frequency moves, never
+                    # mid-block).  The segment target and the
+                    # instruction and livelock budgets cut the block
+                    # short, so it stops exactly where the interpreter
+                    # would close the segment or return.
                     n = run_block(
                         min(
                             segment_target - self._segment.instruction_count,
                             max_instructions - before,
                             livelock_budget - self._executed_total,
-                        )
+                        ),
+                        self._detection_bound,
                     )
-                    if n:
-                        self._executed_total += n
-                        if self._segment.instruction_count >= segment_target:
-                            self._close_segment(SegmentCloseReason.TARGET_LENGTH)
-                            segment_target = self.length_controller.target
-                        continue
-                info = step()
+                if not n:
+                    info = step()
             except (SegmentFull, UncheckedConflictStall, SimTrap) as exc:
                 # Blocks keep instret exact up to the raising
                 # instruction and a raising step retires nothing, so the
@@ -1021,6 +1055,18 @@ class SimulationEngine:
                 segment_target = self.length_controller.target
                 continue
 
+            if n:
+                # After a block's last instruction the interpreted order
+                # applies: the detection test, then the segment target.
+                self._executed_total += n
+                detection = self._earliest_detection
+                if detection is not None and detection.end_ns <= self.wall_ns:
+                    self._handle_detection(detection)
+                    segment_target = self.length_controller.target
+                elif self._segment.instruction_count >= segment_target:
+                    self._close_segment(SegmentCloseReason.TARGET_LENGTH)
+                    segment_target = self.length_controller.target
+                continue
             self._executed_total += 1
             pc = info.pc_before
             commit(pc, info.address, info.taken, info.pc_after)

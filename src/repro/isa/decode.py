@@ -20,11 +20,13 @@ keeps them as flat lists indexed by PC:
   instructions a block entered there may run
   (:func:`repro.jit.superblock.region_blocks`).
 
-The read and write slots mirror exactly what
-:class:`~repro.isa.executor.Executor` reports in each
-:class:`~repro.isa.executor.StepInfo` (``reads`` and ``dest``); the
-test suite checks that, and every other field of the row, for every PC
-any workload or fuzz profile retires.
+The write slot mirrors exactly what
+:class:`~repro.isa.executor.Executor` reports as each
+:class:`~repro.isa.executor.StepInfo`'s ``dest``, and the read slots
+are the operands each opcode reads by the ISA's definition (nothing
+reports them per step: they are static).  The test suite checks both,
+the read slots against a per-opcode rule of its own, and every other
+field of the row, for every PC any workload or fuzz profile retires.
 
 Tables are cached per program object, like the compiled tier's code
 cache: ``Program`` is an unhashable dataclass, so the key is its
@@ -84,10 +86,10 @@ _F_F_TO_F = frozenset({Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV})
 
 
 def reads_write(instr: Instruction) -> Tuple[Tuple[int, ...], int]:
-    """The read slots and write slot the interpreter reports for ``instr``.
+    """The slots ``instr`` reads, in operand order, and the slot it writes.
 
-    Mirrors each :class:`~repro.isa.executor.Executor` handler's
-    ``reads``/``dest`` tags, slot for slot and in the same order.
+    The write slot is the :class:`~repro.isa.executor.Executor`
+    handler's ``dest`` tag as a slot.
     """
     op = instr.opcode
     d, a, b = instr.rd, instr.rs1, instr.rs2

@@ -55,7 +55,6 @@ class StepInfo:
         "instruction",
         "pc_before",
         "pc_after",
-        "reads",
         "dest",
         "address",
         "taken",
@@ -64,7 +63,6 @@ class StepInfo:
     instruction: Instruction
     pc_before: int
     pc_after: int
-    reads: Tuple[RegTag, ...]
     dest: Optional[RegTag]
     address: Optional[int]
     taken: Optional[bool]
@@ -181,7 +179,6 @@ class Executor:
 
         def advance(
             instr: Instruction,
-            reads: Tuple[RegTag, ...],
             dest: Optional[RegTag],
             address: Optional[int] = None,
             next_pc: Optional[int] = None,
@@ -189,15 +186,13 @@ class Executor:
         ) -> StepInfo:
             pc_before = state.pc
             state.pc = pc_before + 1 if next_pc is None else next_pc
-            return StepInfo(instr, pc_before, state.pc, reads, dest, address, taken)
+            return StepInfo(instr, pc_before, state.pc, dest, address, taken)
 
         def binop(fn: Callable[[int, int], int]) -> Callable[[Instruction], StepInfo]:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.x[instr.rs1], regs.x[instr.rs2])
                 regs.write_x(instr.rd, value)
-                return advance(
-                    instr, (("x", instr.rs1), ("x", instr.rs2)), ("x", instr.rd)
-                )
+                return advance(instr, ("x", instr.rd))
 
             return execute
 
@@ -205,7 +200,7 @@ class Executor:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.x[instr.rs1], instr.imm)
                 regs.write_x(instr.rd, value)
-                return advance(instr, (("x", instr.rs1),), ("x", instr.rd))
+                return advance(instr, ("x", instr.rd))
 
             return execute
 
@@ -213,9 +208,7 @@ class Executor:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.read_f(instr.rs1), regs.read_f(instr.rs2))
                 regs.write_f(instr.rd, value)
-                return advance(
-                    instr, (("f", instr.rs1), ("f", instr.rs2)), ("f", instr.rd)
-                )
+                return advance(instr, ("f", instr.rd))
 
             return execute
 
@@ -269,19 +262,19 @@ class Executor:
         # -- individual handlers ---------------------------------------------------
         def exec_mov(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, regs.x[instr.rs1])
-            return advance(instr, (("x", instr.rs1),), ("x", instr.rd))
+            return advance(instr, ("x", instr.rd))
 
         def exec_movi(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, to_unsigned(instr.imm))
-            return advance(instr, (), ("x", instr.rd))
+            return advance(instr, ("x", instr.rd))
 
         def exec_cmp(instr: Instruction) -> StepInfo:
             regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], regs.x[instr.rs2]))
-            return advance(instr, (("x", instr.rs1), ("x", instr.rs2)), ("flags", 0))
+            return advance(instr, ("flags", 0))
 
         def exec_cmpi(instr: Instruction) -> StepInfo:
             regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], to_unsigned(instr.imm)))
-            return advance(instr, (("x", instr.rs1),), ("flags", 0))
+            return advance(instr, ("flags", 0))
 
         def exec_fcmp(instr: Instruction) -> StepInfo:
             a, b = regs.read_f(instr.rs1), regs.read_f(instr.rs2)
@@ -289,19 +282,19 @@ class Executor:
                 regs.set_flags(False, False, True, True)
             else:
                 regs.set_flags(a < b, a == b, a >= b, False)
-            return advance(instr, (("f", instr.rs1), ("f", instr.rs2)), ("flags", 0))
+            return advance(instr, ("flags", 0))
 
         def exec_fmov(instr: Instruction) -> StepInfo:
             regs.write_f_bits(instr.rd, regs.read_f_bits(instr.rs1))
-            return advance(instr, (("f", instr.rs1),), ("f", instr.rd))
+            return advance(instr, ("f", instr.rd))
 
         def exec_fmovi(instr: Instruction) -> StepInfo:
             regs.write_f(instr.rd, instr.fimm)
-            return advance(instr, (), ("f", instr.rd))
+            return advance(instr, ("f", instr.rd))
 
         def exec_fcvt(instr: Instruction) -> StepInfo:
             regs.write_f(instr.rd, float(to_signed(regs.x[instr.rs1])))
-            return advance(instr, (("x", instr.rs1),), ("f", instr.rd))
+            return advance(instr, ("f", instr.rd))
 
         def exec_fcvti(instr: Instruction) -> StepInfo:
             value = regs.read_f(instr.rs1)
@@ -314,7 +307,7 @@ class Executor:
             else:
                 result = to_unsigned(int(value))
             regs.write_x(instr.rd, result)
-            return advance(instr, (("f", instr.rs1),), ("x", instr.rd))
+            return advance(instr, ("x", instr.rd))
 
         def exec_load(instr: Instruction) -> StepInfo:
             address = (regs.x[instr.rs1] + instr.imm) & MASK64
@@ -325,21 +318,19 @@ class Executor:
             else:
                 regs.write_f_bits(instr.rd, value)
                 dest = ("f", instr.rd)
-            return advance(instr, (("x", instr.rs1),), dest, address=address)
+            return advance(instr, dest, address=address)
 
         def exec_store(instr: Instruction) -> StepInfo:
             address = (regs.x[instr.rs1] + instr.imm) & MASK64
             if instr.opcode is Opcode.STR:
                 value = regs.x[instr.rs2]
-                reads: Tuple[RegTag, ...] = (("x", instr.rs1), ("x", instr.rs2))
             else:
                 value = regs.read_f_bits(instr.rs2)
-                reads = (("x", instr.rs1), ("f", instr.rs2))
             port_cell[0].store(address, value)
-            return advance(instr, reads, None, address=address)
+            return advance(instr, None, address=address)
 
         def exec_b(instr: Instruction) -> StepInfo:
-            return advance(instr, (), None, next_pc=instr.target, taken=True)
+            return advance(instr, None, next_pc=instr.target, taken=True)
 
         conditions = self._CONDITIONS
 
@@ -348,31 +339,29 @@ class Executor:
             c, v = regs.flag(Flag.C), regs.flag(Flag.V)
             taken = conditions[instr.opcode](n, z, c, v)
             next_pc = instr.target if taken else None
-            return advance(instr, (("flags", 0),), None, next_pc=next_pc, taken=taken)
+            return advance(instr, None, next_pc=next_pc, taken=taken)
 
         def exec_cb(instr: Instruction) -> StepInfo:
             value = regs.x[instr.rs1]
             taken = (value == 0) if instr.opcode is Opcode.CBZ else (value != 0)
             next_pc = instr.target if taken else None
-            return advance(instr, (("x", instr.rs1),), None, next_pc=next_pc, taken=taken)
+            return advance(instr, None, next_pc=next_pc, taken=taken)
 
         def exec_jal(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, state.pc + 1)
-            return advance(instr, (), ("x", instr.rd), next_pc=instr.target, taken=True)
+            return advance(instr, ("x", instr.rd), next_pc=instr.target, taken=True)
 
         def exec_jalr(instr: Instruction) -> StepInfo:
             next_pc = regs.x[instr.rs1]
             regs.write_x(instr.rd, state.pc + 1)
-            return advance(
-                instr, (("x", instr.rs1),), ("x", instr.rd), next_pc=next_pc, taken=True
-            )
+            return advance(instr, ("x", instr.rd), next_pc=next_pc, taken=True)
 
         def exec_nop(instr: Instruction) -> StepInfo:
-            return advance(instr, (), None)
+            return advance(instr, None)
 
         def exec_halt(instr: Instruction) -> StepInfo:
             state.halted = True
-            return advance(instr, (), None)
+            return advance(instr, None)
 
         def exec_syscall(instr: Instruction) -> StepInfo:
             number = instr.imm
@@ -393,7 +382,7 @@ class Executor:
                 # Unknown syscalls are NOPs; a corrupted syscall number on a
                 # checker therefore diverges through its (lack of) effects.
                 pass
-            return advance(instr, (("x", 1),), None)
+            return advance(instr, None)
 
         d[Opcode.MOV] = exec_mov
         d[Opcode.MOVI] = exec_movi

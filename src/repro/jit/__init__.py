@@ -3,9 +3,10 @@
 The interpreter in :mod:`repro.isa.executor` pays a per-instruction
 dispatch cost (decode-table probe, handler call, :class:`StepInfo`
 allocation) that dominates fault-free execution time.  This package
-removes it for the common case.  The program's straight-line code is
-cut into fixed **regions** of at most :data:`MAX_BLOCK` instructions,
-once per program, in its decode table.  A region is compiled into a
+removes it for the common case.  The program's straight-line code, up
+to and including the branch that ends it, is cut into fixed **regions**
+of at most :data:`MAX_BLOCK` instructions, once per program, in its
+decode table.  A region is compiled into a
 single specialized Python function — register indices, immediates and
 folded constants burned in as literals, the source run through
 ``compile()`` — the first time a dispatch loop admits a block in it,
@@ -14,13 +15,16 @@ of the region, so a block can start at any PC in it (a branch target)
 and stop at any later one (a segment target or an instruction budget).
 Every dispatch loop enters the tier through one call,
 :meth:`SuperblockJit.run_block`: it runs the block at the current PC
-for at most the loop's budget and returns how many instructions ran, 0
-meaning "interpret this PC", so the region format stays inside this
-package.  Control flow, traps, syscalls and fault-injection points are
-never folded into a region; execution falls back to the interpreter
-there, and the two paths are bit-identical by construction (the
-differential oracle in :mod:`repro.oracle` is the merge gate for every
-change to this package).
+for at most the loop's budget (and, in the protected engine, no further
+than the instruction at which a pending detection may mature) and
+returns how many instructions ran, 0 meaning "interpret this PC", so
+the region format stays inside this package.  A block that reaches its
+region's closing branch resolves it and leaves at the target.  Traps,
+syscalls and fault-injection points are never folded into a region;
+execution falls back to the interpreter there, and the two paths are
+bit-identical by construction (the differential oracle in
+:mod:`repro.oracle` is the merge gate for every change to this
+package).
 
 Layering:
 
@@ -29,10 +33,11 @@ Layering:
   mapping of block-start PCs to region start and room);
 * :mod:`repro.jit.runtime` — the handful of out-of-line helpers the
   generated code calls (signed division, IEEE division, NZCV packing);
-* :mod:`repro.jit.emit` — per-opcode source emission and the per-mode
-  bookkeeping (a timing ``commit(pc)`` per instruction, segment
-  recording), with the static per-instruction facts read from the
-  program's :class:`~repro.isa.decode.DecodeTable`;
+* :mod:`repro.jit.emit` — per-opcode source emission, the closing
+  branch, and the per-mode bookkeeping (a timing ``commit(pc)`` per
+  instruction, segment recording, the detection bound), with the
+  static per-instruction facts read from the program's
+  :class:`~repro.isa.decode.DecodeTable`;
 * :mod:`repro.jit.tier` — dispatch (``run_block``) and the cache:
   region factories compiled once per process (on first dispatch, or
   for a whole program ahead of time with ``compile_regions``) and

@@ -1,32 +1,69 @@
 """Source emission for compiled regions.
 
 One region (see :mod:`repro.jit.superblock`) becomes one generated
-factory::
+factory.  In record+commit mode, for a region of three ALU instructions
+and a closing ``bne``::
 
     def __factory__(__ctx__):
         state = __ctx__['state']
         x = __ctx__['x']
         ...                        # only the names this region uses
-        def __region__(s, e):      # or (rec, s, e) when recording
+        def __region__(rec, s, e, B):
             _b = state.instret - s
             while True:
                 if s <= 0:
                     x[3] = (x[1] + x[2]) & M
-                    if e == 1: break
+                    _c = commit(12)
+                    rec(0, True)
+                    if e == 1 or _c >= B:
+                        e = 1
+                        break
                 if s <= 1:
                     ...
-                break
+                _g = regs.flags
+                _k = (_g & 4) == 0
+                _t = 9 if _k else 16
+                commit(15, None, _k, _t)
+                rec(8, False)
+                state.pc = _t
+                state.instret = _b + 4
+                return 4
             state.pc = 12 + e
             state.instret = _b + e
+            return e
         return __region__
     __block__ = __factory__
 
 ``__region__(s, e)`` runs the region's offsets ``s`` to ``e - 1`` and
 nothing else: each instruction is guarded by its offset, the entry
 guards skip what lies before ``s``, and the exit check after offset
-``e - 1`` leaves the loop.  So one compiled function serves every entry
-PC of its region and every budget :meth:`SuperblockJit.run_block
-<repro.jit.tier.SuperblockJit.run_block>` cuts it to.
+``e - 1`` leaves the loop.  It returns the offset it reached, ``e``
+unless the bound stopped it first.  So one compiled function serves
+every entry PC of its region and every budget
+:meth:`SuperblockJit.run_block <repro.jit.tier.SuperblockJit.run_block>`
+cuts it to.
+
+**The bound.**  Only record+commit regions (the protected engine's
+fill loop, the one loop with detections to watch) take a fourth
+argument ``B``, a commit cycle: after an instruction's ``rec`` call the
+region also leaves, at the next offset, once the cycle its timing
+``commit`` returned is at or past ``B``.  The engine sets ``B`` just
+below the cycle at which its wall clock reaches the earliest pending
+detection, so a block never runs past the instruction where the
+interpreter would handle it.  The other modes have nothing pending and
+emit no check.
+
+**The branch tail.**  A region may end with a branch (its last
+instruction only).  The tail needs no guard, since every entry offset
+lies before it, and it is reached only when ``e`` is the region's
+length.  It resolves the branch the way the executor's handlers do
+(flag conditions from the NZCV nibble in ``regs.flags``, ``CBZ``/
+``CBNZ`` from ``x[rs1]``, a ``JALR`` target read before the link
+write, no link write to ``x0``), commits it as
+``commit(pc, None, taken, next_pc)`` like the interpreted loops, records
+it, and returns with ``state.pc`` at the resolved target.  A wild
+``JALR`` target is left in ``state.pc`` as is: no block starts there,
+so the next ``step()`` traps exactly as the interpreter does.
 
 Register indices, immediates (pre-wrapped through ``to_unsigned`` where
 the interpreter does it), FMOVI bit patterns and PC values are folded
@@ -58,8 +95,9 @@ Equivalence contract (checked by the differential oracle and
   for its log record and trap behaviour.
 * Per-instruction bookkeeping replays the engine/oracle loop order:
   architectural effect, then the timing ``commit`` (which also counts
-  the unit mix), then ``segment.record_instruction`` — whichever of
-  those the execution mode wires in.
+  the unit mix and, for the branch, drives the predictor), then
+  ``segment.record_instruction`` — whichever of those the execution
+  mode wires in — then the bound check.
 """
 
 from __future__ import annotations
@@ -67,7 +105,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..isa.decode import DecodeTable
-from ..isa.instructions import Instruction, Opcode
+from ..isa.instructions import BRANCH_OPCODES, Instruction, Opcode
 from ..isa.registers import float_to_bits, to_unsigned
 from .superblock import COMPILABLE_OPCODES
 
@@ -107,6 +145,18 @@ _FBIN: Dict[Opcode, str] = {
 }
 
 _MEMORY_OPCODES = frozenset({Opcode.LDR, Opcode.FLDR, Opcode.STR, Opcode.FSTR})
+
+# Flag-branch conditions over ``_g``, the NZCV nibble (N at bit 3, Z at
+# 2, C at 1, V at 0); each is a bool, like the executor's conditions.
+_NV_DIFFER = "((_g >> 3) ^ _g) & 1"
+_FLAG_CONDITIONS: Dict[Opcode, str] = {
+    Opcode.BEQ: "(_g & 4) != 0",
+    Opcode.BNE: "(_g & 4) == 0",
+    Opcode.BLT: f"({_NV_DIFFER}) != 0",
+    Opcode.BGE: f"({_NV_DIFFER}) == 0",
+    Opcode.BGT: f"(_g & 4) == 0 and ({_NV_DIFFER}) == 0",
+    Opcode.BLE: f"(_g & 4) != 0 or ({_NV_DIFFER}) != 0",
+}
 
 
 # Hoist lines in canonical order; only the ones a block needs are emitted.
@@ -274,15 +324,47 @@ class _Emitter:
             return True
         raise ValueError(f"{op} is not compilable")
 
-    def _emit_bookkeeping(self, pc: int, is_memory: bool) -> None:
-        table = self.table
+    def _emit_bookkeeping(self, pc: int, args: str, keep_cycle: bool) -> None:
+        """Append the ``commit(pc, args)`` and ``rec`` calls this mode
+        wires in; ``keep_cycle`` stores the commit cycle in ``_c``."""
+        out = self.body.append
         if self.commit:
             self.need("commit")
-            self.body.append(f"commit({pc}, _a)" if is_memory else f"commit({pc})")
+            call = f"commit({pc}{args})"
+            out(f"_c = {call}" if keep_cycle else call)
         if self.record:
-            self.body.append(
-                f"rec({table.unit_index[pc]}, {table.writes_register[pc]})"
-            )
+            table = self.table
+            out(f"rec({table.unit_index[pc]}, {table.writes_register[pc]})")
+
+    def _emit_branch(self, length: int, pc: int, instr: Instruction) -> None:
+        """Append the closing branch at offset ``length - 1``: resolve it,
+        keep its bookkeeping and leave the region at its target."""
+        op = instr.opcode
+        out = self.body.append
+        if op is Opcode.JALR:
+            self.need("x")
+            out(f"_t = x[{instr.rs1}]")  # read before the link write
+            taken, target = "True", "_t"
+        elif op is Opcode.B or op is Opcode.JAL:
+            taken, target = "True", str(instr.target)
+        else:
+            if op in _FLAG_CONDITIONS:
+                self.need("regs")
+                out("_g = regs.flags")
+                out(f"_k = {_FLAG_CONDITIONS[op]}")
+            else:
+                self.need("x")
+                test = "==" if op is Opcode.CBZ else "!="
+                out(f"_k = x[{instr.rs1}] {test} 0")
+            out(f"_t = {instr.target} if _k else {pc + 1}")
+            taken, target = "_k", "_t"
+        if (op is Opcode.JAL or op is Opcode.JALR) and instr.rd != 0:
+            self.need("x")
+            out(f"x[{instr.rd}] = {pc + 1}")
+        self._emit_bookkeeping(pc, f", None, {taken}, {target}", False)
+        out(f"state.pc = {target}")
+        out(f"state.instret = _b + {length}")
+        out(f"return {length}")
 
 
 def emit_factory_source(
@@ -300,45 +382,62 @@ def emit_factory_source(
     table (the region takes the current segment's ``record_instruction``
     as its first argument, so segment turnover never invalidates code);
     ``commit`` wires in the timing model's ``commit(pc)``, or
-    ``commit(pc, _a)`` for a memory operation, with the PC folded in as
-    a literal.  ``golden_run`` uses neither, the differential
+    ``commit(pc, _a)`` for a memory operation and
+    ``commit(pc, None, taken, next_pc)`` for the closing branch, with
+    the PC folded in as a literal.  Both together add the bound ``B``
+    and its exit check.  ``golden_run`` uses neither, the differential
     oracle records only, the unprotected engine commits only, and the
     protected engine does both.
     """
     em = _Emitter(table, record, commit)
+    bounded = record and commit
     body: List[str] = []
-    for i in range(length):
+    last = length - 1
+    branch = table.instructions[start + last]
+    straight = last if branch.opcode in BRANCH_OPCODES else length
+    for i in range(straight):
         pc = start + i
         instr = table.instructions[pc]
         if instr.opcode not in COMPILABLE_OPCODES:
             raise ValueError(f"pc {pc}: {instr.opcode} inside a region")
         em.body = []
         is_memory = em._emit_arch(i, pc, instr)
-        em._emit_bookkeeping(pc, is_memory)
-        last = i == length - 1
+        em._emit_bookkeeping(pc, ", _a" if is_memory else "", bounded and i < last)
         if em.body:
             body.append(f"if s <= {i}:")
             body.extend(f"    {line}" for line in em.body)
-            if not last:
+            if bounded and i < last:
+                body.append(f"    if e == {i + 1} or _c >= B:")
+                body.append(f"        e = {i + 1}")
+                body.append("        break")
+            elif i < last:
                 body.append(f"    if e == {i + 1}: break")
-        elif not last:
+        elif i < last:
             # Nothing to run (a bare-mode NOP or x0 write): s <= i
             # whenever e == i + 1, so the exit needs no entry guard.
             body.append(f"if e == {i + 1}: break")
-    body.append("break")
+    if straight == length:
+        body.append("break")
+    else:
+        em.body = []
+        em._emit_branch(length, start + last, branch)
+        body.extend(em.body)
 
+    if bounded:
+        signature = "rec, s, e, B"
+    else:
+        signature = "rec, s, e" if record else "s, e"
     lines = ["def __factory__(__ctx__):"]
     for name, hoist in _HOISTS.items():
         if name in em.needs:
             lines.append(f"    {hoist}")
-    lines.append(
-        "    def __region__(rec, s, e):" if record else "    def __region__(s, e):"
-    )
+    lines.append(f"    def __region__({signature}):")
     lines.append("        _b = state.instret - s")
     lines.append("        while True:")
     lines.extend(f"            {line}" for line in body)
     lines.append(f"        state.pc = {start} + e")
     lines.append("        state.instret = _b + e")
+    lines.append("        return e")
     lines.append("    return __region__")
     lines.append("__block__ = __factory__")
     return "\n".join(lines) + "\n"

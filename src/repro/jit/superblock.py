@@ -1,14 +1,18 @@
 """Region discovery: which instructions may be compiled together.
 
 A program's compilable instructions fall into maximal straight-line
-stretches.  Anything that can redirect control, halt, or touch
-external/engine state mid-stream ends a stretch **before** itself:
+stretches.  A stretch ends **with** a branch and **before** anything
+else that is not compilable:
 
-* every branch (direct, conditional, ``CBZ``/``CBNZ``, ``JAL``/``JALR``)
-  — the interpreter resolves targets and predictor state;
-* ``HALT`` and ``SYSCALL`` — syscalls read ``instret`` mid-instruction,
-  append to the output stream, and the external-write syscall must pass
-  through the engine's drain protocol;
+* a branch (direct, conditional, ``CBZ``/``CBNZ``, ``JAL``/``JALR``)
+  is a stretch's last instruction: the compiled code resolves its
+  target and taken flag exactly like the interpreter's handler, hands
+  both to the timing commit (which drives the predictor) and leaves
+  the block at the target;
+* ``HALT`` and ``SYSCALL`` end a stretch before themselves — syscalls
+  read ``instret`` mid-instruction, append to the output stream, and
+  the external-write syscall must pass through the engine's drain
+  protocol;
 * nothing else: loads and stores *are* compilable because the data port
   raises (``SegmentFull``, ``UncheckedConflictStall``, memory traps)
   before any architectural mutation, and generated code flushes
@@ -16,7 +20,8 @@ external/engine state mid-stream ends a stretch **before** itself:
   executed block leaves exactly the interpreter's state.
 
 Each stretch is cut into fixed **regions** of at most :data:`MAX_BLOCK`
-instructions, counted from the stretch's first instruction.  Regions
+instructions, counted from the stretch's first instruction, so a branch
+is only ever the last instruction of a stretch's last region.  Regions
 partition the compilable PCs, so each instruction is compiled at most
 once per emission mode.  A dispatch enters its region at any offset and
 leaves it at any later one, so a branch into the middle of a stretch,
@@ -39,15 +44,17 @@ from typing import Dict, Sequence, Tuple
 
 from ..isa.instructions import BRANCH_OPCODES, Instruction, Opcode
 
-#: Opcodes that may appear inside a compiled region.
+#: Opcodes that may appear anywhere in a compiled region; a branch may
+#: only end one.
 COMPILABLE_OPCODES = frozenset(Opcode) - BRANCH_OPCODES - {
     Opcode.HALT,
     Opcode.SYSCALL,
 }
 
 #: Dispatches that could run fewer instructions than this from their
-#: entry PC to the end of its region are not worth a call and stay
-#: interpreted (the budgets may still cut an admitted one shorter).
+#: entry PC to the end of its region (a closing branch included) are
+#: not worth a call and stay interpreted (the budgets may still cut an
+#: admitted one shorter).
 MIN_BLOCK = 3
 #: Region length cap: bounds compile time per region.
 MAX_BLOCK = 64
@@ -74,6 +81,8 @@ def region_blocks(
             pc += 1
             continue
         stretch_end = compilable.index(False, pc)
+        if stretch_end < size and instructions[stretch_end].opcode in BRANCH_OPCODES:
+            stretch_end += 1
         for start in range(pc, stretch_end, MAX_BLOCK):
             end = min(start + MAX_BLOCK, stretch_end)
             for at in range(start, end - MIN_BLOCK + 1):

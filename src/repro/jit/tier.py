@@ -17,15 +17,16 @@ Two layers of caching, keyed by region start (see
   bound at most once.
 
 :meth:`SuperblockJit.run_block` is the one way into the tier: every
-dispatch loop hands it the instruction budget it has left, and it looks
-the PC up in the decode table's ``blocks``, cuts the region to that
-budget, binds it on a miss and counts the dispatch.  Bound regions come
-only from :meth:`SuperblockJit.runner`, which ``run_block`` calls on a
-miss.  Code comes from the same call, the first time a region runs, or
-ahead of any run from :func:`compile_regions`, which compiles a whole
-program in one emission mode: a campaign parent does that once per
-workload, so its forked cells only bind.  Both paths compile through
-one helper.
+dispatch loop hands it the instruction budget it has left (the fill
+loop adds its detection bound), and it looks the PC up in the decode
+table's ``blocks``, cuts the region to that budget, binds it on a miss
+and counts the dispatch.  Bound regions come only from
+:meth:`SuperblockJit.runner`, which ``run_block`` calls on a miss.
+Code comes from the same call, the first time a region runs, or ahead
+of any run from :func:`compile_regions`, which compiles a whole program
+in one emission mode: a campaign parent does that once per workload,
+so its forked cells only bind.  Both paths compile through one
+helper.
 
 Segment turnover costs no cache traffic either: record-mode regions
 take the recorder as a call argument, so
@@ -36,6 +37,7 @@ binds and rebinds so tests and telemetry can see the protocol working.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -47,7 +49,7 @@ from .emit import emit_factory_source
 
 #: A compiled region's ``__factory__``: called with a run's context, it
 #: returns the bound region function.
-Factory = Callable[[Dict[str, Any]], Callable[..., None]]
+Factory = Callable[[Dict[str, Any]], Callable[..., int]]
 
 # Region factories shared across tiers over the same program object and
 # emission mode, keyed by region start.  Program is an eq-compared
@@ -138,8 +140,9 @@ class SuperblockJit:
 
     A dispatch loop calls :meth:`run_block` with the instructions it may
     still run before it has to look again (segment target, instruction
-    and livelock budgets) and interprets one instruction when it
-    returns 0.
+    and livelock budgets), plus, in record+commit mode, the commit cycle
+    at which a pending detection may mature, and interprets one
+    instruction when it returns 0.
 
     ``record`` adds per-instruction segment recording into the segment
     last passed to :meth:`note_segment`; ``commit`` adds the engine's
@@ -164,6 +167,8 @@ class SuperblockJit:
         self.port = port
         self.record = record
         self._commit = commit
+        #: Record+commit regions take the detection bound.
+        self._bounded = record and commit is not None
         self._table = decode_table(program)
         self._blocks = self._table.blocks
         self._code = _shared_code_for(program, record, commit is not None)
@@ -187,21 +192,27 @@ class SuperblockJit:
             "flags_sub": runtime.flags_sub,
             "commit": commit,
         }
-        self._active: Dict[int, Callable[..., None]] = {}
+        self._active: Dict[int, Callable[..., int]] = {}
         #: Current segment's ``record_instruction``; :meth:`run_block`
         #: passes it into every record-mode dispatch.
         self._rec: Optional[Callable[..., None]] = None
         self.stats = JitStats()
 
     # -- dispatch ---------------------------------------------------------
-    def run_block(self, limit: int) -> int:
+    def run_block(self, limit: int, bound: float = math.inf) -> int:
         """Run the block at ``state.pc`` for at most ``limit`` instructions.
 
         Returns how many instructions ran.  0 means "interpret this PC":
-        no block may start there (a branch, a region's last
-        instructions, or a PC outside the program) or ``limit`` is not
-        positive.  A data-port exception propagates with ``pc`` and
-        ``instret`` exact up to the raising instruction, uncounted.
+        no block may start there (a region's last instructions, a PC in
+        no region such as ``HALT``, ``SYSCALL`` or a branch with no
+        straight-line code before it, or a PC outside the program) or
+        ``limit`` is not positive.  A block that ends with its region's
+        branch leaves ``state.pc`` at the branch's target.  In
+        record+commit mode the block also stops after the first
+        instruction whose commit cycle is at or past ``bound`` (the
+        other modes ignore it: nothing can be pending there).  A
+        data-port exception propagates with ``pc`` and ``instret``
+        exact up to the raising instruction, uncounted.
         """
         pc = self.state.pc
         block = self._blocks.get(pc)
@@ -213,7 +224,9 @@ class SuperblockJit:
             return 0
         run = self._active.get(start) or self.runner(start)
         s = pc - start
-        if self.record:
+        if self._bounded:
+            n = run(self._rec, s, s + n, bound) - s
+        elif self.record:
             run(self._rec, s, s + n)
         else:
             run(s, s + n)
@@ -222,7 +235,7 @@ class SuperblockJit:
         stats.instructions += n
         return n
 
-    def runner(self, start: int) -> Callable[..., None]:
+    def runner(self, start: int) -> Callable[..., int]:
         """The bound region starting at ``start``: compiled on the
         process's first dispatch into it, bound on the run's first."""
         run = self._active.get(start)

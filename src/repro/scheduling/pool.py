@@ -85,6 +85,9 @@ class CheckerPool:
         #: Round-robin position in the (one) candidate ring.
         self._rr_pointer = 0
         self.dispatches: List[DispatchRecord] = []
+        #: The same records, split by physical core, so an abort clamps
+        #: against its own core's records without scanning the rest.
+        self._core_dispatches: List[List[DispatchRecord]] = [[] for _ in range(size)]
         #: Cumulative checker-wait per main, accumulated at select time.
         self.wait_ns = [0.0] * main_count
         #: Turn-taking across the mains' engine threads; one main, the
@@ -173,6 +176,7 @@ class CheckerPool:
         self.busy_until_ns[core_id] = end_ns
         record = DispatchRecord(core_id, segment_seq, start_ns, end_ns, main_id)
         self.dispatches.append(record)
+        self._core_dispatches[core_id].append(record)
         return record
 
     def abort(self, record: DispatchRecord, at_ns: float) -> Optional[float]:
@@ -189,7 +193,7 @@ class CheckerPool:
         # core (any main's): a squash that lands before the check even
         # began must not rewind the core below an earlier, unaborted check.
         self.busy_until_ns[record.core_id] = max(
-            r.end_ns for r in self.dispatches if r.core_id == record.core_id
+            r.end_ns for r in self._core_dispatches[record.core_id]
         )
         return reclaimed
 

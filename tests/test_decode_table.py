@@ -6,7 +6,9 @@ and register slots from :func:`repro.isa.decode.decode_table` instead of
 from each :class:`StepInfo`.  These tests check, for every PC the
 interpreter retires in every built-in workload and every fuzz profile,
 that the table, each field of the main-core row included, says exactly
-what the interpreter reports.
+what the interpreter reports, and that the read slots are the operands
+each opcode reads by the ISA's definition (:func:`expected_reads`,
+written out here independently of :func:`repro.isa.decode.reads_write`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 from repro.cli import WORKLOAD_BUILDERS
 from repro.config import CHECKER_FU_LATENCY, MAIN_FU_LATENCY
-from repro.isa import ArchState, Executor, Opcode, assemble
+from repro.isa import ArchState, Executor, Instruction, Opcode, assemble
 from repro.isa.decode import (
     FLAGS_SLOT,
     NO_SLOT,
@@ -26,6 +28,7 @@ from repro.isa.decode import (
     UNITS,
     F_BASE,
     decode_table,
+    reads_write,
 )
 from repro.isa.instructions import EXTERNAL_SYSCALLS
 from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS
@@ -39,6 +42,51 @@ def slot_of(tag) -> int:
     """The flat slot of an interpreter register tag."""
     kind, index = tag
     return {"x": index, "f": F_BASE + index, "flags": FLAGS_SLOT}[kind]
+
+
+def _group(operands, *mnemonics):
+    return {Opcode[m.upper()]: operands for m in mnemonics}
+
+
+#: The registers each opcode reads, in operand order, as a function of
+#: the instruction: ``x`` names an integer slot, ``f`` a floating-point
+#: one, and the flags have their own slot.
+_READS = {
+    **_group(
+        lambda i: (i.rs1, i.rs2),
+        "add", "sub", "and", "orr", "eor", "lsl", "lsr", "asr", "mul",
+        "div", "rem", "cmp", "str",
+    ),
+    **_group(
+        lambda i: (i.rs1,),
+        "addi", "subi", "andi", "orri", "eori", "lsli", "lsri", "asri",
+        "mov", "cmpi", "ldr", "fldr", "fcvt", "cbz", "cbnz", "jalr",
+    ),
+    **_group(
+        lambda i: (F_BASE + i.rs1, F_BASE + i.rs2),
+        "fadd", "fsub", "fmul", "fdiv", "fcmp",
+    ),
+    **_group(lambda i: (F_BASE + i.rs1,), "fmov", "fcvti"),
+    **_group(lambda i: (i.rs1, F_BASE + i.rs2), "fstr"),
+    **_group(lambda i: (FLAGS_SLOT,), "beq", "bne", "blt", "bge", "bgt", "ble"),
+    # Every syscall takes its argument in x1.
+    **_group(lambda i: (1,), "syscall"),
+    **_group(lambda i: (), "movi", "fmovi", "b", "jal", "nop", "halt"),
+}  # fmt: skip
+
+
+def expected_reads(instr) -> tuple:
+    """The register slots ``instr`` reads by the ISA's operand rules."""
+    return _READS[instr.opcode](instr)
+
+
+def test_every_opcode_reads_what_the_isa_says():
+    # Opcodes no workload retires are covered here, with distinct
+    # operand registers so a swapped or missing slot shows.
+    assert set(_READS) == set(Opcode)
+    for op in Opcode:
+        instr = Instruction(op, rd=3, rs1=5, rs2=7, imm=1, target=0)
+        assert reads_write(instr)[0] == expected_reads(instr), op
 
 
 def _check_every_retired_pc(workload, budget: int = 200_000) -> int:
@@ -56,7 +104,6 @@ def _check_every_retired_pc(workload, budget: int = 200_000) -> int:
         seen.add(pc)
         instr = info.instruction
         unit = instr.unit
-        reads = tuple(slot_of(tag) for tag in info.reads)
         write = NO_SLOT if info.dest is None else slot_of(info.dest)
         where = f"{workload.name} pc {pc} ({instr})"
         assert table.instructions[pc] is instr, where
@@ -69,7 +116,7 @@ def _check_every_retired_pc(workload, budget: int = 200_000) -> int:
         assert latency == float(MAIN_FU_LATENCY[unit.value]), where
         assert is_load is instr.is_load, where
         assert is_branch is instr.is_branch, where
-        assert row_reads == reads, where
+        assert row_reads == expected_reads(instr), where
         assert row_write == write, where
         assert unit_name == unit.value, where
         external = instr.opcode is Opcode.SYSCALL and instr.imm in EXTERNAL_SYSCALLS

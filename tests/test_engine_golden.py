@@ -9,9 +9,10 @@ were, so any difference here is a behaviour change, not noise.
 
 ``GOLDEN_JIT`` pins how much of each run the compiled tier covered
 (dispatches, instructions run in regions, regions bound), recorded when
-blocks began to stop at the segment target and the budgets.  These
-counts are not simulated results, so a change may move them on purpose;
-a fall in ``instructions`` is a coverage regression.
+blocks began to run through pending detections and to end with their
+region's branch.  These counts are not simulated results, so a change
+may move them on purpose; a fall in ``instructions`` is a coverage
+regression.
 
 To print the fingerprints and tier counts of the current tree::
 
@@ -543,27 +544,27 @@ GOLDEN = {'bzip2/baseline': {'close_reasons': {},
 
 
 #: Each case's tier counts as (dispatches, instructions run in regions,
-#: regions bound), recorded when blocks began to stop at the segment
-#: target and the budgets; None: the run has no tier (a main-core
-#: injector).
+#: regions bound), recorded when blocks began to run through pending
+#: detections and to end with their region's branch; None: the run has
+#: no tier (a main-core injector).
 GOLDEN_JIT = {
-    "bzip2/baseline": (167, 2891, 30),
-    "bzip2/detection": (168, 2889, 30),
-    "bzip2/paradox": (168, 2889, 30),
-    "bzip2/paramedic": (168, 2889, 30),
-    "capacity/stream": (4195, 40125, 4),
-    "external/paradox": (13, 45, 1),
-    "gobmk/baseline": (1081, 16688, 197),
-    "gobmk/detection": (1096, 16687, 197),
-    "gobmk/paradox": (1145, 16525, 197),
-    "gobmk/paramedic": (1092, 16514, 197),
+    "bzip2/baseline": (180, 3090, 32),
+    "bzip2/detection": (181, 3086, 32),
+    "bzip2/paradox": (181, 3086, 32),
+    "bzip2/paramedic": (181, 3086, 32),
+    "capacity/stream": (12232, 133027, 4),
+    "external/paradox": (6975, 20807, 1),
+    "gobmk/baseline": (1341, 18530, 246),
+    "gobmk/detection": (1356, 18527, 246),
+    "gobmk/paradox": (1408, 18355, 246),
+    "gobmk/paramedic": (1353, 18356, 246),
     "main/bitcount": None,
-    "milc/baseline": (86, 2383, 16),
-    "milc/detection": (88, 2383, 16),
-    "milc/paradox": (88, 2383, 16),
-    "milc/paramedic": (88, 2383, 16),
-    "resilient/sjeng": (414, 6868, 102),
-    "sram/bitcount": (1334, 5275, 5),
+    "milc/baseline": (86, 2450, 16),
+    "milc/detection": (88, 2450, 16),
+    "milc/paradox": (88, 2450, 16),
+    "milc/paramedic": (88, 2450, 16),
+    "resilient/sjeng": (526, 8129, 121),
+    "sram/bitcount": (2273, 11188, 5),
 }
 
 

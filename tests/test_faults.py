@@ -24,7 +24,7 @@ from repro.isa.state import ArchState as State
 
 def step_info(opcode=Opcode.ADD, dest=("x", 3), unit_override=None):
     instr = Instruction(opcode, rd=3, rs1=1, rs2=2)
-    return StepInfo(instr, 0, 1, (("x", 1), ("x", 2)), dest, None, None)
+    return StepInfo(instr, 0, 1, dest, None, None)
 
 
 class TestGeometricArrival:
@@ -154,7 +154,7 @@ class TestFunctionalUnitFaultModel:
         add_info = step_info(Opcode.ADD)
         assert not model.on_instruction(state, add_info)
         mul_instr = Instruction(Opcode.MUL, rd=3, rs1=1, rs2=2)
-        mul_info = StepInfo(mul_instr, 0, 1, (), ("x", 3), None, None)
+        mul_info = StepInfo(mul_instr, 0, 1, ("x", 3), None, None)
         assert model.on_instruction(state, mul_info)
 
     def test_no_dest_no_injection(self):
@@ -162,7 +162,7 @@ class TestFunctionalUnitFaultModel:
         model = FunctionalUnitFaultModel(1.0, rng, FunctionalUnit.STORE)
         state = ArchState()
         store_instr = Instruction(Opcode.STR, rs1=1, rs2=2)
-        info = StepInfo(store_instr, 0, 1, (), None, 0, None)
+        info = StepInfo(store_instr, 0, 1, None, 0, None)
         assert not model.on_instruction(state, info)
 
     def test_corrupts_written_register(self):

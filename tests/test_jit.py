@@ -5,9 +5,10 @@ The contract under test: running any workload through the tier
 ``use_jit``) is *bit-identical* to pure interpretation — same final
 architectural state, same retired-instruction count, same timing, same
 telemetry-visible bookkeeping, and the same trap at a PC outside the
-program.  Every region is checked on its own too:
-any offsets ``[s, e)`` of it equal ``e - s`` interpreted steps, also
-when the data port raises part-way.  The cache protocol (a region is
+program.  Every region is checked on its own too: any offsets
+``[s, e)`` of it equal ``e - s`` interpreted steps, also when the data
+port raises part-way, when its closing branch goes either way, and when
+a detection bound stops it early.  The cache protocol (a region is
 compiled only when a run dispatches into it, bound regions survive DVFS
 voltage moves, segment turnover rebinds the recorder) and the
 structural exclusion of fault-injection points (no tier exists under a
@@ -16,6 +17,7 @@ main-core injector) are pinned explicitly.
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 import time
@@ -44,7 +46,11 @@ from repro.isa import (
     assemble,
 )
 from repro.isa.decode import UNIT_INDEX, decode_table
-from repro.isa.instructions import BRANCH_OPCODES
+from repro.isa.instructions import (
+    BRANCH_OPCODES,
+    CONDITIONAL_FLAG_BRANCHES,
+    CONDITIONAL_REG_BRANCHES,
+)
 from repro.isa.registers import MASK64
 from repro.jit import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK, SuperblockJit
 from repro.jit.tier import _SHARED_CODE
@@ -52,17 +58,40 @@ from repro.memory import MemoryHierarchy
 from repro.oracle import differential
 from repro.oracle.fuzzer import PROFILES, build_workload, generate_case, run_case
 from repro.parallel import run_fanout
-from repro.workloads import Workload, build_spec_workload, golden_run
+from repro.workloads import Workload, build_bitcount, build_spec_workload, golden_run
 
 # ---------------------------------------------------------------------------
 # discovery
 
 
+def _assert_region_shape(program):
+    """``HALT`` and ``SYSCALL`` never compile, and a branch only ever
+    ends a region; every other instruction in a region is compilable."""
+    for pc, (start, room) in decode_table(program).blocks.items():
+        assert start <= pc
+        *body, last = program.instructions[start : pc + room]
+        for instr in body:
+            assert instr.opcode in COMPILABLE_OPCODES, (pc, instr)
+        assert last.opcode in COMPILABLE_OPCODES | BRANCH_OPCODES, (pc, last)
+
+
 class TestSuperblockDiscovery:
     def test_branches_halt_syscall_are_not_compilable(self):
+        # Branches may only end a region, so none may sit inside one.
         assert not (COMPILABLE_OPCODES & set(BRANCH_OPCODES))
         assert Opcode.HALT not in COMPILABLE_OPCODES
         assert Opcode.SYSCALL not in COMPILABLE_OPCODES
+        program = assemble(
+            "top:\nmovi x1, 1\nmovi x2, 2\nmovi x3, 3\nsyscall 1\n"
+            "movi x4, 4\nmovi x5, 5\nmovi x6, 6\nhalt\n"
+            "movi x1, 1\nmovi x2, 2\nb top\nb top\nmovi x3, 3\nhalt"
+        )
+        blocks = decode_table(program).blocks
+        # SYSCALL and HALT end a stretch before themselves, the first
+        # ``b`` ends its stretch with itself, and the second ``b`` has
+        # no stretch before it.
+        assert blocks == {0: (0, 3), 4: (4, 3), 8: (8, 3)}
+        _assert_region_shape(program)
 
     def test_out_of_range_pc(self):
         program = assemble("movi x1, 1\nmovi x2, 2\nmovi x3, 3\nhalt")
@@ -73,6 +102,20 @@ class TestSuperblockDiscovery:
     def test_entry_on_branch_is_not_a_block(self):
         program = assemble("loop:\nmovi x1, 1\nmovi x2, 2\nmovi x3, 3\nb loop")
         assert 3 not in decode_table(program).blocks
+
+    def test_region_ends_with_its_branch(self):
+        program = assemble("loop:\nmovi x1, 1\nmovi x2, 2\ncbnz x1, loop\nhalt")
+        # MIN_BLOCK counts the branch.
+        assert decode_table(program).blocks == {0: (0, 3)}
+        for op in sorted(BRANCH_OPCODES, key=lambda op: op.mnemonic):
+            branch = Instruction(op, rd=5, rs1=1, target=0)
+            program = Program(
+                instructions=(Instruction(Opcode.MOVI, rd=1, imm=1),) * 2
+                + (branch, Instruction(Opcode.HALT)),
+                labels={},
+                name="tail",
+            )
+            assert decode_table(program).blocks == {0: (0, 3)}, op
 
     def test_short_runs_stay_interpreted(self):
         program = assemble("movi x1, 1\nmovi x2, 2\nhalt")
@@ -98,12 +141,15 @@ class TestSuperblockDiscovery:
         assert decode_table(program).blocks[0] == (0, MAX_BLOCK)
 
     def test_fuzz_blocks_never_contain_excluded_opcodes(self):
+        ended_by_branch = 0
         for profile in PROFILES:
             program = build_workload(generate_case(11, profile)).program
-            for pc, (start, room) in decode_table(program).blocks.items():
-                assert start <= pc
-                for instr in program.instructions[start : pc + room]:
-                    assert instr.opcode in COMPILABLE_OPCODES
+            _assert_region_shape(program)
+            ended_by_branch += sum(
+                program.instructions[start + length - 1].is_branch
+                for start, length in _region_spans(program)
+            )
+        assert ended_by_branch > 0
 
     def test_stretches_are_cut_into_fixed_regions(self):
         source = "\n".join(f"movi x{1 + (i % 5)}, {i}" for i in range(MAX_BLOCK + 4))
@@ -117,6 +163,14 @@ class TestSuperblockDiscovery:
         assert blocks[second - 3] == (first, 3)
         assert blocks[second] == (second, 4)
         assert blocks[second + 1] == (second, 3)
+
+    def test_a_cut_stretch_keeps_its_branch_in_the_last_region(self):
+        source = "\n".join(f"movi x{1 + (i % 5)}, {i}" for i in range(MAX_BLOCK + 2))
+        program = assemble("top:\n" + source + "\nbne top\nhalt")
+        blocks = decode_table(program).blocks
+        assert blocks[0] == (0, MAX_BLOCK)
+        assert blocks[MAX_BLOCK] == (MAX_BLOCK, 3)
+        assert MAX_BLOCK + 1 not in blocks
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +278,13 @@ class _Harness:
         )
 
     def _commit(self, pc, address=None, taken=None, pc_after=None):
-        # Regions hold no branch, so ``pc_after`` matters to neither path.
-        self.commits.append((pc, address, taken))
-        return self.timing.commit(pc, address, taken, pc_after)
+        cycle = self.timing.commit(pc, address, taken, pc_after)
+        # The timing model reads ``pc_after`` of branches only, and only
+        # the interpreted loops pass it for other instructions.
+        if taken is None:
+            pc_after = None
+        self.commits.append((pc, address, taken, pc_after, cycle))
+        return cycle
 
     def _rec(self, unit, writes):
         self.recs.append((unit, writes))
@@ -265,7 +323,7 @@ class _Harness:
         """``steps`` interpreted instructions, with the engine loop's
         bookkeeping, in its order, where this mode has it."""
         self._start(seed, pc, fail_at)
-        raised = False
+        ran = 0
         try:
             for _ in range(steps):
                 info = self.executor.step()
@@ -275,23 +333,27 @@ class _Harness:
                     )
                 if self.record:
                     self._rec(UNIT_INDEX[info.instruction.unit], info.dest is not None)
+                ran += 1
         except _PortStop:
-            raised = True
-        return self._observe(raised)
+            ran = None
+        return {**self._observe(ran is None), "ran": ran}
 
-    def compiled(self, seed, start, s, e, fail_at):
-        """Offsets ``[s, e)`` of the region at ``start``."""
+    def compiled(self, seed, start, s, e, fail_at, bound=math.inf):
+        """Offsets ``[s, e)`` of the region at ``start``; record+commit
+        regions also take ``bound``."""
         self._start(seed, start + s, fail_at)
         run = self.jit.runner(start)
-        raised = False
         try:
-            if self.record:
-                run(self._rec, s, e)
+            if self.record and self.commit:
+                reached = run(self._rec, s, e, bound)
+            elif self.record:
+                reached = run(self._rec, s, e)
             else:
-                run(s, e)
+                reached = run(s, e)
+            ran = reached - s
         except _PortStop:
-            raised = True
-        return self._observe(raised)
+            ran = None
+        return {**self._observe(ran is None), "ran": ran}
 
 
 def _region_spans(program):
@@ -301,9 +363,12 @@ def _region_spans(program):
 
 
 def _assert_regions_match_interpreter(program, record, commit):
+    """Check every region against the interpreter; return the
+    ``(pc, taken)`` outcomes its closing conditional branches took."""
     spans = _region_spans(program)
     assert spans
     harness = _Harness(program, record, commit)
+    outcomes = set()
     for start, length in spans:
         rng = random.Random(start * 131 + length)
         pairs = {(0, length), (length - 1, length), (0, 1)}
@@ -324,6 +389,33 @@ def _assert_regions_match_interpreter(program, record, commit):
             want = harness.interpreted(seed, start + s, e - s, fail_at)
             assert got == want, (start, s, e, fail_at)
             assert got["raised"] == (fail_at is not None)
+            assert got["ran"] in (None, e - s)
+            last = start + length - 1
+            if e == length and not got["raised"]:
+                opcode = program.instructions[last].opcode
+                if opcode in CONDITIONAL_FLAG_BRANCHES | CONDITIONAL_REG_BRANCHES:
+                    # The branch resolved as interpreted: took the same
+                    # way and left the block at the same PC.
+                    outcomes.add((last, got["pc"] == program.instructions[last].target))
+        if record and commit:
+            # A detection bound at the commit cycle of offset ``k`` stops
+            # the block right after ``k``, exactly where interpreting
+            # through ``k`` ends.
+            seed = start * 7919 + length
+            full = harness.interpreted(seed, start, length, None)
+            cycles = [commit[-1] for commit in full["commits"]]
+            for k in sorted({0, length // 2, length - 2, length - 1}):
+                got = harness.compiled(seed, start, 0, length, None, cycles[k])
+                want = harness.interpreted(seed, start, k + 1, None)
+                assert got == want, (start, k)
+                assert got["ran"] == k + 1
+    return outcomes
+
+
+def _assert_both_ways(outcomes):
+    """Some closing conditional branch was seen taken and not taken."""
+    taken = {pc for pc, went in outcomes if went}
+    assert any(pc in taken for pc, went in outcomes if not went), outcomes
 
 
 _MODES = [(False, False), (True, False), (False, True), (True, True)]
@@ -334,14 +426,16 @@ class TestRegionEquivalence:
     @pytest.mark.parametrize("record,commit", _MODES, ids=_MODE_IDS)
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_every_fuzz_region(self, profile, record, commit):
+        outcomes = set()
         for seed in (1, 7, 23):
             program = build_workload(generate_case(seed, profile)).program
-            _assert_regions_match_interpreter(program, record, commit)
+            outcomes |= _assert_regions_match_interpreter(program, record, commit)
+        _assert_both_ways(outcomes)
 
     @pytest.mark.parametrize("record,commit", _MODES, ids=_MODE_IDS)
     def test_every_spec_region(self, record, commit):
         program = build_spec_workload("gobmk", iterations=2).program
-        _assert_regions_match_interpreter(program, record, commit)
+        _assert_both_ways(_assert_regions_match_interpreter(program, record, commit))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +490,35 @@ class TestEngineIdentity:
 
     def test_checker_fault_run_with_recoveries(self):
         workload = build_spec_workload("milc", iterations=12)
-        from repro.config import table1_config
-
         config = table1_config().with_error_rate(1e-3, seed=3)
         jitted = ParaDoxSystem(config=config).run(workload, seed=3)
         interp = ParaDoxSystem(config=config, jit=False).run(workload, seed=3)
         assert jitted.faults_injected > 0
         assert jitted.recoveries  # rollbacks replayed through both paths
         assert _result_fingerprint(jitted) == _result_fingerprint(interp)
+
+    @pytest.mark.parametrize(
+        "workload",
+        [build_bitcount(values=10), build_spec_workload("sjeng", iterations=3)],
+        ids=lambda workload: workload.name,
+    )
+    def test_error_seeking_run_stays_in_blocks(self, workload):
+        # Figure 8's error-seeking regime: a detecting check is in flight
+        # for long stretches, and blocks keep running through them.  Over
+        # five fault schedules some detection matures on the instruction
+        # that also fills the segment, where the detection must win.
+        for seed in range(1, 6):
+            config = table1_config().with_error_rate(5e-3, seed=seed)
+            system = ParaDoxSystem(config=config, resilient=True)
+            engine = system.engine(workload, seed=seed)
+            jitted = engine.run(workload.max_instructions)
+            interp = ParaDoxSystem(config=config, resilient=True, jit=False).run(
+                workload, seed=seed
+            )
+            assert _result_fingerprint(jitted) == _result_fingerprint(interp), seed
+            assert jitted.recoveries, seed
+            executed = jitted.instructions_executed
+            assert engine.jit.stats.instructions >= 0.9 * executed, seed
 
 
 # ---------------------------------------------------------------------------

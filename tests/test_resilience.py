@@ -44,7 +44,6 @@ def alu_write_info(dest_index=5, unit=FunctionalUnit.INT_ALU):
     return SimpleNamespace(
         instruction=SimpleNamespace(unit=unit),
         dest=("x", dest_index),
-        reads=(),
         address=None,
         taken=None,
         pc_before=0,

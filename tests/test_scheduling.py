@@ -186,6 +186,47 @@ class TestDispatchAndAbort:
             assert all(r.end_ns >= r.start_ns for r in mine)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),  # main id
+                st.integers(min_value=0, max_value=3),  # core id
+                st.floats(min_value=0.0, max_value=500.0),  # start
+                st.floats(min_value=1.0, max_value=200.0),  # duration
+                st.lists(  # aborts of earlier records: (which, time)
+                    st.tuples(
+                        st.integers(min_value=0, max_value=50),
+                        st.floats(min_value=0.0, max_value=800.0),
+                    ),
+                    max_size=2,
+                ),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_abort_matches_a_scan_of_the_whole_history(self, ops):
+        """Abort clamps each core against its own records only; after
+        every step, on several cores fed by two mains, busy-until equals
+        the max end over the pool's whole dispatch history filtered by
+        core."""
+        pool = CheckerPool(4, SchedulingPolicy.LOWEST_FREE_ID, main_count=2)
+
+        def scanned(core_id):
+            mine = [r.end_ns for r in pool.dispatches if r.core_id == core_id]
+            return max(mine, default=0.0)
+
+        records = []
+        for seq, (main_id, core_id, start, duration, aborts) in enumerate(ops):
+            start = max(start, pool.busy_until_ns[core_id])
+            records.append(pool.dispatch(core_id, seq, start, duration, main_id))
+            assert pool.busy_until_ns == [scanned(c) for c in range(len(pool))]
+            for which, at_ns in aborts:
+                pool.abort(records[which % len(records)], at_ns)
+                assert pool.busy_until_ns == [scanned(c) for c in range(len(pool))]
+
+
 class TestStatistics:
     def test_wake_rates_fraction(self):
         pool = make_pool(SchedulingPolicy.LOWEST_FREE_ID)
