@@ -813,7 +813,7 @@ class SimulationEngine:
                 self.program,
                 self.state,
                 self.port if checking else self.memory,
-                commit=self.timing.commit,
+                self.timing.commit,
                 record=checking,
             )
         if not checking:

@@ -1,18 +1,18 @@
-"""Out-of-line helpers called by generated superblock code.
+"""The ISA's arithmetic rules, one copy each.
 
-Each helper replicates one :class:`~repro.isa.executor.Executor` handler
-exactly — same zero-divisor conventions, same saturation, same NZCV
-packing — so a compiled block and the interpreter are bit-identical on
-every input.  They are resolved once per block activation (hoisted into
-factory locals), so a call costs one ``LOAD_FAST`` instead of attribute
-traffic.
+The interpreter's handlers (:mod:`repro.isa.executor`) and the code the
+compiled tier generates (:mod:`repro.jit.emit`) both call these, so the
+two paths share the zero-divisor conventions, the saturation and the
+NZCV packing by construction.  The reference ISS
+(:mod:`repro.oracle.reference`) keeps its own independent versions: it
+is the model both are checked against.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..isa.registers import MASK64
+from .registers import MASK64
 
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
@@ -61,9 +61,9 @@ def fcvti(value: float) -> int:
 def flags_sub(a: int, b: int) -> int:
     """NZCV nibble for ``a - b``; operands must already be 64-bit masked.
 
-    Packs exactly what ``RegisterFile.set_flags(*_flags_from_sub(a, b))``
-    stores: N at bit 3, Z at 2, C (unsigned no-borrow) at 1, V (signed
-    overflow) at 0.
+    N (result negative) at bit 3, Z (result zero) at 2, C (unsigned
+    no-borrow) at 1, V (signed overflow) at 0, the layout of
+    ``RegisterFile.flags``.
     """
     result = (a - b) & MASK64
     sa = a - _TWO64 if a >> 63 else a

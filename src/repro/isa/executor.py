@@ -16,15 +16,17 @@ simulator crashes):
   (remainder);
 * shift amounts use only the low 6 bits;
 * ``FCVTI`` saturates on overflow and maps NaN to zero.
+
+The division, conversion and compare rules live in :mod:`repro.isa.arith`,
+which the compiled tier's generated code calls too.
 """
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Tuple
 
+from .arith import fcvti, fdiv, flags_sub, sdiv, srem
 from .errors import HaltTrap, InvalidPcTrap
 from .instructions import Instruction, Opcode, Syscall
 from .program import Program
@@ -68,18 +70,6 @@ class StepInfo:
     taken: Optional[bool]
 
 
-def _flags_from_sub(a: int, b: int) -> Tuple[bool, bool, bool, bool]:
-    """NZCV for ``a - b`` with 64-bit two's-complement semantics."""
-    sa, sb = to_signed(a), to_signed(b)
-    result = (a - b) & MASK64
-    n = bool(result >> 63)
-    z = result == 0
-    c = to_unsigned(a) >= to_unsigned(b)
-    signed_result = sa - sb
-    v = not (-(1 << 63) <= signed_result < (1 << 63))
-    return n, z, c, v
-
-
 class Executor:
     """Step a program over an architectural state and a data port.
 
@@ -103,11 +93,6 @@ class Executor:
             (dispatch[instruction.opcode], instruction)
             for instruction in program.instructions
         ]
-        # Optional compiled superblock tier; attach_jit() installs one
-        # and run() then offers every PC to it first.  step() is always
-        # pure interpretation — engine loops that need per-instruction
-        # control keep using it and enter the tier themselves.
-        self.jit = None
 
     _CONDITIONS = {
         Opcode.BEQ: lambda n, z, c, v: z,
@@ -127,19 +112,6 @@ class Executor:
         self._port_cell[0] = port
 
     # -- public API --------------------------------------------------------------
-    def attach_jit(self):
-        """Install a bare-mode superblock tier and return it.
-
-        :meth:`run` then offers each PC to its
-        :meth:`~repro.jit.tier.SuperblockJit.run_block` with the budget
-        left and interprets the PCs it declines.  Imported lazily:
-        :mod:`repro.jit` builds on this module.
-        """
-        from ..jit import SuperblockJit
-
-        self.jit = SuperblockJit(self.program, self.state, self.port)
-        return self.jit
-
     def step(self) -> StepInfo:
         """Execute one instruction; raises :class:`SimTrap` subclasses."""
         state = self.state
@@ -160,14 +132,10 @@ class Executor:
         """Run until HALT or the instruction budget; return instructions retired."""
         state = self.state
         step = self.step
-        run_block = self.jit.run_block if self.jit is not None else None
-        # Both step() and compiled blocks advance instret once per
-        # retired instruction, so the budget and the count read it.
         start = state.instret
         limit = start + max_instructions
-        while not state.halted and (instret := state.instret) < limit:
-            if run_block is None or not run_block(limit - instret):
-                step()
+        while not state.halted and state.instret < limit:
+            step()
         return state.instret - start
 
     # -- dispatch construction --------------------------------------------------------
@@ -212,29 +180,6 @@ class Executor:
 
             return execute
 
-        def sdiv(a: int, b: int) -> int:
-            if b == 0:
-                return MASK64
-            sa, sb = to_signed(a), to_signed(b)
-            q = abs(sa) // abs(sb)
-            return to_unsigned(-q if (sa < 0) != (sb < 0) else q)
-
-        def srem(a: int, b: int) -> int:
-            if b == 0:
-                return a
-            sa, sb = to_signed(a), to_signed(b)
-            r = abs(sa) % abs(sb)
-            return to_unsigned(-r if sa < 0 else r)
-
-        def fdiv(a: float, b: float) -> float:
-            if b == 0.0:
-                # IEEE 754: x/±0 is ±inf with the XOR of the operand
-                # signs (so 1.0/-0.0 is -inf), and 0/0 or NaN/0 is NaN.
-                if a == 0.0 or math.isnan(a):
-                    return float("nan")
-                return math.copysign(float("inf"), a) * math.copysign(1.0, b)
-            return a / b
-
         d[Opcode.ADD] = binop(lambda a, b: a + b)
         d[Opcode.SUB] = binop(lambda a, b: a - b)
         d[Opcode.AND] = binop(lambda a, b: a & b)
@@ -269,11 +214,11 @@ class Executor:
             return advance(instr, ("x", instr.rd))
 
         def exec_cmp(instr: Instruction) -> StepInfo:
-            regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], regs.x[instr.rs2]))
+            regs.flags = flags_sub(regs.x[instr.rs1], regs.x[instr.rs2])
             return advance(instr, ("flags", 0))
 
         def exec_cmpi(instr: Instruction) -> StepInfo:
-            regs.set_flags(*_flags_from_sub(regs.x[instr.rs1], to_unsigned(instr.imm)))
+            regs.flags = flags_sub(regs.x[instr.rs1], to_unsigned(instr.imm))
             return advance(instr, ("flags", 0))
 
         def exec_fcmp(instr: Instruction) -> StepInfo:
@@ -297,16 +242,7 @@ class Executor:
             return advance(instr, ("f", instr.rd))
 
         def exec_fcvti(instr: Instruction) -> StepInfo:
-            value = regs.read_f(instr.rs1)
-            if value != value:  # NaN
-                result = 0
-            elif value >= 2.0**63:
-                result = (1 << 63) - 1
-            elif value <= -(2.0**63):
-                result = 1 << 63  # most-negative pattern
-            else:
-                result = to_unsigned(int(value))
-            regs.write_x(instr.rd, result)
+            regs.write_x(instr.rd, fcvti(regs.read_f(instr.rs1)))
             return advance(instr, ("x", instr.rd))
 
         def exec_load(instr: Instruction) -> StepInfo:

@@ -26,24 +26,34 @@ bit-identical by construction (the differential oracle in
 :mod:`repro.oracle` is the merge gate for every change to this
 package).
 
+The tier emits exactly the two modes the engine's loops run, and every
+compiled instruction calls the run's timing ``commit``: **record**
+regions, which also record into the live log segment and stop at the
+detection bound, serve the protected engine's fill loop (and the
+differential oracle, so the fuzz corpus checks the code the protected
+engine binds); **commit-only** regions serve the unprotected loop.
+Nothing else enters the tier: ``Executor.run`` and ``golden_run``
+interpret, so the golden reference never shares the tier's path.
+
 Layering:
 
 * :mod:`repro.jit.superblock` — region discovery (which opcodes may be
   folded, where a region must end, the decode table's ``blocks``
   mapping of block-start PCs to region start and room);
-* :mod:`repro.jit.runtime` — the handful of out-of-line helpers the
-  generated code calls (signed division, IEEE division, NZCV packing);
 * :mod:`repro.jit.emit` — per-opcode source emission, the closing
-  branch, and the per-mode bookkeeping (a timing ``commit(pc)`` per
-  instruction, segment recording, the detection bound), with the
-  static per-instruction facts read from the program's
-  :class:`~repro.isa.decode.DecodeTable`;
+  branch, and the bookkeeping (a timing ``commit(pc)`` per
+  instruction; in record mode segment recording and the detection
+  bound), with the static per-instruction facts read from the
+  program's :class:`~repro.isa.decode.DecodeTable` and the
+  out-of-line arithmetic (signed division, IEEE division, NZCV
+  packing) called from :mod:`repro.isa.arith`, the interpreter's own
+  copy;
 * :mod:`repro.jit.tier` — dispatch (``run_block``) and the cache:
   region factories compiled once per process (on first dispatch, or
-  for a whole program ahead of time with ``compile_regions``) and
-  shared across runs, threads and forked children (they hold code
-  only), bound once per run (they survive voltage moves), per-segment
-  recorder rebinding.
+  for a whole program ahead of time with ``compile_regions``), keyed
+  by program and record flag, and shared across runs, threads and
+  forked children (they hold code only), bound once per run (they
+  survive voltage moves), per-segment recorder rebinding.
 """
 
 from .superblock import COMPILABLE_OPCODES, MAX_BLOCK, MIN_BLOCK

@@ -1,8 +1,9 @@
 """Source emission for compiled regions.
 
 One region (see :mod:`repro.jit.superblock`) becomes one generated
-factory.  In record+commit mode, for a region of three ALU instructions
-and a closing ``bne``::
+factory, in one of two emission modes: record (the protected engine's
+fill loop) or commit-only (the unprotected loop).  In record mode, for
+a region of three ALU instructions and a closing ``bne``::
 
     def __factory__(__ctx__):
         state = __ctx__['state']
@@ -34,24 +35,25 @@ and a closing ``bne``::
         return __region__
     __block__ = __factory__
 
-``__region__(s, e)`` runs the region's offsets ``s`` to ``e - 1`` and
-nothing else: each instruction is guarded by its offset, the entry
-guards skip what lies before ``s``, and the exit check after offset
-``e - 1`` leaves the loop.  It returns the offset it reached, ``e``
-unless the bound stopped it first.  So one compiled function serves
-every entry PC of its region and every budget
+A commit-only region is the same without ``rec`` and ``B``:
+``__region__(s, e)``.  Either runs the region's offsets ``s`` to
+``e - 1`` and nothing else: each instruction is guarded by its offset,
+the entry guards skip what lies before ``s``, and the exit check after
+offset ``e - 1`` leaves the loop.  It returns the offset it reached,
+``e`` unless the bound stopped it first.  So one compiled function
+serves every entry PC of its region and every budget
 :meth:`SuperblockJit.run_block <repro.jit.tier.SuperblockJit.run_block>`
 cuts it to.
 
-**The bound.**  Only record+commit regions (the protected engine's
-fill loop, the one loop with detections to watch) take a fourth
-argument ``B``, a commit cycle: after an instruction's ``rec`` call the
-region also leaves, at the next offset, once the cycle its timing
-``commit`` returned is at or past ``B``.  The engine sets ``B`` just
-below the cycle at which its wall clock reaches the earliest pending
-detection, so a block never runs past the instruction where the
-interpreter would handle it.  The other modes have nothing pending and
-emit no check.
+**The bound.**  Only record regions (the protected engine's fill loop,
+the one loop with detections to watch) take a fourth argument ``B``, a
+commit cycle: after an instruction's ``rec`` call the region also
+leaves, at the next offset, once the cycle its timing ``commit``
+returned is at or past ``B``.  The engine sets ``B`` just below the
+cycle at which its wall clock reaches the earliest pending detection,
+so a block never runs past the instruction where the interpreter would
+handle it.  The unprotected loop has nothing pending,
+so commit-only regions emit no check.
 
 **The branch tail.**  A region may end with a branch (its last
 instruction only).  The tail needs no guard, since every entry offset
@@ -60,10 +62,11 @@ length.  It resolves the branch the way the executor's handlers do
 (flag conditions from the NZCV nibble in ``regs.flags``, ``CBZ``/
 ``CBNZ`` from ``x[rs1]``, a ``JALR`` target read before the link
 write, no link write to ``x0``), commits it as
-``commit(pc, None, taken, next_pc)`` like the interpreted loops, records
-it, and returns with ``state.pc`` at the resolved target.  A wild
-``JALR`` target is left in ``state.pc`` as is: no block starts there,
-so the next ``step()`` traps exactly as the interpreter does.
+``commit(pc, None, taken, next_pc)`` like the interpreted loops,
+records it in record mode, and returns with ``state.pc`` at the
+resolved target.  A wild ``JALR`` target is left in ``state.pc`` as
+is: no block starts there, so the next ``step()`` traps exactly as the
+interpreter does.
 
 Register indices, immediates (pre-wrapped through ``to_unsigned`` where
 the interpreter does it), FMOVI bit patterns and PC values are folded
@@ -95,9 +98,8 @@ Equivalence contract (checked by the differential oracle and
   for its log record and trap behaviour.
 * Per-instruction bookkeeping replays the engine/oracle loop order:
   architectural effect, then the timing ``commit`` (which also counts
-  the unit mix and, for the branch, drives the predictor), then
-  ``segment.record_instruction`` — whichever of those the execution
-  mode wires in — then the bound check.
+  the unit mix and, for the branch, drives the predictor), then, in
+  record mode, ``segment.record_instruction`` and the bound check.
 """
 
 from __future__ import annotations
@@ -180,10 +182,9 @@ _HOISTS: Dict[str, str] = {
 
 
 class _Emitter:
-    def __init__(self, table: DecodeTable, record: bool, commit: bool) -> None:
+    def __init__(self, table: DecodeTable, record: bool) -> None:
         self.table = table
         self.record = record
-        self.commit = commit
         #: The current instruction's lines.
         self.body: List[str] = []
         self.needs: Dict[str, None] = {"state": None}
@@ -325,13 +326,12 @@ class _Emitter:
         raise ValueError(f"{op} is not compilable")
 
     def _emit_bookkeeping(self, pc: int, args: str, keep_cycle: bool) -> None:
-        """Append the ``commit(pc, args)`` and ``rec`` calls this mode
-        wires in; ``keep_cycle`` stores the commit cycle in ``_c``."""
+        """Append the ``commit(pc, args)`` call and, in record mode, the
+        ``rec`` call; ``keep_cycle`` stores the commit cycle in ``_c``."""
         out = self.body.append
-        if self.commit:
-            self.need("commit")
-            call = f"commit({pc}{args})"
-            out(f"_c = {call}" if keep_cycle else call)
+        self.need("commit")
+        call = f"commit({pc}{args})"
+        out(f"_c = {call}" if keep_cycle else call)
         if self.record:
             table = self.table
             out(f"rec({table.unit_index[pc]}, {table.writes_register[pc]})")
@@ -373,24 +373,21 @@ def emit_factory_source(
     length: int,
     *,
     record: bool,
-    commit: bool,
 ) -> str:
     """Render the factory module source for the region at ``start``.
 
-    ``record`` wires in per-instruction ``rec(unit_index,
-    writes_register)`` calls, both folded from the program's decode
-    table (the region takes the current segment's ``record_instruction``
-    as its first argument, so segment turnover never invalidates code);
-    ``commit`` wires in the timing model's ``commit(pc)``, or
+    Every instruction calls the timing model's ``commit(pc)``, or
     ``commit(pc, _a)`` for a memory operation and
     ``commit(pc, None, taken, next_pc)`` for the closing branch, with
-    the PC folded in as a literal.  Both together add the bound ``B``
-    and its exit check.  ``golden_run`` uses neither, the differential
-    oracle records only, the unprotected engine commits only, and the
-    protected engine does both.
+    the PC folded in as a literal.  ``record`` adds per-instruction
+    ``rec(unit_index, writes_register)`` calls, both folded from the
+    program's decode table (the region takes the current segment's
+    ``record_instruction`` as its first argument, so segment turnover
+    never invalidates code), and the bound ``B`` with its exit check.
+    The protected engine and the differential oracle record; the
+    unprotected engine commits only.
     """
-    em = _Emitter(table, record, commit)
-    bounded = record and commit
+    em = _Emitter(table, record)
     body: List[str] = []
     last = length - 1
     branch = table.instructions[start + last]
@@ -402,20 +399,15 @@ def emit_factory_source(
             raise ValueError(f"pc {pc}: {instr.opcode} inside a region")
         em.body = []
         is_memory = em._emit_arch(i, pc, instr)
-        em._emit_bookkeeping(pc, ", _a" if is_memory else "", bounded and i < last)
-        if em.body:
-            body.append(f"if s <= {i}:")
-            body.extend(f"    {line}" for line in em.body)
-            if bounded and i < last:
-                body.append(f"    if e == {i + 1} or _c >= B:")
-                body.append(f"        e = {i + 1}")
-                body.append("        break")
-            elif i < last:
-                body.append(f"    if e == {i + 1}: break")
+        em._emit_bookkeeping(pc, ", _a" if is_memory else "", record and i < last)
+        body.append(f"if s <= {i}:")
+        body.extend(f"    {line}" for line in em.body)
+        if record and i < last:
+            body.append(f"    if e == {i + 1} or _c >= B:")
+            body.append(f"        e = {i + 1}")
+            body.append("        break")
         elif i < last:
-            # Nothing to run (a bare-mode NOP or x0 write): s <= i
-            # whenever e == i + 1, so the exit needs no entry guard.
-            body.append(f"if e == {i + 1}: break")
+            body.append(f"    if e == {i + 1}: break")
     if straight == length:
         body.append("break")
     else:
@@ -423,10 +415,7 @@ def emit_factory_source(
         em._emit_branch(length, start + last, branch)
         body.extend(em.body)
 
-    if bounded:
-        signature = "rec, s, e, B"
-    else:
-        signature = "rec, s, e" if record else "s, e"
+    signature = "rec, s, e, B" if record else "s, e"
     lines = ["def __factory__(__ctx__):"]
     for name, hoist in _HOISTS.items():
         if name in em.needs:

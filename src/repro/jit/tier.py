@@ -5,9 +5,10 @@ Two layers of caching, keyed by region start (see
 :mod:`repro.jit.superblock`):
 
 * ``_code`` — the compiled factories, shared by every tier over the
-  same program object and emission mode (``_SHARED_CODE``).  A factory
-  is code only: it holds nothing a run writes, and programs are
-  immutable, so this layer is never invalidated.
+  same program object and emission mode (``_SHARED_CODE``, keyed by
+  the program's identity and the ``record`` flag).  A factory is code
+  only: it holds nothing a run writes, and programs are immutable, so
+  this layer is never invalidated.
 * ``_active`` — bound region functions: the factory executed against
   the run's live context (state, register lists, port methods, timing
   ``commit``).  None of these depends on the supply
@@ -24,9 +25,9 @@ and counts the dispatch.  Bound regions come only from
 :meth:`SuperblockJit.runner`, which ``run_block`` calls on a miss.
 Code comes from the same call, the first time a region runs, or ahead
 of any run from :func:`compile_regions`, which compiles a whole program
-in one emission mode: a campaign parent does that once per workload,
-so its forked cells only bind.  Both paths compile through one
-helper.
+for the protected engine: a campaign parent does that once per
+workload, so its forked cells only bind.  Both paths compile through
+one helper.
 
 Segment turnover costs no cache traffic either: record-mode regions
 take the recorder as a call argument, so
@@ -42,9 +43,9 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..isa import arith
 from ..isa.decode import decode_table
 from ..isa.registers import bits_to_float, float_to_bits
-from . import runtime
 from .emit import emit_factory_source
 
 #: A compiled region's ``__factory__``: called with a run's context, it
@@ -58,11 +59,11 @@ Factory = Callable[[Dict[str, Any]], Callable[..., int]]
 # be reused.  Sharing is safe across runs and threads because programs
 # are immutable and a factory holds no state: everything a run touches
 # is bound from that run's context.
-_SHARED_CODE: Dict[Tuple[int, bool, bool], Dict[int, Factory]] = {}
+_SHARED_CODE: Dict[Tuple[int, bool], Dict[int, Factory]] = {}
 
 
-def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, Factory]:
-    key = (id(program), record, commit)
+def _shared_code_for(program, record: bool) -> Dict[int, Factory]:
+    key = (id(program), record)
     cache = _SHARED_CODE.get(key)
     if cache is None:
         cache = {}
@@ -71,11 +72,9 @@ def _shared_code_for(program, record: bool, commit: bool) -> Dict[int, Factory]:
     return cache
 
 
-def _compile_region(table, start: int, record: bool, commit: bool) -> Factory:
+def _compile_region(table, start: int, record: bool) -> Factory:
     """Compile the region at ``start`` of ``table``'s program."""
-    source = emit_factory_source(
-        table, start, table.blocks[start][1], record=record, commit=commit
-    )
+    source = emit_factory_source(table, start, table.blocks[start][1], record=record)
     namespace: Dict[str, Any] = {}
     exec(compile(source, f"<region pc={start}>", "exec"), namespace)
     # The factory's globals are this namespace: take it out so the
@@ -85,19 +84,19 @@ def _compile_region(table, start: int, record: bool, commit: bool) -> Factory:
     return factory
 
 
-def compile_regions(program, *, record: bool, commit: bool) -> None:
-    """Compile every region of ``program`` in one emission mode ahead of
-    its first dispatch.
+def compile_regions(program) -> None:
+    """Compile every region of ``program`` for the protected engine
+    (record+commit) ahead of its first dispatch.
 
-    Tiers over the program in that mode then bind these factories and
-    compile nothing, as do processes forked after this call: a campaign
-    parent prepares each workload once and every cell inherits it.
+    Record tiers over the program then bind these factories and compile
+    nothing, as do processes forked after this call: a campaign parent
+    prepares each workload once and every cell inherits it.
     """
     table = decode_table(program)
-    code = _shared_code_for(program, record, commit)
+    code = _shared_code_for(program, True)
     for start, _ in table.blocks.values():
         if start not in code:
-            code[start] = _compile_region(table, start, record, commit)
+            code[start] = _compile_region(table, start, True)
 
 
 @dataclass
@@ -140,17 +139,19 @@ class SuperblockJit:
 
     A dispatch loop calls :meth:`run_block` with the instructions it may
     still run before it has to look again (segment target, instruction
-    and livelock budgets), plus, in record+commit mode, the commit cycle
-    at which a pending detection may mature, and interprets one
+    and livelock budgets), plus, in record mode, the commit cycle at
+    which a pending detection may mature, and interprets one
     instruction when it returns 0.
 
-    ``record`` adds per-instruction segment recording into the segment
-    last passed to :meth:`note_segment`; ``commit`` adds the engine's
-    timing commit, called as ``commit(pc)`` or ``commit(pc, address)``
-    like :meth:`MainCoreTiming.commit
-    <repro.cores.main_core.MainCoreTiming.commit>`.  Callers pick the
-    combination matching the loop they replace — see
-    :func:`repro.jit.emit.emit_factory_source`.
+    Every compiled instruction calls ``commit``, the run's timing
+    commit, as ``commit(pc)`` or ``commit(pc, address)`` like
+    :meth:`MainCoreTiming.commit
+    <repro.cores.main_core.MainCoreTiming.commit>`.  ``record`` adds
+    per-instruction segment recording into the segment last passed to
+    :meth:`note_segment`, and the detection bound: the protected
+    engine's fill loop (and the differential oracle, which checks that
+    code) runs record regions, the unprotected loop commit-only ones —
+    see :func:`repro.jit.emit.emit_factory_source`.
     """
 
     def __init__(
@@ -158,20 +159,17 @@ class SuperblockJit:
         program,
         state,
         port,
+        commit: Callable[..., float],
         *,
-        commit: Optional[Callable[..., float]] = None,
-        record: bool = False,
+        record: bool,
     ) -> None:
         self.program = program
         self.state = state
         self.port = port
         self.record = record
-        self._commit = commit
-        #: Record+commit regions take the detection bound.
-        self._bounded = record and commit is not None
         self._table = decode_table(program)
         self._blocks = self._table.blocks
-        self._code = _shared_code_for(program, record, commit is not None)
+        self._code = _shared_code_for(program, record)
         regs = state.regs
         #: What every factory call binds.
         self._ctx: Dict[str, Any] = {
@@ -185,11 +183,11 @@ class SuperblockJit:
             "store": port.store,
             "btf": bits_to_float,
             "ftb": float_to_bits,
-            "sdiv": runtime.sdiv,
-            "srem": runtime.srem,
-            "fdiv": runtime.fdiv,
-            "fcvti": runtime.fcvti,
-            "flags_sub": runtime.flags_sub,
+            "sdiv": arith.sdiv,
+            "srem": arith.srem,
+            "fdiv": arith.fdiv,
+            "fcvti": arith.fcvti,
+            "flags_sub": arith.flags_sub,
             "commit": commit,
         }
         self._active: Dict[int, Callable[..., int]] = {}
@@ -207,12 +205,12 @@ class SuperblockJit:
         no region such as ``HALT``, ``SYSCALL`` or a branch with no
         straight-line code before it, or a PC outside the program) or
         ``limit`` is not positive.  A block that ends with its region's
-        branch leaves ``state.pc`` at the branch's target.  In
-        record+commit mode the block also stops after the first
-        instruction whose commit cycle is at or past ``bound`` (the
-        other modes ignore it: nothing can be pending there).  A
-        data-port exception propagates with ``pc`` and ``instret``
-        exact up to the raising instruction, uncounted.
+        branch leaves ``state.pc`` at the branch's target.  In record
+        mode the block also stops after the first instruction whose
+        commit cycle is at or past ``bound`` (commit-only regions ignore
+        it: the unprotected loop has nothing pending).  A data-port
+        exception propagates with ``pc`` and ``instret`` exact up to
+        the raising instruction, uncounted.
         """
         pc = self.state.pc
         block = self._blocks.get(pc)
@@ -224,10 +222,8 @@ class SuperblockJit:
             return 0
         run = self._active.get(start) or self.runner(start)
         s = pc - start
-        if self._bounded:
+        if self.record:
             n = run(self._rec, s, s + n, bound) - s
-        elif self.record:
-            run(self._rec, s, s + n)
         else:
             run(s, s + n)
         stats = self.stats
@@ -242,9 +238,7 @@ class SuperblockJit:
         if run is None:
             factory = self._code.get(start)
             if factory is None:
-                factory = _compile_region(
-                    self._table, start, self.record, self._commit is not None
-                )
+                factory = _compile_region(self._table, start, self.record)
                 self._code[start] = factory
                 self.stats.blocks_compiled += 1
             run = factory(self._ctx)

@@ -8,7 +8,10 @@ diffs the *full* architectural state at every checkpoint boundary:
    :class:`~repro.lslog.ports.MainMemoryPort`, filling real log segments
    exactly as the engine's fill loop does (close on target length, log
    capacity, unchecked-line conflict, or halt; a trap closes the segment
-   too, and the reference must then raise the same trap);
+   too, and the reference must then raise the same trap).  Like the
+   fill loop it runs the compiled tier's record regions, the code the
+   protected engine binds, and commits every retired instruction to a
+   main-core timing model before recording it;
 3. a fault-free checker replay of every closed segment — both the
    production :meth:`~repro.cores.checker_core.CheckerCore.check_segment`
    path (its detection channels must stay silent) and a raw
@@ -23,9 +26,9 @@ x/f registers, flags, pc, instret, halted, the syscall output stream,
 and a digest of the nonzero memory image.
 
 The first divergence is reported with the segment, the offending field,
-both values, and a trace window of the last instructions retired — the
-program-level minimisation (shrinking) lives in
-:mod:`repro.oracle.fuzzer`.
+both values, and a trace window of the last instructions retired,
+compiled or interpreted — the program-level minimisation (shrinking)
+lives in :mod:`repro.oracle.fuzzer`.
 """
 
 from __future__ import annotations
@@ -36,10 +39,13 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from ..config import SystemConfig, table1_config
+from ..cores.branch_predictor import TournamentPredictor
 from ..cores.checker_core import CheckerCore
+from ..cores.main_core import MainCoreTiming
 from ..isa import ArchState, Executor, MemoryImage
 from ..isa.decode import decode_table
 from ..isa.errors import SimTrap
+from ..jit import SuperblockJit
 from ..lslog.ports import CheckerReplayPort, MainMemoryPort, UncheckedConflictStall
 from ..lslog.segment import (
     LogSegment,
@@ -47,6 +53,7 @@ from ..lslog.segment import (
     SegmentCloseReason,
     SegmentFull,
 )
+from ..memory.cache import MemoryHierarchy
 from ..memory.unchecked import UncheckedLineTracker
 from .reference import ReferenceISS
 
@@ -152,14 +159,14 @@ class DifferentialRunner:
         #: emitted at checkpoint granularity only.
         self.tracer = tracer
         #: Execute the device-under-test layer through the compiled
-        #: superblock tier (default).  This makes every differential run
-        #: an interpreter-vs-compiled-vs-reference equivalence check:
-        #: the reference ISS and the checker replay stay structurally
-        #: independent of the tier, so a miscompiled block diverges at
-        #: the next checkpoint.  ``--no-jit`` is the escape hatch that
-        #: pins a divergence on the tier (or exonerates it).  Note the
-        #: divergence trace window only samples interpreted
-        #: instructions; compiled spans appear as checkpoint deltas.
+        #: superblock tier's record regions (default), the code the
+        #: protected engine's fill loop binds.  This makes every
+        #: differential run an interpreter-vs-compiled-vs-reference
+        #: equivalence check: the reference ISS and the checker replay
+        #: stay structurally independent of the tier, so a miscompiled
+        #: block diverges at the next checkpoint.  ``--no-jit`` is the
+        #: escape hatch that pins a divergence on the tier (or
+        #: exonerates it).
         self.use_jit = use_jit
 
     # -- internals ------------------------------------------------------------
@@ -229,28 +236,39 @@ class DifferentialRunner:
             workload=workload.name, granularity=self.granularity.value
         )
 
+        config = self.config
+        program = workload.program
         memory: MemoryImage = workload.create_memory()
-        tracker = UncheckedLineTracker(self.config.memory.l1d)
+        tracker = UncheckedLineTracker(config.memory.l1d)
         port = MainMemoryPort(memory, tracker, self.granularity)
         state = ArchState()
-        executor = Executor(workload.program, state, port)
-        checker = CheckerCore(0, self.config.checker, workload.program)
-        table = decode_table(workload.program)
+        executor = Executor(program, state, port)
+        # The fill loop's timing model: blocks and interpreted steps
+        # commit to it in the same order as in the protected engine.
+        commit = MainCoreTiming(
+            config.main_core,
+            MemoryHierarchy(config),
+            TournamentPredictor(config.branch_predictor),
+            program,
+        ).commit
+        checker = CheckerCore(0, config.checker, program)
+        table = decode_table(program)
         unit_index = table.unit_index
         writes_register = table.writes_register
         ref = ReferenceISS(
-            workload.program,
+            program,
             initial_words=workload.initial_words,
             memory_size=memory.size,
         )
 
         jit = None
         if self.use_jit:
-            from ..jit import SuperblockJit
+            jit = SuperblockJit(program, state, port, commit, record=True)
 
-            jit = SuperblockJit(workload.program, state, port, record=True)
-
-        trace: Deque[str] = deque(maxlen=TRACE_WINDOW)
+        # PCs of the last instructions retired, compiled or interpreted:
+        # a block, raising or not, is straight-line code up to its
+        # closing branch, so it retired ``pc`` .. ``pc + ran - 1``.
+        trace: Deque[int] = deque(maxlen=TRACE_WINDOW)
         seq = 1
         segment = self._open_segment(seq, state.snapshot())
         port.segment = segment
@@ -265,7 +283,7 @@ class DifferentialRunner:
                 field=found[0],
                 expected=found[1],
                 actual=found[2],
-                trace=list(trace),
+                trace=[f"{pc}: {program.instructions[pc]}" for pc in trace],
             )
             if self.tracer is not None:
                 self.tracer.emit(
@@ -323,7 +341,7 @@ class DifferentialRunner:
             # production final-state check does not cover.
             replay_state = segment.start_state.snapshot()
             replay_port = CheckerReplayPort(segment)
-            replay_exec = Executor(workload.program, replay_state, replay_port)
+            replay_exec = Executor(program, replay_state, replay_port)
             try:
                 for _ in range(segment.instruction_count):
                     replay_exec.step()
@@ -369,30 +387,32 @@ class DifferentialRunner:
 
         interval = self.checkpoint_interval
         while not state.halted and (before := state.instret) < budget:
+            pc = state.pc
             limit = min(interval - segment.instruction_count, budget - before)
             try:
                 ran = jit.run_block(limit) if jit is not None else 0
                 if not ran:
                     info = executor.step()
-            except SegmentFull:
+            except (SegmentFull, UncheckedConflictStall, SimTrap) as exc:
                 # A raising block keeps instret exact up to the raising
                 # instruction; a raising step retires nothing.
-                report.instructions += state.instret - before
-                if not close_and_check(SegmentCloseReason.LOG_CAPACITY):
-                    return report
-                continue
-            except UncheckedConflictStall:
-                # Committing the closed segment releases every unchecked
-                # line, so the retried store cannot conflict again.
-                report.instructions += state.instret - before
-                if not close_and_check(SegmentCloseReason.EVICTION_CONFLICT):
-                    return report
-                continue
-            except SimTrap as trap:
+                ran = state.instret - before
+                report.instructions += ran
+                trace.extend(range(pc, pc + ran))
+                if isinstance(exc, SegmentFull):
+                    if not close_and_check(SegmentCloseReason.LOG_CAPACITY):
+                        return report
+                    continue
+                if isinstance(exc, UncheckedConflictStall):
+                    # Committing the closed segment releases every
+                    # unchecked line, so the retried store cannot
+                    # conflict again.
+                    if not close_and_check(SegmentCloseReason.EVICTION_CONFLICT):
+                        return report
+                    continue
                 # The program itself traps: check what retired before
                 # it, then the reference must trap on the same
                 # instruction with the same trap.
-                report.instructions += state.instret - before
                 if segment.instruction_count > 0 and not close_and_check(
                     SegmentCloseReason.PROGRAM_END
                 ):
@@ -402,16 +422,15 @@ class DifferentialRunner:
                     expected = "no trap"
                 except SimTrap as ref_trap:
                     expected = repr(ref_trap)  # class name and message
-                if expected != repr(trap):
-                    diverge("executor", ("trap", expected, repr(trap)))
+                if expected != repr(exc):
+                    diverge("executor", ("trap", expected, repr(exc)))
                 return report
-            if ran:
-                report.instructions += ran
-            else:
-                report.instructions += 1
-                pc = info.pc_before
+            if not ran:
+                commit(pc, info.address, info.taken, info.pc_after)
                 segment.record_instruction(unit_index[pc], writes_register[pc])
-                trace.append(f"{pc}: {info.instruction}")
+                ran = 1
+            report.instructions += ran
+            trace.extend(range(pc, pc + ran))
             if segment.instruction_count >= interval:
                 if not close_and_check(SegmentCloseReason.TARGET_LENGTH):
                     return report

@@ -574,7 +574,7 @@ def _prepared(name: str, scale: float) -> Tuple[Any, Any]:
 
     workload = resolve_workload(name, scale)
     golden = golden_run(workload)
-    compile_regions(workload.program, record=True, commit=True)
+    compile_regions(workload.program)
     return workload, golden
 
 

@@ -64,22 +64,14 @@ class GoldenResult:
     output: List[Tuple[int, str]]
 
 
-def golden_run(
-    workload: Workload, max_instructions: int = 0, jit: bool = False
-) -> GoldenResult:
+def golden_run(workload: Workload, max_instructions: int = 0) -> GoldenResult:
     """Run ``workload`` functionally to completion; the correctness oracle.
 
-    ``jit=True`` runs through the compiled superblock tier instead of
-    pure interpretation.  The default stays interpreted: golden runs are
-    the reference the tier is checked *against*, so they must not share
-    its execution path unless the caller explicitly opts in (benchmarks
-    and the equivalence tests do).
+    Always pure interpretation: golden runs are the reference the
+    compiled tier is checked *against*, so they never share its path.
     """
     budget = max_instructions or workload.max_instructions
     memory = workload.create_memory()
     state = ArchState()
-    executor = Executor(workload.program, state, memory)
-    if jit:
-        executor.attach_jit()
-    retired = executor.run(budget)
+    retired = Executor(workload.program, state, memory).run(budget)
     return GoldenResult(state, memory, retired, list(state.output))

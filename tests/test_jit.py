@@ -1,18 +1,21 @@
 """Compiled superblock tier: discovery, bit-identity, invalidation.
 
-The contract under test: running any workload through the tier
-(``golden_run(jit=True)``, ``EngineOptions.jit``, or the oracle's
-``use_jit``) is *bit-identical* to pure interpretation — same final
-architectural state, same retired-instruction count, same timing, same
-telemetry-visible bookkeeping, and the same trap at a PC outside the
-program.  Every region is checked on its own too: any offsets
-``[s, e)`` of it equal ``e - s`` interpreted steps, also when the data
-port raises part-way, when its closing branch goes either way, and when
-a detection bound stops it early.  The cache protocol (a region is
-compiled only when a run dispatches into it, bound regions survive DVFS
-voltage moves, segment turnover rebinds the recorder) and the
-structural exclusion of fault-injection points (no tier exists under a
-main-core injector) are pinned explicitly.
+The contract under test: running any workload through the tier's two
+emission modes (``EngineOptions.jit``: commit-only regions in the
+unprotected loop, record regions in the protected fill loop and the
+oracle's ``use_jit``) is *bit-identical* to pure interpretation — same
+final architectural state as ``golden_run``, same retired-instruction
+count, same timing, same telemetry-visible bookkeeping, and the same
+trap at a PC outside the program.  Every region is checked on its own
+too, in both modes: any offsets ``[s, e)`` of it equal ``e - s``
+interpreted steps, also when the data port raises part-way, when its
+closing branch goes either way, and when a detection bound stops it
+early.  The cache protocol (a region is compiled only when a run
+dispatches into it, the oracle compiles exactly what the protected
+engine binds, bound regions survive DVFS voltage moves, segment
+turnover rebinds the recorder) and the structural exclusion of
+fault-injection points (no tier exists under a main-core injector) are
+pinned explicitly.
 """
 
 from __future__ import annotations
@@ -174,24 +177,37 @@ class TestSuperblockDiscovery:
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: bare executor
+# bit-identity: the unprotected loop against the golden run
 
 
 def _assert_golden_identical(workload):
-    interp = golden_run(workload)
-    jitted = golden_run(workload, jit=True)
-    assert jitted.instructions == interp.instructions
-    assert jitted.state.regs.x == interp.state.regs.x
-    assert jitted.state.regs.f == interp.state.regs.f
-    assert jitted.state.regs.flags == interp.state.regs.flags
-    assert jitted.state.pc == interp.state.pc
-    assert jitted.output == interp.output
-    assert jitted.memory.words == interp.memory.words
+    """Run the unprotected loop (commit-only blocks) with the tier on and
+    off: both end in the golden run's state, memory and output, with
+    identical results.  Returns the tier's engine and result."""
+    golden = golden_run(workload)
+    runs = []
+    for jit in (True, False):
+        engine = BaselineSystem(jit=jit).engine(workload)
+        result = engine.run(workload.max_instructions)
+        assert (engine.jit is not None) == jit
+        state = engine.state
+        assert state.regs.x == golden.state.regs.x
+        assert state.regs.f == golden.state.regs.f
+        assert state.regs.flags == golden.state.regs.flags
+        assert (state.pc, state.halted) == (golden.state.pc, golden.state.halted)
+        assert result.instructions == golden.instructions
+        assert result.program_output == golden.output
+        assert engine.memory.words == golden.memory.words
+        runs.append((engine, result))
+    (engine, jitted), (_, interp) = runs
+    assert _result_fingerprint(jitted) == _result_fingerprint(interp)
+    return engine, jitted
 
 
 class TestExecutorIdentity:
     def test_kernel_workload(self, bitcount_small):
-        _assert_golden_identical(bitcount_small)
+        engine, _ = _assert_golden_identical(bitcount_small)
+        assert engine.jit.stats.dispatches > 0
 
     def test_spec_workload(self):
         _assert_golden_identical(build_spec_workload("bzip2", iterations=3))
@@ -204,10 +220,10 @@ class TestExecutorIdentity:
         # The x0-dest instructions sit inside one compiled block.
         assert decode_table(program).blocks[0] == (0, 6)
         workload = Workload(name="x0", program=program, max_instructions=100)
-        _assert_golden_identical(workload)
-        golden = golden_run(workload, jit=True)
-        assert golden.state.regs.x[0] == 0
-        assert golden.instructions == 7
+        engine, result = _assert_golden_identical(workload)
+        assert engine.jit.stats.instructions == 6
+        assert engine.state.regs.x[0] == 0
+        assert result.instructions == 7
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_every_fuzz_profile(self, profile):
@@ -257,24 +273,20 @@ def _random_state(seed, pc):
 
 class _Harness:
     """An interpreter and a tier in one emission mode over one state and
-    one port; each run starts from a seeded random state and, in commit
-    modes, a fresh main-core timing model."""
+    one port; each run starts from a seeded random state and a fresh
+    main-core timing model."""
 
-    def __init__(self, program, record, commit):
+    def __init__(self, program, record):
         self.program = program
         self.config = table1_config()
         self.state = ArchState()
         self.port = _Port()
         self.executor = Executor(program, self.state, self.port)
         self.recs, self.commits = [], []
-        self.record, self.commit = record, commit
+        self.record = record
         self.timing = None
         self.jit = SuperblockJit(
-            program,
-            self.state,
-            self.port,
-            commit=self._commit if commit else None,
-            record=record,
+            program, self.state, self.port, self._commit, record=record
         )
 
     def _commit(self, pc, address=None, taken=None, pc_after=None):
@@ -327,10 +339,7 @@ class _Harness:
         try:
             for _ in range(steps):
                 info = self.executor.step()
-                if self.commit:
-                    self._commit(
-                        info.pc_before, info.address, info.taken, info.pc_after
-                    )
+                self._commit(info.pc_before, info.address, info.taken, info.pc_after)
                 if self.record:
                     self._rec(UNIT_INDEX[info.instruction.unit], info.dest is not None)
                 ran += 1
@@ -339,15 +348,13 @@ class _Harness:
         return {**self._observe(ran is None), "ran": ran}
 
     def compiled(self, seed, start, s, e, fail_at, bound=math.inf):
-        """Offsets ``[s, e)`` of the region at ``start``; record+commit
-        regions also take ``bound``."""
+        """Offsets ``[s, e)`` of the region at ``start``; record regions
+        also take ``bound``."""
         self._start(seed, start + s, fail_at)
         run = self.jit.runner(start)
         try:
-            if self.record and self.commit:
+            if self.record:
                 reached = run(self._rec, s, e, bound)
-            elif self.record:
-                reached = run(self._rec, s, e)
             else:
                 reached = run(s, e)
             ran = reached - s
@@ -362,12 +369,12 @@ def _region_spans(program):
     return sorted({blocks[start] for start, _room in blocks.values()})
 
 
-def _assert_regions_match_interpreter(program, record, commit):
+def _assert_regions_match_interpreter(program, record):
     """Check every region against the interpreter; return the
     ``(pc, taken)`` outcomes its closing conditional branches took."""
     spans = _region_spans(program)
     assert spans
-    harness = _Harness(program, record, commit)
+    harness = _Harness(program, record)
     outcomes = set()
     for start, length in spans:
         rng = random.Random(start * 131 + length)
@@ -397,7 +404,7 @@ def _assert_regions_match_interpreter(program, record, commit):
                     # The branch resolved as interpreted: took the same
                     # way and left the block at the same PC.
                     outcomes.add((last, got["pc"] == program.instructions[last].target))
-        if record and commit:
+        if record:
             # A detection bound at the commit cycle of offset ``k`` stops
             # the block right after ``k``, exactly where interpreting
             # through ``k`` ends.
@@ -418,24 +425,24 @@ def _assert_both_ways(outcomes):
     assert any(pc in taken for pc, went in outcomes if not went), outcomes
 
 
-_MODES = [(False, False), (True, False), (False, True), (True, True)]
-_MODE_IDS = ["bare", "record", "commit", "record+commit"]
+#: The two emission modes: the unprotected loop's and the fill loop's.
+_MODE_IDS = ["commit", "record+commit"]
 
 
 class TestRegionEquivalence:
-    @pytest.mark.parametrize("record,commit", _MODES, ids=_MODE_IDS)
+    @pytest.mark.parametrize("record", [False, True], ids=_MODE_IDS)
     @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_every_fuzz_region(self, profile, record, commit):
+    def test_every_fuzz_region(self, profile, record):
         outcomes = set()
         for seed in (1, 7, 23):
             program = build_workload(generate_case(seed, profile)).program
-            outcomes |= _assert_regions_match_interpreter(program, record, commit)
+            outcomes |= _assert_regions_match_interpreter(program, record)
         _assert_both_ways(outcomes)
 
-    @pytest.mark.parametrize("record,commit", _MODES, ids=_MODE_IDS)
-    def test_every_spec_region(self, record, commit):
+    @pytest.mark.parametrize("record", [False, True], ids=_MODE_IDS)
+    def test_every_spec_region(self, record):
         program = build_spec_workload("gobmk", iterations=2).program
-        _assert_both_ways(_assert_regions_match_interpreter(program, record, commit))
+        _assert_both_ways(_assert_regions_match_interpreter(program, record))
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +549,8 @@ def _wild_pc_workload():
 class TestWildPc:
     def test_negative_pc_traps_where_the_interpreter_does(self):
         workload = _wild_pc_workload()
-        for jit in (False, True):
-            with pytest.raises(InvalidPcTrap, match="^pc -4 outside"):
-                golden_run(workload, jit=jit)
+        with pytest.raises(InvalidPcTrap, match="^pc -4 outside"):
+            golden_run(workload)
         # The unprotected loop lets the trap out; ParaDox retries it from
         # the checkpoint until it gives up on a deterministic bug.
         for system in (BaselineSystem, ParaDoxSystem):
@@ -609,12 +615,6 @@ class TestOracleEquivalence:
 # cache invalidation protocol
 
 
-def _bare_tier(workload):
-    state = ArchState()
-    memory = workload.create_memory()
-    return SuperblockJit(workload.program, state, memory), state
-
-
 class TestInvalidation:
     def _dvs_engine(self):
         workload = build_spec_workload("milc", iterations=12)
@@ -638,7 +638,11 @@ class TestInvalidation:
         assert engine.jit.stats.voltage_invalidations == 0
 
     def test_segment_turnover_rebinds_recorder(self, bitcount_small):
-        jit, _state = _bare_tier(bitcount_small)
+        memory = bitcount_small.create_memory()
+        commit = lambda *a: 0.0  # noqa: E731
+        jit = SuperblockJit(
+            bitcount_small.program, ArchState(), memory, commit, record=True
+        )
         recorder = lambda *a, **k: None  # noqa: E731
         jit.note_segment(types.SimpleNamespace(record_instruction=recorder))
         assert jit._rec is recorder
@@ -667,13 +671,13 @@ class TestCompileVolume:
         engine = ParaDoxSystem().engine(workload, seed=11)
         engine.run(workload.max_instructions)
         jit = engine.jit
-        code = _SHARED_CODE[(id(program), True, True)]
+        code = _SHARED_CODE[(id(program), True)]
         # Every compiled region was bound, and so dispatched, by this run.
         assert code.keys() == jit._active.keys()
         assert jit.stats.blocks_compiled == len(code) == jit.stats.activations
         # Within one emission mode, compiled regions never overlap.
         table = decode_table(program)
-        for (program_id, _record, _commit), regions in _SHARED_CODE.items():
+        for (program_id, _record), regions in _SHARED_CODE.items():
             if program_id != id(program):
                 continue
             seen = set()
@@ -681,6 +685,21 @@ class TestCompileVolume:
                 span = set(range(start, start + table.blocks[start][1]))
                 assert not span & seen
                 seen |= span
+
+    def test_oracle_compiles_what_paradox_binds(self):
+        # The differential oracle runs the protected engine's record
+        # regions, so after it passes a ParaDox run over the same program
+        # object finds every region it enters already compiled.
+        workload = build_spec_workload("gobmk", iterations=2)
+        program = workload.program
+        report = differential.diff_workload(workload)
+        assert report.ok, report.divergence
+        engine = ParaDoxSystem().engine(workload, seed=11)
+        engine.run(workload.max_instructions)
+        assert engine.jit.stats.activations > 0
+        assert engine.jit.stats.blocks_compiled == 0
+        keys = [key for key in _SHARED_CODE if key[0] == id(program)]
+        assert keys == [(id(program), True)]
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ class TestSharedProgram:
         assert sum(r.faults_injected for r in shared.results) > 0
         assert sum(len(r.recoveries) for r in shared.results) > 0
         # Both tiers bind their regions from the program's one cache entry.
-        code = _SHARED_CODE[(id(workload.program), True, True)]
+        code = _SHARED_CODE[(id(workload.program), True)]
         for engine in harness.engines:
             assert engine.jit._code is code
             assert engine.jit._active and engine.jit._active.keys() <= code.keys()

@@ -19,8 +19,9 @@ from repro.lslog import (
     SegmentCloseReason,
 )
 from repro.memory import UncheckedLineTracker
-from repro.oracle import DifferentialRunner, diff_workload
+from repro.oracle import DifferentialRunner, ReferenceISS, diff_workload, differential
 from repro.telemetry import Tracer
+from repro.workloads import build_bitcount
 from repro.workloads.base import Workload
 
 GRANULARITIES = list(RollbackGranularity)
@@ -125,6 +126,28 @@ class TestDetectorIsNotVacuous:
         report = diff_workload(workload)
         assert not report.ok
         assert report.divergence.stage == "checker"
+
+
+class TestTraceWindow:
+    def test_trace_holds_compiled_instructions(self, monkeypatch):
+        # A reference that goes wrong mid-loop: the divergence's trace
+        # window must list the instructions the main core retired before
+        # the boundary, whether blocks or the interpreter ran them.
+        class FlipsX30(ReferenceISS):
+            def step(self):
+                super().step()
+                if self.instret == 3000:
+                    self.x[30] ^= 1
+
+        monkeypatch.setattr(differential, "ReferenceISS", FlipsX30)
+        traces = []
+        for use_jit in (True, False):
+            divergence = diff_workload(build_bitcount(), use_jit=use_jit).divergence
+            assert (divergence.stage, divergence.field) == ("executor", "x30")
+            traces.append(divergence.trace)
+        assert traces[0] == traces[1]
+        assert len(traces[0]) == differential.TRACE_WINDOW
+        assert traces[0][-1] == "24: b kern_loop"
 
 
 class TestGetInstretUnderReplay:
