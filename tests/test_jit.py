@@ -701,6 +701,23 @@ class TestCompileVolume:
         keys = [key for key in _SHARED_CODE if key[0] == id(program)]
         assert keys == [(id(program), True)]
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_oracle_compiles_what_paradox_binds_on_fuzz_cases(self, profile):
+        # The fuzz corpus gates the code the protected engine binds: the
+        # oracle's pass over a case compiles every region a ParaDox run
+        # over the same program object enters, and in no other mode.
+        for seed in (1, 7, 23):
+            workload = build_workload(generate_case(seed, profile))
+            program = workload.program
+            report = differential.diff_workload(workload)
+            assert report.ok, report.divergence
+            engine = ParaDoxSystem().engine(workload, seed=11)
+            engine.run(workload.max_instructions)
+            assert engine.jit.stats.activations > 0, seed
+            assert engine.jit.stats.blocks_compiled == 0, seed
+            keys = [key for key in _SHARED_CODE if key[0] == id(program)]
+            assert keys == [(id(program), True)], seed
+
 
 # ---------------------------------------------------------------------------
 # fault-injection points are structurally outside the tier

@@ -10,6 +10,7 @@ import pytest
 from repro.cli import WORKLOAD_BUILDERS
 from repro.config import table1_config
 from repro.cores.checker_core import CheckerCore
+from repro.cores.main_core import MainCoreTiming
 from repro.isa import ArchState, Executor, Opcode, ProgramBuilder, Syscall
 from repro.isa.decode import UNIT_INDEX
 from repro.lslog import (
@@ -148,6 +149,52 @@ class TestTraceWindow:
         assert traces[0] == traces[1]
         assert len(traces[0]) == differential.TRACE_WINDOW
         assert traces[0][-1] == "24: b kern_loop"
+
+
+class TestTimingModel:
+    @pytest.mark.parametrize("name", ["bitcount", "quicksort", "syscall-dense"])
+    def test_commits_every_retired_instruction(self, monkeypatch, name):
+        # Like the fill loop, the main-core leg commits each instruction
+        # it retires to its timing model, in program order, whether a
+        # block or the interpreter ran it: the commit stream is the
+        # reference's retired-PC stream, and the clock ends equal.
+        pcs, timings = [], []
+
+        class Counting(MainCoreTiming):
+            def __init__(self, *args):
+                super().__init__(*args)
+                timings.append(self)
+
+            def commit(self, pc, *args):
+                pcs.append(pc)
+                return super().commit(pc, *args)
+
+        def build():
+            if name == "syscall-dense":
+                return build_syscall_workload()
+            return WORKLOAD_BUILDERS[name](0.3)
+
+        monkeypatch.setattr(differential, "MainCoreTiming", Counting)
+        streams = []
+        for use_jit in (True, False):
+            pcs.clear()
+            report = diff_workload(build(), use_jit=use_jit)
+            assert report.ok, report.divergence.describe()
+            assert len(pcs) == report.instructions
+            streams.append(list(pcs))
+        workload = build()
+        ref = ReferenceISS(
+            workload.program,
+            initial_words=workload.initial_words,
+            memory_size=workload.create_memory().size,
+        )
+        retired = []
+        while not ref.halted:
+            retired.append(ref.pc)
+            ref.step()
+        assert streams[0] == streams[1] == retired
+        jitted, interp = timings
+        assert jitted.now == interp.now > 0
 
 
 class TestGetInstretUnderReplay:

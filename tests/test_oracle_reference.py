@@ -9,7 +9,9 @@ Python-bignum model that
 is formulated purely in terms of signed/unsigned comparisons — no
 two's-complement bit fiddling — over boundary operands and hypothesis
 pairs, plus the FCMP unordered-NaN encoding against every conditional
-branch.
+branch.  The last part checks the other shared rules (``sdiv``,
+``srem``, ``fdiv``, ``fcvti``) against the reference ISS's own handlers
+over boundary and hypothesis operands.
 """
 
 import math
@@ -25,9 +27,10 @@ from repro.isa import (
     MemoryImage,
     Opcode,
     ProgramBuilder,
+    float_to_bits,
     to_signed,
 )
-from repro.isa.arith import flags_sub
+from repro.isa.arith import fcvti, fdiv, flags_sub, sdiv, srem
 from repro.oracle import ReferenceISS
 from repro.workloads.base import golden_run
 
@@ -235,3 +238,91 @@ class TestFdivIeeeZeroSemantics:
         ref = ReferenceISS(program)
         ref.run(10)
         assert ref.f[2] == state.regs.f[2]
+
+
+#: Floats on the corners FDIV and FCVTI treat specially: signed zeros,
+#: infinities, NaN, the signed 64-bit saturation edges and the last
+#: values inside them, and the smallest subnormal.
+SPECIAL_FLOATS = [
+    0.0,
+    -0.0,
+    0.5,
+    -2.9,
+    1e300,
+    -1e300,
+    5e-324,
+    float("inf"),
+    float("-inf"),
+    NAN,
+    2.0**63,
+    -(2.0**63),
+    math.nextafter(2.0**63, 0.0),
+    math.nextafter(-(2.0**63), 0.0),
+]
+
+FLOAT64 = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def reference_step(emit, x=(0, 0), f=(0.0, 0.0)) -> ReferenceISS:
+    """Step the one instruction ``emit`` adds to a builder through the
+    reference ISS, with x1, x2 and f1, f2 preset to ``x`` and ``f``."""
+    builder = ProgramBuilder(name="arith")
+    emit(builder)
+    ref = ReferenceISS(builder.halt().build())
+    ref.x[1:3] = x
+    ref.f[1:3] = [float_to_bits(value) for value in f]
+    ref.step()
+    return ref
+
+
+def reference_int(op: str, a: int, b: int) -> int:
+    return reference_step(lambda p: getattr(p, op)(3, 1, 2), x=(a, b)).x[3]
+
+
+def reference_fdiv(a: float, b: float) -> int:
+    return reference_step(lambda p: p.fdiv(3, 1, 2), f=(a, b)).f[3]
+
+
+def reference_fcvti(value: float) -> int:
+    return reference_step(lambda p: p.fcvti(3, 1), f=(value, 0.0)).x[3]
+
+
+class TestSharedArithmetic:
+    """The one copy of each arithmetic rule in :mod:`repro.isa.arith`,
+    which the interpreter and the compiled tier both call, against the
+    reference ISS's independent versions.  Float results compare as the
+    registers hold them: NaN canonicalised."""
+
+    def test_sdiv_srem_boundary_operands(self):
+        for a in BOUNDARY:
+            for b in BOUNDARY:
+                assert sdiv(a, b) == reference_int("div", a, b), (a, b)
+                assert srem(a, b) == reference_int("rem", a, b), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=WORD64,
+        b=st.one_of(WORD64, st.integers(-3, 3).map(lambda v: v & MASK64)),
+    )
+    def test_sdiv_srem_random_operands(self, a, b):
+        assert sdiv(a, b) == reference_int("div", a, b)
+        assert srem(a, b) == reference_int("rem", a, b)
+
+    def test_fdiv_special_operands(self):
+        for a in SPECIAL_FLOATS:
+            for b in SPECIAL_FLOATS:
+                assert float_to_bits(fdiv(a, b)) == reference_fdiv(a, b), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=FLOAT64, b=st.one_of(FLOAT64, st.sampled_from([0.0, -0.0])))
+    def test_fdiv_random_operands(self, a, b):
+        assert float_to_bits(fdiv(a, b)) == reference_fdiv(a, b)
+
+    def test_fcvti_special_values(self):
+        for value in SPECIAL_FLOATS:
+            assert fcvti(value) == reference_fcvti(value), value
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=FLOAT64)
+    def test_fcvti_random_values(self, value):
+        assert fcvti(value) == reference_fcvti(value)
