@@ -788,8 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jit",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run the main core through the compiled superblock tier "
-        "(bit-identical to interpretation; --no-jit forces the interpreter)",
+        help="run the main core and checker replay through the compiled "
+        "superblock tier (bit-identical to interpretation; --no-jit forces "
+        "the interpreter)",
     )
     run.add_argument(
         "--main-cores",
@@ -1082,8 +1083,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jit",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run main cores through the compiled superblock tier "
-        "(--no-jit forces the interpreter everywhere)",
+        help="run main cores and checker replay through the compiled "
+        "superblock tier (--no-jit forces the interpreter everywhere)",
     )
     suite.set_defaults(func=cmd_suite)
 
@@ -1120,8 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jit",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="run the main core through the compiled superblock tier "
-        "(--no-jit forces the interpreter)",
+        help="run the main core and checker replay through the compiled "
+        "superblock tier (--no-jit forces the interpreter)",
     )
     trace.set_defaults(func=cmd_trace)
 
@@ -1153,8 +1154,9 @@ def build_parser() -> argparse.ArgumentParser:
     diffcheck.add_argument(
         "--no-jit",
         action="store_true",
-        help="escape hatch: drive the executor leg through the pure "
-        "interpreter instead of the compiled superblock tier",
+        help="escape hatch: drive the executor leg and the production "
+        "checker replay through the pure interpreter instead of the "
+        "compiled superblock tier",
     )
     diffcheck.set_defaults(func=cmd_diffcheck)
 

@@ -143,11 +143,13 @@ class EngineOptions:
     #: checks are in flight and stop where the interpreter would handle
     #: the detection.  Timing, stall accounting and telemetry are
     #: bit-identical either way (the differential oracle gates this);
-    #: disable to force pure interpretation.  Ignored — the tier is
-    #: never built — when a fault injector targets the main core,
-    #: because injection points are per-instruction hooks that must see
-    #: every retired instruction.  Checker cores never use the tier:
-    #: their replay is the independent cross-check.
+    #: disable to force pure interpretation.  The main core ignores it
+    #: — its tier is never built — when a fault injector targets the
+    #: main core, because injection points are per-instruction hooks
+    #: that must see every retired instruction.  Checker replay follows
+    #: it too: the checker runs the tier's commit-only regions wherever
+    #: no fault model can fire (see :mod:`repro.cores.checker_core`),
+    #: with results bit-identical to per-instruction replay.
     jit: bool = True
 
 
@@ -196,13 +198,14 @@ class SimulationEngine:
         # Checker pool.  Occupancy is physical and lives in the pool: a
         # multicore harness passes the one it shares between its mains,
         # otherwise the engine builds its private pool, the M=1 case.  Replay is
-        # program-bound, so the engine owns its checker-core models and
-        # its health view of them (resilience layer).
+        # program-bound, so the engine owns the one replay model every
+        # checker core runs and its health view of the cores
+        # (resilience layer).
         self.pool: Optional[CheckerPool] = None
         #: What select/dispatch/abort go through: the pool itself, or a
         #: view that takes the co-simulation turn for this main.
         self.scheduler: "Optional[CheckerPool | SharedPoolView]" = None
-        self.checkers: List[CheckerCore] = []
+        self.checker: Optional[CheckerCore] = None
         self.health: Optional[CheckerHealthTracker] = None
         #: Checker of the previous dispatch, stored at the end of each
         #: log segment for continuity (figure 5).
@@ -230,9 +233,7 @@ class SimulationEngine:
             self.scheduler = (
                 pool if pool.turnstile is None else SharedPoolView(pool, main_id)
             )
-            self.checkers = [
-                CheckerCore(i, config.checker, program) for i in range(len(pool))
-            ]
+            self.checker = CheckerCore(config.checker, program, jit=options.jit)
             if options.resilience is not None and options.resilience.quarantine_enabled:
                 self.health = CheckerHealthTracker(
                     len(pool),
@@ -496,25 +497,24 @@ class SimulationEngine:
             self._stall_to_wall(start_ns, StallBucket.CHECKER_WAIT)
         start_ns = max(start_ns, self.wall_ns)
         segment.checker_id = core_id
-        core = self.checkers[core_id]
 
-        result = self._check(core, segment)
+        result = self._check(core_id, segment)
         if self.health is not None:
             if result.detected:
-                self.health.record_detection(core.core_id)
+                self.health.record_detection(core_id)
             else:
-                self.health.record_clean(core.core_id)
+                self.health.record_clean(core_id)
             if retrying:
                 self._retry_suspect = None
                 suspect_core = suspect[1]
-                if core.core_id != suspect_core:
+                if core_id != suspect_core:
                     if result.detected:
                         # The retry failed on different hardware too: the
                         # fault followed the work, not the checker.
                         self.health.record_absolution(suspect_core)
                     else:
                         self.health.record_vindication(suspect_core, start_ns)
-        duration_ns = core.cycles_to_ns(result.checker_cycles)
+        duration_ns = self.checker.cycles_to_ns(result.checker_cycles)
         record = self.scheduler.dispatch(core_id, segment.seq, start_ns, duration_ns)
         self._last_checker_id = core_id
         if self.tracer is not None:
@@ -541,28 +541,27 @@ class SimulationEngine:
                 "dispatch",
                 time_ns=start_ns,
                 segment=segment.seq,
-                core=core.core_id,
+                core=core_id,
                 value=duration_ns,
             )
 
-    def _check(self, core: CheckerCore, segment: LogSegment) -> CheckResult:
+    def _check(self, core_id: int, segment: LogSegment) -> CheckResult:
+        checker = self.checker
         injector = self.injector
         checker_targeted = injector is not None and injector.target == "checker"
         main_targeted = injector is not None and injector.target == "main"
         if injector is not None:
-            injector.begin_check(core.core_id, segment)
+            injector.begin_check(core_id, segment)
         try:
             if not main_targeted and self.options.fastpath:
                 if injector is None or not injector.fires_within_segment(segment):
                     if injector is not None:
                         injector.skip_segment(segment)
                     return CheckResult(
-                        None, segment.instruction_count, core.analytic_cycles(segment)
+                        None, segment.instruction_count, checker.analytic_cycles(segment)
                     )
-            if injector is not None:
-                injector.note_replay()
             hook = injector if checker_targeted else None
-            return core.check_segment(segment, hook=hook)
+            return checker.check_segment(segment, hook=hook)
         finally:
             if injector is not None:
                 injector.begin_check(None)

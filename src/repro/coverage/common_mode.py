@@ -95,7 +95,7 @@ def _fill_corrupted_segment(
 def inject_common_mode(program: Program, corruption: Corruption) -> CheckResult:
     """Identical corruption on both sides: the undetectable case."""
     segment, _memory = _fill_corrupted_segment(program, corruption)
-    checker = CheckerCore(0, table1_config().checker, program)
+    checker = CheckerCore(table1_config().checker, program)
     return checker.check_segment(segment, hook=_CheckerHook(corruption))
 
 
@@ -106,5 +106,5 @@ def inject_independent(
 ) -> CheckResult:
     """Different (or one-sided) corruption: the detected case."""
     segment, _memory = _fill_corrupted_segment(program, main_corruption)
-    checker = CheckerCore(0, table1_config().checker, program)
+    checker = CheckerCore(table1_config().checker, program)
     return checker.check_segment(segment, hook=_CheckerHook(checker_corruption))

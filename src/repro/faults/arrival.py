@@ -20,6 +20,7 @@ which is exact thanks to the geometric distribution's memorylessness.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -80,6 +81,11 @@ class GeometricArrival:
     def fires_within(self, count: int) -> bool:
         """Would any of the next ``count`` operations fault?  (No state change.)"""
         return self._remaining is not None and self._remaining <= count
+
+    def clean_operations(self) -> float:
+        """How many next operations cannot fault: the countdown less the
+        one that does, or ``math.inf`` when the process never fires."""
+        return math.inf if self._remaining is None else self._remaining - 1
 
     # -- consumption -------------------------------------------------------------------
     def step(self) -> bool:

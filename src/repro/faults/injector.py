@@ -10,7 +10,10 @@ The engine's fast path asks :meth:`fires_within_segment` before replaying
 a segment; when no model can fire within the segment's operation counts
 the injector *consumes* those counts (:meth:`skip_segment`) and the
 replay is skipped — statistically identical to replaying it, since a
-correct checker replaying a correct segment cannot fail.
+correct checker replaying a correct segment cannot fail.  A replayed
+segment gets the same treatment per instruction:
+:meth:`replay_budgets` tells the checker how many instructions each
+model lets it run compiled, without the hooks, before one may fire.
 
 Injection can target the checker cores (the paper's setup: "we choose to
 restrict error injection to the checker cores only", which is sound
@@ -21,8 +24,9 @@ execution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +48,6 @@ class InjectionStats:
     load_faults: int = 0
     store_faults: int = 0
     segments_skipped: int = 0
-    segments_replayed: int = 0
 
     @property
     def total(self) -> int:
@@ -203,8 +206,39 @@ class FaultInjector:
                 model.advance_clean(self._domain_count(model, segment))
         self.stats.segments_skipped += 1
 
-    def note_replay(self) -> None:
-        self.stats.segments_replayed += 1
+    def replay_budgets(
+        self,
+    ) -> "List[Tuple[Optional[int], float, Callable[[int], None]]] | None":
+        """The per-instruction form of :meth:`fires_within_segment`.
+
+        One ``(unit, clean, advance)`` per applicable model that replayed
+        instructions step: it counts every instruction (``unit`` None)
+        or the register-writing instructions of the unit with index
+        ``unit``; the next ``clean`` of them cannot fire; ``advance(n)``
+        consumes ``n`` of them (its :meth:`FaultModel.advance_clean`).
+        Compiled replay runs such clean instructions without the hooks.
+        A model that fires only through the replay port (memory faults)
+        needs no entry.  None when an applicable model cannot bound its
+        next fire (stuck-at, burst, SRAM): that check steps every
+        instruction through the hooks.  Non-consuming.
+        """
+        budgets = []
+        for model in self.models:
+            if not self._applies(model):
+                continue
+            clean = model.clean_operations()
+            if clean is None:
+                return None
+            if clean == math.inf:
+                continue
+            if model.domain is FaultDomain.INSTRUCTIONS:
+                unit = None
+            elif model.domain is FaultDomain.UNIT_INSTRUCTIONS:
+                unit = UNIT_INDEX[model.unit]  # type: ignore[attr-defined]
+            else:  # pragma: no cover - a finite budget of loads or stores
+                return None
+            budgets.append((unit, clean, model.advance_clean))
+        return budgets
 
     # -- SegmentFaultHook protocol ----------------------------------------------------------
     def before_instruction(self, state: ArchState, index: int) -> None:

@@ -33,6 +33,7 @@ the failure modes that dominate real near-threshold operation:
 from __future__ import annotations
 
 import enum
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -113,6 +114,20 @@ class FaultModel:
         if fired is not None:  # pragma: no cover - guarded by caller
             raise RuntimeError("advance_clean consumed a firing arrival")
 
+    def clean_operations(self) -> Optional[float]:
+        """How many more operations of this model's domain cannot fire.
+
+        The per-instruction form of :meth:`may_fire_in_segment`: compiled
+        checker replay runs that many without calling
+        :meth:`on_instruction`, then hands them to :meth:`advance_clean`.
+        ``math.inf`` means the model never fires through
+        :meth:`on_instruction`; None means it cannot say (a stuck-at,
+        burst or SRAM model), and a check it applies to steps every
+        instruction through the hooks.  None is the default, so a new
+        model opts in.
+        """
+        return None
+
     # Subclasses implement the hooks relevant to their domain; the rest
     # stay no-ops so an injector can drive a heterogeneous model list.
     def begin_check(
@@ -170,6 +185,9 @@ class RegisterFaultModel(FaultModel):
         super().__init__(rate, rng)
         self.category = category
 
+    def clean_operations(self) -> float:
+        return self.arrival.clean_operations()
+
     def _pick_category(self) -> RegisterCategory:
         if self.category is not None:
             return self.category
@@ -202,6 +220,9 @@ class FunctionalUnitFaultModel(FaultModel):
         super().__init__(rate, rng)
         self.unit = unit
 
+    def clean_operations(self) -> float:
+        return self.arrival.clean_operations()
+
     def on_instruction(self, state: ArchState, info: StepInfo) -> bool:
         if info.instruction.unit is not self.unit:
             return False
@@ -233,6 +254,11 @@ class MemoryFaultModel(FaultModel):
         super().__init__(rate, rng)
         self.target = target
         self.domain = FaultDomain.LOADS if target == "load" else FaultDomain.STORES
+
+    def clean_operations(self) -> float:
+        """Unbounded: it fires by operation index through the replay
+        port, which compiled replay calls too."""
+        return math.inf
 
     def on_load(self, value: int) -> "tuple[int, bool]":
         if self.target != "load" or not self.arrival.step():

@@ -8,7 +8,10 @@ keeps them as flat lists indexed by PC:
 
 * the functional unit, as an index into :data:`UNITS`, and whether the
   instruction writes a register (what the log records);
-* the checker-core unit latency;
+* the checker-core unit latency, and its running sum over the PCs
+  before each one (what a straight-line replayed span costs);
+* on first use per unit, where a replayed span meets the instructions
+  a fault model counts (:meth:`DecodeTable.fault_columns`);
 * one :data:`MainRow` of main-core timing facts: the unit latency, the
   load and branch flags, the registers read and the register written
   as flat integer *slots* (``x0..x31``, then ``f0..f15``, then the
@@ -37,7 +40,7 @@ dies, before the id can be reused.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import CHECKER_FU_LATENCY, MAIN_FU_LATENCY
 from .instructions import (
@@ -150,16 +153,23 @@ class DecodeTable:
     each PC where a compiled block may start to ``(region start,
     room)``; :meth:`SuperblockJit.run_block
     <repro.jit.tier.SuperblockJit.run_block>` is its only reader.
+    :attr:`checker_cycles_before` has one more entry than the program
+    has instructions: entry ``pc`` is the checker latency of PCs
+    ``0 .. pc - 1``, so a straight-line span ``pc .. pc + n - 1`` costs
+    ``checker_cycles_before[pc + n] - checker_cycles_before[pc]``
+    cycles, exactly, because every latency is an integer.
     """
 
     __slots__ = (
         "instructions",
         "unit_index",
         "checker_latency",
+        "checker_cycles_before",
         "writes_register",
         "main_rows",
         "external_pcs",
         "blocks",
+        "_fault_columns",
     )
 
     def __init__(self, program: Program) -> None:
@@ -167,13 +177,18 @@ class DecodeTable:
         self.instructions = instructions
         self.unit_index: List[int] = []
         self.checker_latency: List[float] = []
+        self.checker_cycles_before: List[int] = [0]
         self.writes_register: List[bool] = []
         self.main_rows: List[MainRow] = []
+        cycles = 0
         for instr in instructions:
             unit = instr.opcode.unit
             reads, write = reads_write(instr)
+            latency = CHECKER_FU_LATENCY[unit.value]
+            cycles += latency
             self.unit_index.append(UNIT_INDEX[unit])
-            self.checker_latency.append(float(CHECKER_FU_LATENCY[unit.value]))
+            self.checker_latency.append(float(latency))
+            self.checker_cycles_before.append(cycles)
             self.writes_register.append(write != NO_SLOT)
             self.main_rows.append(
                 (
@@ -194,6 +209,40 @@ class DecodeTable:
         from ..jit.superblock import region_blocks
 
         self.blocks: Dict[int, Tuple[int, int]] = region_blocks(instructions)
+        self._fault_columns: Dict[
+            Optional[int], Tuple[Sequence[int], Sequence[int]]
+        ] = {}
+
+    def fault_columns(self, unit: Optional[int]) -> Tuple[Sequence[int], Sequence[int]]:
+        """Where straight-line code meets the operations a fault model
+        counts: every instruction for ``unit`` None, else the
+        register-writing instructions of the unit with that index.
+
+        Returns ``(before, pcs)``: ``before[pc]`` counts those operations
+        at PCs ``0 .. pc - 1`` (one entry more than the program has
+        instructions) and ``pcs`` lists their PCs in order.  So the span
+        ``pc .. pc + n - 1`` holds ``before[pc + n] - before[pc]`` of
+        them, and the ``k``-th one at or after ``pc`` (``k`` from 0) sits
+        at ``pcs[before[pc] + k]`` when that index exists.  Built on
+        first use per unit.
+        """
+        columns = self._fault_columns.get(unit)
+        if columns is None:
+            size = len(self.instructions)
+            if unit is None:
+                columns = (range(size + 1), range(size))
+            else:
+                before: List[int] = [0]
+                pcs: List[int] = []
+                for pc, (index, writes) in enumerate(
+                    zip(self.unit_index, self.writes_register)
+                ):
+                    if writes and index == unit:
+                        pcs.append(pc)
+                    before.append(len(pcs))
+                columns = (before, pcs)
+            self._fault_columns[unit] = columns
+        return columns
 
 
 _TABLES: Dict[int, DecodeTable] = {}

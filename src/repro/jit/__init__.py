@@ -31,9 +31,12 @@ compiled instruction calls the run's timing ``commit``: **record**
 regions, which also record into the live log segment and stop at the
 detection bound, serve the protected engine's fill loop (and the
 differential oracle, so the fuzz corpus checks the code the protected
-engine binds); **commit-only** regions serve the unprotected loop.
-Nothing else enters the tier: ``Executor.run`` and ``golden_run``
-interpret, so the golden reference never shares the tier's path.
+engine binds); **commit-only** regions serve the unprotected loop and
+checker replay, which binds ``commit`` to a no-op and cuts each block
+before the first instruction where a fault model may fire (see
+:mod:`repro.cores.checker_core`).  Nothing else enters the tier:
+``Executor.run`` and ``golden_run`` interpret, so the golden reference
+never shares the tier's path, and neither does the oracle's raw replay.
 
 Layering:
 

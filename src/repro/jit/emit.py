@@ -2,7 +2,8 @@
 
 One region (see :mod:`repro.jit.superblock`) becomes one generated
 factory, in one of two emission modes: record (the protected engine's
-fill loop) or commit-only (the unprotected loop).  In record mode, for
+fill loop) or commit-only (the unprotected loop and checker replay).
+In record mode, for
 a region of three ALU instructions and a closing ``bne``::
 
     def __factory__(__ctx__):
@@ -52,8 +53,8 @@ leaves, at the next offset, once the cycle its timing ``commit``
 returned is at or past ``B``.  The engine sets ``B`` just below the
 cycle at which its wall clock reaches the earliest pending detection,
 so a block never runs past the instruction where the interpreter would
-handle it.  The unprotected loop has nothing pending,
-so commit-only regions emit no check.
+handle it.  The unprotected loop and checker replay have nothing
+pending, so commit-only regions emit no check.
 
 **The branch tail.**  A region may end with a branch (its last
 instruction only).  The tail needs no guard, since every entry offset
@@ -385,7 +386,7 @@ def emit_factory_source(
     ``record_instruction`` as its first argument, so segment turnover
     never invalidates code), and the bound ``B`` with its exit check.
     The protected engine and the differential oracle record; the
-    unprotected engine commits only.
+    unprotected engine and checker replay commit only.
     """
     em = _Emitter(table, record)
     body: List[str] = []

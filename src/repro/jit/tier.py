@@ -25,8 +25,8 @@ and counts the dispatch.  Bound regions come only from
 :meth:`SuperblockJit.runner`, which ``run_block`` calls on a miss.
 Code comes from the same call, the first time a region runs, or ahead
 of any run from :func:`compile_regions`, which compiles a whole program
-for the protected engine: a campaign parent does that once per
-workload, so its forked cells only bind.  Both paths compile through
+for the protected engine's fill loop and checker replay: a campaign
+parent does that once per workload, so its forked cells only bind.  Both paths compile through
 one helper.
 
 Segment turnover costs no cache traffic either: record-mode regions
@@ -85,18 +85,20 @@ def _compile_region(table, start: int, record: bool) -> Factory:
 
 
 def compile_regions(program) -> None:
-    """Compile every region of ``program`` for the protected engine
-    (record+commit) ahead of its first dispatch.
+    """Compile every region of ``program`` in both modes ahead of its
+    first dispatch: record for the protected engine's fill loop,
+    commit-only for its checker replay (and the unprotected loop).
 
-    Record tiers over the program then bind these factories and compile
+    Tiers over the program then bind these factories and compile
     nothing, as do processes forked after this call: a campaign parent
     prepares each workload once and every cell inherits it.
     """
     table = decode_table(program)
-    code = _shared_code_for(program, True)
-    for start, _ in table.blocks.values():
-        if start not in code:
-            code[start] = _compile_region(table, start, True)
+    for record in (True, False):
+        code = _shared_code_for(program, record)
+        for start, _ in table.blocks.values():
+            if start not in code:
+                code[start] = _compile_region(table, start, record)
 
 
 @dataclass
@@ -150,8 +152,8 @@ class SuperblockJit:
     per-instruction segment recording into the segment last passed to
     :meth:`note_segment`, and the detection bound: the protected
     engine's fill loop (and the differential oracle, which checks that
-    code) runs record regions, the unprotected loop commit-only ones —
-    see :func:`repro.jit.emit.emit_factory_source`.
+    code) runs record regions, the unprotected loop and checker replay
+    commit-only ones — see :func:`repro.jit.emit.emit_factory_source`.
     """
 
     def __init__(

@@ -96,14 +96,28 @@ class CheckerReplayPort:
     paper's *memory fault* injection ("errors in the load-store log...
     flipping one bit of the data carried by a memory operation"): they map
     ``(operation index, logged value) -> value seen by the checker``.
+
+    :meth:`replay` re-points the port at another segment, so a replay
+    context keeps one port, and compiled code bound to its ``load`` and
+    ``store`` stays valid from one check to the next.
     """
 
     def __init__(
         self,
-        segment: LogSegment,
+        segment: Optional[LogSegment],
         load_corruptor: Optional[Callable[[int, int], int]] = None,
         store_corruptor: Optional[Callable[[int, int], int]] = None,
     ) -> None:
+        self.replay(segment, load_corruptor, store_corruptor)
+
+    def replay(
+        self,
+        segment: Optional[LogSegment],
+        load_corruptor: Optional[Callable[[int, int], int]] = None,
+        store_corruptor: Optional[Callable[[int, int], int]] = None,
+    ) -> None:
+        """Serve ``segment``'s log from its first operation (None: no
+        segment, which lets the last one go)."""
         self.segment = segment
         self.load_index = 0
         self.store_index = 0

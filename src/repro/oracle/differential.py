@@ -14,10 +14,13 @@ diffs the *full* architectural state at every checkpoint boundary:
    main-core timing model before recording it;
 3. a fault-free checker replay of every closed segment — both the
    production :meth:`~repro.cores.checker_core.CheckerCore.check_segment`
-   path (its detection channels must stay silent) and a raw
-   :class:`~repro.lslog.ports.CheckerReplayPort` re-execution whose final
-   state is compared against the reference *including* ``instret``,
-   which the engine's own ``ArchState.matches`` does not compare.
+   path (3a: its detection channels must stay silent; like the engine's
+   checker it runs the compiled tier's commit-only regions) and a raw,
+   always interpreted :class:`~repro.lslog.ports.CheckerReplayPort`
+   re-execution (3b) whose final state is compared against the
+   reference *including* ``instret``, which the engine's own
+   ``ArchState.matches`` does not compare; a detection the raw replay's
+   port raises is a ``replay`` divergence too.
 
 The engine's fast path skips functional replay entirely when no fault
 can fire, so replay bugs are invisible in fault-free production runs;
@@ -46,6 +49,7 @@ from ..isa import ArchState, Executor, MemoryImage
 from ..isa.decode import decode_table
 from ..isa.errors import SimTrap
 from ..jit import SuperblockJit
+from ..lslog.detection import ErrorDetected
 from ..lslog.ports import CheckerReplayPort, MainMemoryPort, UncheckedConflictStall
 from ..lslog.segment import (
     LogSegment,
@@ -77,8 +81,9 @@ class Divergence:
     """First observed disagreement between two execution layers."""
 
     #: Which comparison failed: ``"executor"`` (reference vs main core),
-    #: ``"replay"`` (reference vs raw checker replay) or ``"checker"``
-    #: (the production check_segment reported a detection).
+    #: ``"replay"`` (reference vs raw checker replay, or a detection
+    #: its replay port raised) or ``"checker"`` (the production
+    #: check_segment reported a detection).
     stage: str
     segment_seq: int
     #: Retired-instruction count at the checkpoint boundary.
@@ -160,13 +165,14 @@ class DifferentialRunner:
         self.tracer = tracer
         #: Execute the device-under-test layer through the compiled
         #: superblock tier's record regions (default), the code the
-        #: protected engine's fill loop binds.  This makes every
-        #: differential run an interpreter-vs-compiled-vs-reference
-        #: equivalence check: the reference ISS and the checker replay
-        #: stay structurally independent of the tier, so a miscompiled
-        #: block diverges at the next checkpoint.  ``--no-jit`` is the
-        #: escape hatch that pins a divergence on the tier (or
-        #: exonerates it).
+        #: protected engine's fill loop binds, and the production
+        #: checker replay (stage 3a) through its commit-only regions,
+        #: as the engine's checker does.  This makes every differential
+        #: run an interpreter-vs-compiled-vs-reference equivalence
+        #: check: the reference ISS and the raw replay (stage 3b) stay
+        #: structurally independent of the tier, so a miscompiled block
+        #: diverges at the next checkpoint.  ``--no-jit`` is the escape
+        #: hatch that pins a divergence on the tier (or exonerates it).
         self.use_jit = use_jit
 
     # -- internals ------------------------------------------------------------
@@ -251,7 +257,7 @@ class DifferentialRunner:
             TournamentPredictor(config.branch_predictor),
             program,
         ).commit
-        checker = CheckerCore(0, config.checker, program)
+        checker = CheckerCore(config.checker, program, jit=self.use_jit)
         table = decode_table(program)
         unit_index = table.unit_index
         writes_register = table.writes_register
@@ -338,7 +344,8 @@ class DifferentialRunner:
 
             # 3b. Raw replay whose final state we can inspect: compare
             # against the reference including instret, which the
-            # production final-state check does not cover.
+            # production final-state check does not cover.  It always
+            # interprets, so it stays independent of the tier.
             replay_state = segment.start_state.snapshot()
             replay_port = CheckerReplayPort(segment)
             replay_exec = Executor(program, replay_state, replay_port)
@@ -348,6 +355,16 @@ class DifferentialRunner:
             except SimTrap as trap:
                 diverge(
                     "replay", ("trap", "no trap", f"replay trapped: {trap!r}")
+                )
+                return False
+            except ErrorDetected as found:
+                diverge(
+                    "replay",
+                    (
+                        "detection",
+                        "clean replay",
+                        f"{found.channel.value}: {found}",
+                    ),
                 )
                 return False
             found = self._compare(ref, replay_state, None)

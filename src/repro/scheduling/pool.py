@@ -14,9 +14,9 @@ order is the whole boot-rotated ring, so every
 private pool.  With several main cores each gets its own candidate
 order over the same ring (see :mod:`repro.scheduling.shared`).
 
-Replay is program-bound, so each engine owns its :class:`CheckerCore`
-objects; occupancy is physical, so the pool tracks it by core ID and
-hands out IDs.  The pool keeps every dispatch record, from which figure
+Replay is program-bound, so each engine owns the one
+:class:`CheckerCore` replay model its checks run on; occupancy is
+physical, so the pool tracks it by core ID and hands out IDs.  The pool keeps every dispatch record, from which figure
 12's wake rates and the power model's gating savings are derived.
 """
 

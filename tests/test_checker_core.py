@@ -43,7 +43,7 @@ def fill_segment(program, instructions=None):
 
 
 def make_checker(program):
-    return CheckerCore(0, table1_config().checker, program)
+    return CheckerCore(table1_config().checker, program)
 
 
 SIMPLE = """

@@ -13,6 +13,7 @@ written out here independently of :func:`repro.isa.decode.reads_write`).
 
 from __future__ import annotations
 
+import bisect
 import gc
 
 import pytest
@@ -140,6 +141,35 @@ class TestAgainstTheInterpreter:
             for seed in FUZZ_SEEDS
         )
         assert checked > 100
+
+
+class TestReplayColumns:
+    """The running sums compiled checker replay reads spans from."""
+
+    @pytest.mark.parametrize("name", ["gobmk", "fuzz-mixed-7"])
+    def test_running_sums_match_the_columns(self, name):
+        if name == "gobmk":
+            workload = build_spec_workload("gobmk", iterations=2)
+        else:
+            workload = build_workload(generate_case(7, "mixed"))
+        table = decode_table(workload.program)
+        size = len(table.instructions)
+        cycles = table.checker_cycles_before
+        assert len(cycles) == size + 1 and cycles[0] == 0
+        for pc in range(size):
+            assert cycles[pc + 1] - cycles[pc] == table.checker_latency[pc]
+        for unit in [None, *range(len(UNITS))]:
+            before, pcs = table.fault_columns(unit)
+            counted = [
+                pc
+                for pc in range(size)
+                if unit is None
+                or (table.unit_index[pc] == unit and table.writes_register[pc])
+            ]
+            assert list(pcs) == counted, unit
+            assert [before[pc] for pc in range(size + 1)] == [
+                bisect.bisect_left(counted, pc) for pc in range(size + 1)
+            ], unit
 
 
 class TestSlots:

@@ -351,7 +351,14 @@ class TestRefcountRelease:
         engine = system.engine(workload, seed=7)
         result = engine.run(workload.max_instructions)
         refs = [weakref.ref(engine), weakref.ref(engine.executor)]
-        refs += [weakref.ref(checker) for checker in engine.checkers]
+        # The replay model and its tier, whose bound regions hold the
+        # replay state and port, go with the engine too.
+        checker = engine.checker
+        if checker is not None:
+            refs.append(weakref.ref(checker))
+            if checker.jit is not None:
+                refs.append(weakref.ref(checker.jit))
+        del checker
         was_enabled = gc.isenabled()
         gc.disable()
         try:

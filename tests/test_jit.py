@@ -689,7 +689,8 @@ class TestCompileVolume:
     def test_oracle_compiles_what_paradox_binds(self):
         # The differential oracle runs the protected engine's record
         # regions, so after it passes a ParaDox run over the same program
-        # object finds every region it enters already compiled.
+        # object finds every region it enters already compiled.  Its
+        # checker replay binds commit-only regions, the replay mode.
         workload = build_spec_workload("gobmk", iterations=2)
         program = workload.program
         report = differential.diff_workload(workload)
@@ -699,13 +700,14 @@ class TestCompileVolume:
         assert engine.jit.stats.activations > 0
         assert engine.jit.stats.blocks_compiled == 0
         keys = [key for key in _SHARED_CODE if key[0] == id(program)]
-        assert keys == [(id(program), True)]
+        assert sorted(keys) == [(id(program), False), (id(program), True)]
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_oracle_compiles_what_paradox_binds_on_fuzz_cases(self, profile):
         # The fuzz corpus gates the code the protected engine binds: the
         # oracle's pass over a case compiles every region a ParaDox run
-        # over the same program object enters, and in no other mode.
+        # over the same program object enters, in the two modes the
+        # fill loop and the checker replay bind.
         for seed in (1, 7, 23):
             workload = build_workload(generate_case(seed, profile))
             program = workload.program
@@ -716,7 +718,7 @@ class TestCompileVolume:
             assert engine.jit.stats.activations > 0, seed
             assert engine.jit.stats.blocks_compiled == 0, seed
             keys = [key for key in _SHARED_CODE if key[0] == id(program)]
-            assert keys == [(id(program), True)], seed
+            assert sorted(keys) == [(id(program), False), (id(program), True)], seed
 
 
 # ---------------------------------------------------------------------------

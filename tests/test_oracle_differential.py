@@ -104,12 +104,13 @@ class TestDetectorIsNotVacuous:
         assert not report.ok
         assert report.divergence.stage == "executor"
         assert report.divergence.trace  # the minimized trace is populated
-        # With the compiled tier on, the executor leg bypasses the
-        # corrupted handler but the checker replay still hits it: the
-        # oracle remains non-vacuous, attributing at the replay stage.
+        # With the compiled tier on, the executor leg and the production
+        # checker replay bypass the corrupted handler, but the raw
+        # replay, which always interprets, still hits it: the oracle
+        # remains non-vacuous, attributing at the raw replay stage.
         jit_report = diff_workload(workload)
         assert not jit_report.ok
-        assert jit_report.divergence.stage == "checker"
+        assert jit_report.divergence.stage == "replay"
 
     def test_replay_only_bug_is_reported(self, monkeypatch):
         # A bug that fires only during checker replay (port is a
@@ -127,6 +128,24 @@ class TestDetectorIsNotVacuous:
         report = diff_workload(workload)
         assert not report.ok
         assert report.divergence.stage == "checker"
+
+
+    def test_raw_replay_detection_is_a_divergence(self, monkeypatch):
+        # Only the raw replay's port (stage 3b) detects: its error must
+        # come back as a replay divergence, not escape as a traceback.
+        from repro.lslog import LoadAddressMismatch
+        from repro.lslog.ports import CheckerReplayPort
+
+        class Detecting(CheckerReplayPort):
+            def load(self, address):
+                raise LoadAddressMismatch(f"planted at {address:#x}")
+
+        monkeypatch.setattr(differential, "CheckerReplayPort", Detecting)
+        report = diff_workload(WORKLOAD_BUILDERS["bitcount"](0.2))
+        assert not report.ok
+        divergence = report.divergence
+        assert (divergence.stage, divergence.field) == ("replay", "detection")
+        assert divergence.actual.startswith("load address divergence: planted")
 
 
 class TestTraceWindow:
@@ -256,6 +275,6 @@ class TestGetInstretUnderReplay:
         assert segment.start_state.instret == 25
         segment.close(state.snapshot(), SegmentCloseReason.EXTERNAL)
 
-        checker = CheckerCore(0, config.checker, workload.program)
+        checker = CheckerCore(config.checker, workload.program)
         result = checker.check_segment(segment)
         assert not result.detected, f"false detection: {result.detection}"
