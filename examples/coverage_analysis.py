@@ -1,11 +1,10 @@
 """Coverage analysis: what ParaDox catches, and the one case it can't.
 
-Three demonstrations on real machinery:
+Two demonstrations on real machinery (memory is outside them: the paper
+assumes SECDED-protected memory, and redundant execution covers compute):
 
-1. Memory-side upsets are absorbed by SECDED ECC (the paper's division of
-   labour: ECC covers memory, redundant execution covers compute).
-2. Any one-sided or mismatched corruption of compute is detected.
-3. Only an *identical* corruption of main and checker at the same dynamic
+1. Any one-sided or mismatched corruption of compute is detected.
+2. Only an *identical* corruption of main and checker at the same dynamic
    instruction slips through — and the analytic model prices that
    coincidence against the margined baseline's residual error rate.
 
@@ -20,7 +19,6 @@ from repro.coverage import (
 )
 from repro.faults import VoltageErrorModel
 from repro.isa import assemble
-from repro.memory import EccProtectedWord, EccStatus
 
 PROGRAM = assemble("""
     movi x1, 123
@@ -35,19 +33,8 @@ PROGRAM = assemble("""
 """)
 
 
-def demo_ecc() -> None:
-    print("1) memory-side upsets -> SECDED ECC")
-    cell = EccProtectedWord(0xDEADBEEF)
-    cell.upset(17)
-    result = cell.read()
-    print(f"   single upset: {result.status.value}, data {result.data:#x}")
-    cell.upset(3, 40)
-    print(f"   double upset: {cell.read().status.value}")
-    assert cell.read().status is not EccStatus.CLEAN or True
-
-
 def demo_detection() -> None:
-    print("\n2) compute corruption -> redundant execution")
+    print("1) compute corruption -> redundant execution")
     one_sided = inject_independent(PROGRAM, Corruption(instruction_index=2))
     print(f"   main-only corruption: detected via {one_sided.channel.value}")
     mismatched = inject_independent(
@@ -59,7 +46,7 @@ def demo_detection() -> None:
 
 
 def demo_common_mode() -> None:
-    print("\n3) the blind spot: identical common-mode corruption")
+    print("\n2) the blind spot: identical common-mode corruption")
     result = inject_common_mode(PROGRAM, Corruption(instruction_index=2))
     print(f"   identical flip on both sides: detected = {result.detected}")
     print("   ...which is why the analytic model charges for coincidences:")
@@ -73,6 +60,5 @@ def demo_common_mode() -> None:
 
 
 if __name__ == "__main__":
-    demo_ecc()
     demo_detection()
     demo_common_mode()

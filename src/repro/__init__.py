@@ -10,7 +10,7 @@ Jones, HPCA 2021.  The headline API:
 0
 
 Subpackages: ``isa`` (functional substrate), ``cores`` (timing models),
-``memory`` (caches/ECC), ``lslog`` (load-store log), ``checkpoint``,
+``memory`` (caches), ``lslog`` (load-store log), ``checkpoint``,
 ``scheduling``, ``faults`` (injection), ``dvfs``, ``power``, ``core``
 (the assembled systems), ``workloads``, ``experiments`` (figure
 harnesses).
