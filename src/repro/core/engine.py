@@ -517,17 +517,6 @@ class SimulationEngine:
         duration_ns = self.checker.cycles_to_ns(result.checker_cycles)
         record = self.scheduler.dispatch(core_id, segment.seq, start_ns, duration_ns)
         self._last_checker_id = core_id
-        if self.tracer is not None:
-            self.tracer.emit(
-                "scheduling",
-                "busy",
-                time_ns=start_ns,
-                segment=segment.seq,
-                core=core_id,
-                value=duration_ns,
-            )
-            self.tracer.metrics.inc("scheduling.dispatches")
-            self.tracer.metrics.observe("scheduling.busy_ns", duration_ns)
         pending = PendingCheck(segment, record, result, start_ns + duration_ns)
         self._pending.append(pending)
         if result.detected:
@@ -536,6 +525,8 @@ class SimulationEngine:
                 self._earliest_detection = pending
                 self._sync_detection_bound()
         if self.tracer is not None:
+            # The check's busy interval on its checker core: Perfetto
+            # draws the core's slice from this event.
             self.tracer.emit(
                 "engine",
                 "dispatch",
@@ -544,6 +535,8 @@ class SimulationEngine:
                 core=core_id,
                 value=duration_ns,
             )
+            self.tracer.metrics.inc("scheduling.dispatches")
+            self.tracer.metrics.observe("scheduling.busy_ns", duration_ns)
 
     def _check(self, core_id: int, segment: LogSegment) -> CheckResult:
         checker = self.checker
@@ -893,7 +886,6 @@ class SimulationEngine:
             failure=failure,
             quarantine_events=list(self.health.events) if self.health else [],
             escalations=list(self.guard.events) if self.guard else [],
-            livelocked=outcome is RunOutcome.LIVELOCK,
             external_flushes=list(self.external_flushes),
             unit_mix=dict(self.timing.unit_mix),
         )

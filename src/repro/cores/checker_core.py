@@ -64,16 +64,17 @@ Budget = Tuple[Optional[int], float, Callable[[int], None]]
 class SegmentFaultHook(Protocol):
     """Fault-injection hooks a checker honours during replay.
 
-    Implemented by :class:`repro.faults.injector.FaultInjector`; all
-    methods are optional no-ops in the fault-free case.
+    Implemented by :class:`repro.faults.injector.FaultInjector`.  The
+    two instruction hooks and :meth:`replay_budgets` are optional: the
+    checker looks each up once per check and skips an absent one.
     """
 
     def before_instruction(self, state: ArchState, index: int) -> None:
-        """Chance to corrupt architectural state before instruction ``index``."""
+        """Optional: corrupt architectural state before instruction ``index``."""
         ...
 
     def after_instruction(self, state: ArchState, info: StepInfo, index: int) -> None:
-        """Chance to corrupt the destination of instruction ``index``."""
+        """Optional: corrupt the destination of instruction ``index``."""
         ...
 
     def corrupt_load(self, op_index: int, value: int) -> int:
@@ -300,15 +301,17 @@ class CheckerCore:
         executed = 0
         latency_by_pc = self._table.checker_latency
         step = executor.step
+        before_hook = getattr(hook, "before_instruction", None)
+        after_hook = getattr(hook, "after_instruction", None)
         try:
             while executed < target and not state.halted:
-                if hook is not None:
-                    hook.before_instruction(state, executed)
+                if before_hook is not None:
+                    before_hook(state, executed)
                 info = step()
                 executed += 1
                 cycles += latency_by_pc[info.pc_before]
-                if hook is not None:
-                    hook.after_instruction(state, info, executed - 1)
+                if after_hook is not None:
+                    after_hook(state, info, executed - 1)
                 if executed > budget:  # pragma: no cover - defensive
                     raise CheckerTimeout("checker exceeded budget", executed)
         except (ErrorDetected, SimTrap) as error:
@@ -332,6 +335,8 @@ class CheckerCore:
         cycles_before = table.checker_cycles_before
         size = len(table.instructions)
         domains = _domains(table, reported)
+        before_hook = getattr(hook, "before_instruction", None)
+        after_hook = getattr(hook, "after_instruction", None)
         target = segment.instruction_count
         first = state.instret
         executed = 0
@@ -363,11 +368,13 @@ class CheckerCore:
                 # The instruction at pc may fire: the models see every
                 # clean one before it, then this one through the hooks.
                 _settle(domains)
-                hook.before_instruction(state, executed)  # type: ignore[union-attr]
+                if before_hook is not None:
+                    before_hook(state, executed)
                 info = step()
                 executed += 1
                 cycles += cycles_before[pc + 1] - cycles_before[pc]
-                hook.after_instruction(state, info, executed - 1)  # type: ignore[union-attr]
+                if after_hook is not None:
+                    after_hook(state, info, executed - 1)
                 domains = _domains(table, hook.replay_budgets())  # type: ignore[union-attr]
         except (ErrorDetected, SimTrap) as error:
             # A raising block keeps instret exact up to the raising

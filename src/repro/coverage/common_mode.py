@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cores.checker_core import CheckResult, CheckerCore
-from ..isa import ArchState, Executor, MemoryImage, Program, StepInfo
+from ..isa import ArchState, Executor, MemoryImage, Program
 from ..isa.decode import decode_table
 from ..isa.registers import RegisterCategory
 from ..lslog.ports import MainMemoryPort
@@ -53,9 +53,6 @@ class _CheckerHook:
     def before_instruction(self, state: ArchState, index: int) -> None:
         if self.corruption is not None and index == self.corruption.instruction_index:
             self.corruption.apply(state)
-
-    def after_instruction(self, state: ArchState, info: StepInfo, index: int) -> None:
-        pass
 
     def corrupt_load(self, op_index: int, value: int) -> int:
         return value

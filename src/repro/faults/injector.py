@@ -241,9 +241,6 @@ class FaultInjector:
         return budgets
 
     # -- SegmentFaultHook protocol ----------------------------------------------------------
-    def before_instruction(self, state: ArchState, index: int) -> None:
-        """No model currently fires before execution; hook kept for API."""
-
     def after_instruction(self, state: ArchState, info: StepInfo, index: int) -> None:
         for model in self.models:
             if self._applies(model) and model.on_instruction(state, info):

@@ -405,11 +405,6 @@ class SramFaultModel(FaultModel):
         if self.structure is not SramStructure.CACHE_DATA:
             self._instance = core_id
 
-    def may_fire_within(self, count: int) -> bool:
-        # Conservative segment-blind fallback; the injector prefers the
-        # precise may_fire_in_segment below.
-        return count > 0 and self.active_cell_count > 0
-
     def may_fire_in_segment(self, segment: LogSegment, count: int) -> bool:
         """Exact fast-path veto: could any active cell touch this segment?
 

@@ -85,9 +85,9 @@ class CheckerPool:
         #: Round-robin position in the (one) candidate ring.
         self._rr_pointer = 0
         self.dispatches: List[DispatchRecord] = []
-        #: The same records, split by physical core, so an abort clamps
-        #: against its own core's records without scanning the rest.
-        self._core_dispatches: List[List[DispatchRecord]] = [[] for _ in range(size)]
+        #: Each physical core's latest record, whose end an abort clamps
+        #: the core's busy-until time to (see :meth:`abort`).
+        self._last_record: List[Optional[DispatchRecord]] = [None] * size
         #: Cumulative checker-wait per main, accumulated at select time.
         self.wait_ns = [0.0] * main_count
         #: Turn-taking across the mains' engine threads; one main, the
@@ -171,12 +171,16 @@ class CheckerPool:
         duration_ns: float,
         main_id: int = 0,
     ) -> DispatchRecord:
-        """Occupy ``core_id`` with a segment for ``duration_ns`` from ``start_ns``."""
+        """Occupy ``core_id`` with a segment for ``duration_ns`` from ``start_ns``.
+
+        ``start_ns`` is at or after the core's busy-until time, as
+        :meth:`select` returns it; :meth:`abort` relies on that order.
+        """
         end_ns = start_ns + duration_ns
         self.busy_until_ns[core_id] = end_ns
         record = DispatchRecord(core_id, segment_seq, start_ns, end_ns, main_id)
         self.dispatches.append(record)
-        self._core_dispatches[core_id].append(record)
+        self._last_record[core_id] = record
         return record
 
     def abort(self, record: DispatchRecord, at_ns: float) -> Optional[float]:
@@ -189,12 +193,14 @@ class CheckerPool:
             return None
         reclaimed = record.end_ns - max(at_ns, record.start_ns)
         record.end_ns = max(at_ns, record.start_ns)
-        # Clamp against the ends of the *remaining* dispatches on this
-        # core (any main's): a squash that lands before the check even
-        # began must not rewind the core below an earlier, unaborted check.
-        self.busy_until_ns[record.core_id] = max(
-            r.end_ns for r in self._core_dispatches[record.core_id]
-        )
+        # A squash that lands before the check even began must not rewind
+        # the core below an earlier, unaborted check (any main's).  A
+        # dispatch starts at or after its core's busy-until time and an
+        # abort never cuts a record below its start, so the ends of a
+        # core's records never decrease: the latest record ends last.
+        self.busy_until_ns[record.core_id] = self._last_record[
+            record.core_id
+        ].end_ns  # type: ignore[union-attr]
         return reclaimed
 
     # -- statistics ------------------------------------------------------------------

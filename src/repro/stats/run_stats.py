@@ -152,10 +152,6 @@ class RunResult:
     quarantine_events: List["QuarantineEvent"] = field(default_factory=list)
     #: Forward-progress guard actions (shrink / voltage / fail stages).
     escalations: List["EscalationEvent"] = field(default_factory=list)
-    #: True when the run was abandoned because recovery stopped making
-    #: progress (executed instructions exceeded the livelock budget).
-    #: Kept in sync with ``outcome`` for backwards compatibility.
-    livelocked: bool = False
     #: Externally visible writes (WRITE_EXTERNAL syscalls) performed,
     #: each after draining all outstanding checks: (wall_ns, text).
     external_flushes: List["tuple[float, str]"] = field(default_factory=list)
@@ -171,6 +167,12 @@ class RunResult:
     trace: Optional[List[Dict]] = None
 
     # -- derived metrics ------------------------------------------------------------
+    @property
+    def livelocked(self) -> bool:
+        """The run was abandoned because recovery stopped making progress
+        (executed instructions exceeded the livelock budget)."""
+        return self.outcome is RunOutcome.LIVELOCK
+
     @property
     def errors_detected(self) -> int:
         return len(self.recoveries)

@@ -46,7 +46,8 @@ class EventSource(enum.Enum):
     RESILIENCE = "resilience"
     #: The checkpoint-length controller: target adaptation.
     CHECKPOINT = "checkpoint"
-    #: The checker pool: busy intervals and squashed checks.
+    #: The checker pool: squashed checks (busy intervals are ``engine``
+    #: ``dispatch`` events).
     SCHEDULING = "scheduling"
     #: The differential-execution oracle: fuzz cases, checkpoint-level
     #: cross-checks, and first divergences (``repro fuzz``/``diffcheck``).
@@ -89,6 +90,9 @@ KNOWN_KINDS: Dict[str, frozenset] = {
         {"escalation", "quarantine", "vindication", "absolution"}
     ),
     EventSource.CHECKPOINT.value: frozenset({"target"}),
+    # ``abort``: an in-flight check squashed (value = reclaimed busy
+    # ns).  ``busy`` repeated each ``engine`` ``dispatch`` and is no
+    # longer emitted; it stays so that older version-1 files still load.
     EventSource.SCHEDULING.value: frozenset({"busy", "abort"}),
     EventSource.ORACLE.value: frozenset(
         {"fuzz_case", "checkpoint", "divergence"}

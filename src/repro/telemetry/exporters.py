@@ -9,7 +9,8 @@ Two serializations of the same event stream:
 * **Perfetto** — the Chrome ``trace_event`` JSON format, loadable at
   https://ui.perfetto.dev.  Each run becomes one *process*: the main
   core is a thread carrying segment slices and detection/rollback/flush
-  instants, each checker core is its own thread carrying busy slices,
+  instants, each checker core is its own thread carrying one busy slice
+  per ``engine`` ``dispatch`` (``scheduling`` events are not drawn),
   and the supply voltage and checkpoint-length target render as counter
   tracks.  Times convert from simulated nanoseconds to the format's
   microseconds.
@@ -236,9 +237,7 @@ def perfetto_events(
                         pid, MAIN_TID, f"commit seg {event.segment}", event.time_ns
                     )
                 )
-            # dispatch is rendered from the scheduling busy slice instead.
-        elif source == "scheduling":
-            if kind == "busy" and event.core >= 0 and event.value:
+            elif kind == "dispatch" and event.core >= 0 and event.value:
                 out.append(
                     _slice(
                         pid,
