@@ -195,6 +195,91 @@ class TestDetectionChannels:
         assert not result.detected
 
 
+class _LogOnly:
+    """A hook with neither instruction hook: it sees only the logs."""
+
+    def corrupt_load(self, op_index, value):
+        return value
+
+    def corrupt_store(self, op_index, value):
+        return value
+
+
+#: Which of the two optional instruction hooks a hook defines.
+HOOK_SHAPES = {
+    "neither": (),
+    "before": ("before_instruction",),
+    "after": ("after_instruction",),
+    "both": ("before_instruction", "after_instruction"),
+}
+
+
+def _recording_hook(names):
+    """A clean hook whose instruction hooks record the indices they see."""
+    hook = _LogOnly()
+    hook.seen = {name: [] for name in names}
+    for name in names:
+        setattr(hook, name, lambda *args, seen=hook.seen[name]: seen.append(args[-1]))
+    return hook
+
+
+LOOP = """
+    movi x1, 64
+    movi x9, 30
+loop:
+    add x2, x2, x9
+    str x2, [x1]
+    ldr x3, [x1]
+    subi x9, x9, 1
+    cbnz x9, loop
+    halt
+"""
+
+
+class TestOptionalInstructionHooks:
+    """The checker calls ``before_instruction``/``after_instruction``
+    only where a hook defines them."""
+
+    @pytest.mark.parametrize("shape", list(HOOK_SHAPES))
+    def test_clean_hook_replays_like_no_hook(self, shape):
+        program = assemble(LOOP)
+        segment = fill_segment(program)
+        plain = make_checker(program).check_segment(segment)
+        hook = _recording_hook(HOOK_SHAPES[shape])
+        hooked = make_checker(program).check_segment(segment, hook)
+        assert not plain.detected and not hooked.detected
+        assert hooked.instructions_executed == plain.instructions_executed
+        assert hooked.checker_cycles == plain.checker_cycles
+        every = list(range(segment.instruction_count))
+        assert hook.seen == {name: every for name in HOOK_SHAPES[shape]}
+
+    def test_before_hook_alone_corrupts(self):
+        program = assemble(SIMPLE)
+        segment = fill_segment(program)
+        hook = _LogOnly()
+
+        def before_instruction(state, index):
+            if index == 2:  # str x2: store a corrupted x2
+                state.regs.x[2] ^= 0x10
+
+        hook.before_instruction = before_instruction
+        result = make_checker(program).check_segment(segment, hook)
+        assert result.channel is DetectionChannel.STORE_COMPARISON
+
+    def test_after_hook_alone_corrupts(self):
+        program = assemble(SIMPLE)
+        segment = fill_segment(program)
+        hook = _LogOnly()
+
+        def after_instruction(state, info, index):
+            if info.dest == ("x", 2):  # movi x2 retired: corrupt its result
+                state.regs.x[2] ^= 0x10
+
+        hook.after_instruction = after_instruction
+        result = make_checker(program).check_segment(segment, hook)
+        assert result.channel is DetectionChannel.STORE_COMPARISON
+
+
 class TestCheckerTiming:
     def test_cycles_scale_with_instruction_count(self):
         b = ProgramBuilder("loop")

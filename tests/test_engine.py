@@ -1,5 +1,6 @@
 """Engine integration: golden equivalence, recovery, stalls, systems."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -22,6 +23,7 @@ from repro.faults import (
 )
 from repro.isa import FunctionalUnit
 from repro.lslog import SegmentCloseReason
+from repro.stats import RunOutcome, RunResult
 from repro.workloads import (
     WorkloadProfile,
     build_bitcount,
@@ -254,6 +256,40 @@ class TestLivelock:
         engine.options.livelock_factor = 8
         result = engine.run(workload.max_instructions)
         assert not result.livelocked
+
+    @staticmethod
+    def bare_result(**changes):
+        return RunResult(
+            system="paradox",
+            workload="bitcount",
+            wall_ns=1.0,
+            instructions=1,
+            instructions_executed=1,
+            segments=1,
+            **changes,
+        )
+
+    @pytest.mark.parametrize("outcome", list(RunOutcome))
+    def test_livelocked_follows_outcome(self, outcome):
+        result = self.bare_result(outcome=outcome)
+        assert result.livelocked is (outcome is RunOutcome.LIVELOCK)
+        # A copy with another outcome cannot keep a stale flag.
+        livelock = dataclasses.replace(result, outcome=RunOutcome.LIVELOCK)
+        assert livelock.livelocked
+
+    def test_livelocked_is_read_only(self):
+        result = self.bare_result()
+        with pytest.raises(AttributeError):
+            result.livelocked = True
+        assert not result.livelocked
+
+    def test_livelocked_is_not_a_field(self):
+        """The outcome is stored once: ``livelocked`` is neither a field
+        nor a constructor argument."""
+        names = {field.name for field in dataclasses.fields(RunResult)}
+        assert "outcome" in names and "livelocked" not in names
+        with pytest.raises(TypeError):
+            self.bare_result(livelocked=True)
 
 
 class TestDeterminism:

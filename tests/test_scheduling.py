@@ -1,11 +1,18 @@
 """Checker pool scheduling: round-robin vs lowest-free-ID, gating stats."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ParaDoxSystem
-from repro.scheduling import CheckerPool, SchedulingPolicy
-from repro.workloads import build_bitcount
+from repro.cli import WORKLOAD_BUILDERS, resolve_workload
+from repro.config import table1_config
+from repro.core import ParaDoxSystem, ParaMedicSystem
+from repro.core.multicore import CoreSpec, MulticoreEngine
+from repro.scheduling import CheckerPool, PoolPolicy, SchedulingPolicy
+from repro.workloads import SPEC_ORDER, build_bitcount, build_crc32, build_stream
+
+#: Every workload the CLI names: the five kernels, then the SPEC proxies.
+ALL_WORKLOADS = list(WORKLOAD_BUILDERS) + SPEC_ORDER
 
 
 def make_pool(policy, count=4, boot_offset=0):
@@ -225,6 +232,101 @@ class TestDispatchAndAbort:
             for which, at_ns in aborts:
                 pool.abort(records[which % len(records)], at_ns)
                 assert pool.busy_until_ns == [scanned(c) for c in range(len(pool))]
+
+
+class PoolAudit:
+    """Watch every dispatch and abort a real engine makes on ``pool``.
+
+    :meth:`CheckerPool.abort` takes a core's busy-until time from the
+    core's latest record, which is the latest end only if every
+    dispatch starts at or after its core's busy-until time.  The audit
+    keeps each dispatch that starts earlier, and each abort after which
+    busy-until differs from the max end over the core's whole history.
+    Nothing raises inside the engine (a shared pool's mains run on
+    threads): :meth:`check` asserts afterwards.
+    """
+
+    def __init__(self, pool):
+        self.early_dispatches = []
+        self.mismatches = []
+        #: ``(aborted record, the core's latest record)`` per abort.
+        self.aborts = []
+        dispatch, abort = pool.dispatch, pool.abort
+
+        def audited_dispatch(core_id, segment_seq, start_ns, duration_ns, main_id=0):
+            if start_ns < pool.busy_until_ns[core_id]:
+                self.early_dispatches.append((core_id, segment_seq, start_ns))
+            return dispatch(core_id, segment_seq, start_ns, duration_ns, main_id)
+
+        def audited_abort(record, at_ns):
+            reclaimed = abort(record, at_ns)
+            history = [r for r in pool.dispatches if r.core_id == record.core_id]
+            self.aborts.append((record, history[-1]))
+            scanned = max(r.end_ns for r in history)
+            if pool.busy_until_ns[record.core_id] != scanned:
+                self.mismatches.append((record, pool.busy_until_ns[record.core_id]))
+            return reclaimed
+
+        pool.dispatch = audited_dispatch
+        pool.abort = audited_abort
+
+    def check(self):
+        assert self.aborts, "the run must squash checks"
+        assert self.early_dispatches == []
+        assert self.mismatches == []
+
+
+class TestEngineDispatchOrder:
+    """The engines keep the order the O(1) abort relies on, and every
+    abort leaves busy-until where a scan of the core's records would."""
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_resilient_paradox(self, name):
+        """Lowest-free-ID selection, with quarantined cores avoided."""
+        workload = resolve_workload(name, 0.1)
+        config = table1_config().with_error_rate(5e-3, seed=3)
+        system = ParaDoxSystem(config=config, resilient=True)
+        engine = system.engine(workload, seed=3)
+        audit = PoolAudit(engine.pool)
+        engine.run(workload.max_instructions)
+        audit.check()
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_paramedic(self, name):
+        """Round-robin selection."""
+        workload = resolve_workload(name, 0.1)
+        config = table1_config().with_error_rate(1e-3, seed=3)
+        engine = ParaMedicSystem(config=config).engine(workload, seed=3)
+        audit = PoolAudit(engine.pool)
+        engine.run(workload.max_instructions)
+        audit.check()
+
+    @pytest.mark.parametrize("policy", list(PoolPolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize("partner", ["crc32", "stream"])
+    def test_two_mains_share_four_checkers(self, partner, policy):
+        """Two mains on four checkers squash checks that are not their
+        core's latest; outside a static partition the latest can be the
+        other main's, and the abort must not rewind below it."""
+        mix = [
+            build_bitcount(values=24),
+            build_crc32(length_words=12) if partner == "crc32" else build_stream(elements=48),
+        ]
+        config = table1_config().with_error_rate(5e-3, seed=3)
+        harness = MulticoreEngine(
+            [CoreSpec(workload=w) for w in mix],
+            policy=policy,
+            pool_size=4,
+            seed=3,
+            default_system=ParaDoxSystem(config=config, resilient=True),
+        )
+        audit = PoolAudit(harness.pool)
+        harness.run()
+        audit.check()
+        assert any(aborted is not latest for aborted, latest in audit.aborts)
+        crossed = any(
+            aborted.main_id != latest.main_id for aborted, latest in audit.aborts
+        )
+        assert crossed == (policy is not PoolPolicy.STATIC)
 
 
 class TestStatistics:
