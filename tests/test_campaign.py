@@ -9,7 +9,7 @@ import pytest
 from repro.cli import build_parser, campaign_spec_from_args
 from repro.parallel import run_fanout
 from repro.resilience import CampaignSpec, RunClass, run_campaign, smoke_spec
-from repro.resilience.campaign import classify_result, execute_run
+from repro.resilience.campaign import MODEL_MIXES, classify_result, execute_run
 
 #: SHA-256 of the canonical reports of the two traced campaigns in
 #: ``TestWarmCells``, first recorded when every cell built, golden-ran
@@ -18,6 +18,22 @@ from repro.resilience.campaign import classify_result, execute_run
 #: region's branch (only the ``jit.dispatches``, ``jit.instructions``
 #: and ``jit.activations`` gauges moved).
 COLD_REPORTS_SHA256 = "8efe0e36b45c6a533db50c9e58f1bc043c2b60e8de7541fab56fdcd7e2b64f11"
+
+#: SHA-256 of the traced ``execute_run`` message, ``duration_s`` left
+#: out, of one bitcount cell (scale 0.3, rate 3e-4, seed 1) per
+#: fault-model mix, plus the transient mix on two mains under ``steal``.
+#: Each digest covers the cell's outcome, fault count, metrics and
+#: trace, so it moves whenever a model sees a different register, unit
+#: or logged operation than before.
+MIX_CELL_SHA256 = {
+    "transient": "b74cf4148222faf1f2b5b5947a6a83327cd07ec5081c124fadc8a54809aad045",
+    "burst": "a51bd2f1dac308a09ef74fbd76894573d13da0bad63e155d47b1dd9c5d190864",
+    "stuckat": "1bed563aad6d78880202245f7a181195fb34b400e8fbc11284ba69f2783714e2",
+    "stuckat-global": "d99033eef28611cb3e300c88f4589f3a6ead79f60e28922bffeedbe719bd176a",
+    "sram": "eaf619fd55515735590a886b34e4c0f76de98f293e43062d47f117c1ea2ed574",
+    "sram-uniform": "c88d3b2ecdff00c500d5bcbb2b8786b154d0de06765daabbfd2c77e86e2aec10",
+    "transient-2main-steal": "8837dda9f505a9367292a318862a1048ea3071f1f70129db27f05bd6c9100fbc",
+}
 
 
 def ok_message(**overrides):
@@ -138,6 +154,37 @@ class TestExecuteRun:
         assert result["outcome"] in (
             "completed", "livelock", "forward_progress_failure",
         )
+
+
+class TestMixCells:
+    """One traced cell per fault-model mix, pinned byte for byte."""
+
+    def test_every_mix_is_pinned(self):
+        assert set(MODEL_MIXES) < set(MIX_CELL_SHA256)
+
+    @pytest.mark.parametrize("cell", sorted(MIX_CELL_SHA256))
+    def test_message_digest(self, cell):
+        model, _, mains = cell.partition("-2main-")
+        payload = {
+            "run_id": 0,
+            "workload": "bitcount",
+            "scale": 0.3,
+            "seed": 1,
+            "rate": 3e-4,
+            "model": model,
+            "dvs": True,
+            "initial_margin": 0.15,
+            "chip_seed": 0,
+            "tracing": True,
+        }
+        if mains:
+            payload["main_cores"] = 2
+            payload["pool_policy"] = mains
+        message = execute_run(payload)
+        assert message["faults_injected"] > 0
+        del message["duration_s"]
+        text = json.dumps(message, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == MIX_CELL_SHA256[cell]
 
 
 class TestIsolation:
