@@ -1083,7 +1083,12 @@ class SimulationEngine:
                 segment_target = self.length_controller.target
                 continue
             if main_injection:
-                injector.after_instruction(state, info, segment.instruction_count)
+                injector.after_instruction(
+                    state,
+                    unit_indices[pc],
+                    decode.main_rows[pc][4],
+                    segment.instruction_count,
+                )
 
             # Detections interrupt execution as soon as the main core's
             # wall clock passes the detection point.

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from ..config import CHECKER_FU_LATENCY, CheckerConfig
-from ..isa import Executor, SimTrap, StepInfo
+from ..isa import Executor, SimTrap
 from ..isa.decode import UNITS, DecodeTable, decode_table
 from ..isa.state import ArchState
 from ..jit import SuperblockJit
@@ -66,23 +66,34 @@ class SegmentFaultHook(Protocol):
 
     Implemented by :class:`repro.faults.injector.FaultInjector`.  The
     two instruction hooks and :meth:`replay_budgets` are optional: the
-    checker looks each up once per check and skips an absent one.
+    checker looks each up once per check and skips an absent one.  Each
+    hook gets the one fact the hardware it models corrupts: the unit and
+    the written register slot of an instruction, from the decode table,
+    or the index and logged address of a memory operation, from the
+    replay port.
     """
 
     def before_instruction(self, state: ArchState, index: int) -> None:
         """Optional: corrupt architectural state before instruction ``index``."""
         ...
 
-    def after_instruction(self, state: ArchState, info: StepInfo, index: int) -> None:
-        """Optional: corrupt the destination of instruction ``index``."""
+    def after_instruction(
+        self, state: ArchState, unit: int, slot: int, index: int
+    ) -> None:
+        """Optional: corrupt what instruction ``index`` wrote.  ``unit``
+        is its :attr:`DecodeTable.unit_index <repro.isa.decode.DecodeTable>`
+        and ``slot`` the register slot its :data:`~repro.isa.decode.MainRow`
+        writes (:data:`~repro.isa.decode.NO_SLOT` for none)."""
         ...
 
-    def corrupt_load(self, op_index: int, value: int) -> int:
-        """Map a logged load value to the (possibly corrupted) value seen."""
+    def corrupt_load(self, op_index: int, address: int, value: int) -> int:
+        """Map the value of logged load ``op_index`` at ``address`` to
+        the (possibly corrupted) value seen."""
         ...
 
-    def corrupt_store(self, op_index: int, value: int) -> int:
-        """Map a logged store value to the (possibly corrupted) reference."""
+    def corrupt_store(self, op_index: int, address: int, value: int) -> int:
+        """Map the value of logged store ``op_index`` at ``address`` to
+        the (possibly corrupted) reference."""
         ...
 
     def replay_budgets(self) -> Optional[List[Budget]]:
@@ -299,7 +310,10 @@ class CheckerCore:
         budget = max(target * TIMEOUT_FACTOR, target + 64)
         cycles = 0.0
         executed = 0
-        latency_by_pc = self._table.checker_latency
+        table = self._table
+        latency_by_pc = table.checker_latency
+        unit_index = table.unit_index
+        rows = table.main_rows
         step = executor.step
         before_hook = getattr(hook, "before_instruction", None)
         after_hook = getattr(hook, "after_instruction", None)
@@ -307,11 +321,11 @@ class CheckerCore:
             while executed < target and not state.halted:
                 if before_hook is not None:
                     before_hook(state, executed)
-                info = step()
+                pc = step().pc_before
                 executed += 1
-                cycles += latency_by_pc[info.pc_before]
+                cycles += latency_by_pc[pc]
                 if after_hook is not None:
-                    after_hook(state, info, executed - 1)
+                    after_hook(state, unit_index[pc], rows[pc][4], executed - 1)
                 if executed > budget:  # pragma: no cover - defensive
                     raise CheckerTimeout("checker exceeded budget", executed)
         except (ErrorDetected, SimTrap) as error:
@@ -370,11 +384,13 @@ class CheckerCore:
                 _settle(domains)
                 if before_hook is not None:
                     before_hook(state, executed)
-                info = step()
+                # The step's own PC: a before hook may have moved it.
+                pc = step().pc_before
                 executed += 1
                 cycles += cycles_before[pc + 1] - cycles_before[pc]
                 if after_hook is not None:
-                    after_hook(state, info, executed - 1)
+                    slot = table.main_rows[pc][4]
+                    after_hook(state, table.unit_index[pc], slot, executed - 1)
                 domains = _domains(table, hook.replay_budgets())  # type: ignore[union-attr]
         except (ErrorDetected, SimTrap) as error:
             # A raising block keeps instret exact up to the raising

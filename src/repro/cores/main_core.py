@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
-from ..isa.decode import SLOT_COUNT, decode_table
+from ..isa.decode import decode_table
+from ..isa.registers import SLOT_COUNT
 from ..memory.cache import MemoryHierarchy
 from .branch_predictor import TournamentPredictor
 

@@ -54,10 +54,10 @@ class _CheckerHook:
         if self.corruption is not None and index == self.corruption.instruction_index:
             self.corruption.apply(state)
 
-    def corrupt_load(self, op_index: int, value: int) -> int:
+    def corrupt_load(self, op_index: int, address: int, value: int) -> int:
         return value
 
-    def corrupt_store(self, op_index: int, value: int) -> int:
+    def corrupt_store(self, op_index: int, address: int, value: int) -> int:
         return value
 
 

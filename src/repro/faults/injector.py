@@ -4,7 +4,10 @@ One :class:`FaultInjector` owns a list of fault models sharing one RNG
 and applies them to the stream of checked segments, in dispatch order.
 It implements the :class:`~repro.cores.checker_core.SegmentFaultHook`
 protocol directly, so it can be handed to
-:meth:`CheckerCore.check_segment`.
+:meth:`CheckerCore.check_segment`.  It passes each model exactly what
+the hook was given: an instruction's unit index and written register
+slot, from the decode table, or a logged memory operation's index and
+address, from the replay port.
 
 The engine's fast path asks :meth:`fires_within_segment` before replaying
 a segment; when no model can fire within the segment's operation counts
@@ -33,8 +36,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry import Tracer
 
-from ..isa import StepInfo
-from ..isa.decode import UNIT_INDEX
 from ..isa.state import ArchState
 from ..lslog.segment import LogSegment
 from .models import FaultDomain, FaultModel
@@ -71,10 +72,6 @@ class FaultInjector:
         #: via :meth:`begin_check` so core-bound models only fire on
         #: their own hardware (None during main-core injection).
         self.current_checker_id: int | None = None
-        #: The segment currently being replayed (set alongside the
-        #: checker ID): address-correlated models resolve the logged
-        #: address of each corrupted operation through it.
-        self.current_segment: LogSegment | None = None
         #: Telemetry bus (set by the engine when tracing is enabled).
         #: Emission happens only when a fault actually fires — never on
         #: the per-operation clean path.
@@ -154,11 +151,10 @@ class FaultInjector:
 
         Called with ``(core_id, segment)`` before the fast-path query
         and with ``(None, None)`` when the check window closes, so
-        address-correlated models always know whose hardware — and
-        whose logged addresses — they are corrupting.
+        core-bound models always know whose hardware they are
+        corrupting.
         """
         self.current_checker_id = core_id
-        self.current_segment = segment
         for model in self.models:
             model.begin_check(core_id, segment)
 
@@ -178,7 +174,7 @@ class FaultInjector:
             return segment.store_count
         # UNIT_INSTRUCTIONS: only instructions of the unit that write a
         # register count (a no-effect instruction injects nothing).
-        return segment.unit_dest_counts[UNIT_INDEX[model.unit]]  # type: ignore[attr-defined]
+        return segment.unit_dest_counts[model.unit_index]  # type: ignore[attr-defined]
 
     def fires_within_segment(self, segment: LogSegment) -> bool:
         """Could any model fire while checking ``segment``?  Non-consuming.
@@ -234,42 +230,40 @@ class FaultInjector:
             if model.domain is FaultDomain.INSTRUCTIONS:
                 unit = None
             elif model.domain is FaultDomain.UNIT_INSTRUCTIONS:
-                unit = UNIT_INDEX[model.unit]  # type: ignore[attr-defined]
+                unit = model.unit_index  # type: ignore[attr-defined]
             else:  # pragma: no cover - a finite budget of loads or stores
                 return None
             budgets.append((unit, clean, model.advance_clean))
         return budgets
 
     # -- SegmentFaultHook protocol ----------------------------------------------------------
-    def after_instruction(self, state: ArchState, info: StepInfo, index: int) -> None:
+    def after_instruction(
+        self, state: ArchState, unit: int, slot: int, index: int
+    ) -> None:
         for model in self.models:
-            if self._applies(model) and model.on_instruction(state, info):
+            if self._applies(model) and model.on_instruction(state, unit, slot):
                 self.stats.instruction_faults += 1
                 self._trace_fault("instruction", model)
 
-    def corrupt_load(self, op_index: int, value: int) -> int:
+    def corrupt_load(self, op_index: int, address: int, value: int) -> int:
         # At most one fault per operation: once a model corrupts the
         # value, stop — chaining further models through the already
         # corrupted value double-counts (and can silently cancel) faults.
-        segment = self.current_segment
-        address = segment.loads[op_index][0] if segment is not None else 0
         for model in self.models:
             if not self._applies(model):
                 continue
-            value, fired = model.on_load_at(op_index, address, value)
+            value, fired = model.on_load(op_index, address, value)
             if fired:
                 self.stats.load_faults += 1
                 self._trace_fault("load", model)
                 break
         return value
 
-    def corrupt_store(self, op_index: int, value: int) -> int:
-        segment = self.current_segment
-        address = segment.store_addrs[op_index] if segment is not None else 0
+    def corrupt_store(self, op_index: int, address: int, value: int) -> int:
         for model in self.models:
             if not self._applies(model):
                 continue
-            value, fired = model.on_store_at(op_index, address, value)
+            value, fired = model.on_store(op_index, address, value)
             if fired:
                 self.stats.store_faults += 1
                 self._trace_fault("store", model)

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..isa import StepInfo
+from ..isa.registers import FLAGS_SLOT, REG_ZERO
 from ..isa.state import ArchState
 from ..lslog.segment import LogSegment
 from .models import FaultDomain, FaultModel
@@ -442,35 +442,25 @@ class SramFaultModel(FaultModel):
         """No arrival process to advance; a vetoed skip consumed nothing."""
 
     # -- fire hooks -------------------------------------------------------------
-    def on_instruction(self, state: ArchState, info: StepInfo) -> bool:
+    def on_instruction(self, state: ArchState, unit: int, slot: int) -> bool:
         if self.structure is not SramStructure.CHECKER_REGFILE:
             return False
         active = self._active.get(self._instance)  # type: ignore[arg-type]
-        if not active or info.dest is None:
+        # Rows 1-47 hold x1-x31 and f0-f15 and are numbered like their
+        # register slots; x0 is hard-wired zero and the flags live in
+        # latches, not the SRAM array.
+        if not active or not REG_ZERO < slot < FLAGS_SLOT:
             return False
-        reg_file, index = info.dest
-        if reg_file == "x":
-            if index == 0:
-                return False  # x0 is hard-wired zero
-            row = index
-        elif reg_file == "f":
-            row = 32 + index
-        else:
-            return False  # flags live in latches, not the SRAM array
-        entry = active.get(row)
+        entry = active.get(slot)
         if entry is None:
             return False
         mask, cells = entry
-        if reg_file == "x":
-            state.regs.write_x(index, state.regs.read_x(index) ^ mask)
-        else:
-            state.regs.write_f_bits(index, state.regs.read_f_bits(index) ^ mask)
+        regs = state.regs
+        regs.write_slot(slot, regs.read_slot(slot) ^ mask)
         self.last_fired_cell = cells[0]
         return True
 
-    def on_load_at(
-        self, op_index: int, address: int, value: int
-    ) -> "tuple[int, bool]":
+    def on_load(self, op_index: int, address: int, value: int) -> "tuple[int, bool]":
         if self.structure is SramStructure.LOAD_STORE_LOG:
             active = self._active.get(self._instance)  # type: ignore[arg-type]
             if not active:
@@ -499,9 +489,7 @@ class SramFaultModel(FaultModel):
             return value ^ mask, True
         return value, False
 
-    def on_store_at(
-        self, op_index: int, address: int, value: int
-    ) -> "tuple[int, bool]":
+    def on_store(self, op_index: int, address: int, value: int) -> "tuple[int, bool]":
         if self.structure is not SramStructure.LOAD_STORE_LOG:
             return value, False
         active = self._active.get(self._instance)  # type: ignore[arg-type]

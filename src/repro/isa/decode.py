@@ -1,7 +1,7 @@
 """The static per-PC decode table: one per program, shared by every layer.
 
-Everything the timing models, the log and the compiled tier need to
-know about an instruction, apart from its runtime address and branch
+Everything the timing models, the log, the fault models and the
+compiled tier need to know about an instruction, apart from its runtime address and branch
 outcome, is a pure function of the program and the PC.  This module
 works those facts out once per :class:`~repro.isa.program.Program` and
 keeps them as flat lists indexed by PC:
@@ -13,23 +13,27 @@ keeps them as flat lists indexed by PC:
 * on first use per unit, where a replayed span meets the instructions
   a fault model counts (:meth:`DecodeTable.fault_columns`);
 * one :data:`MainRow` of main-core timing facts: the unit latency, the
-  load and branch flags, the registers read and the register written
-  as flat integer *slots* (``x0..x31``, then ``f0..f15``, then the
-  flags register, so the main core's scoreboard is a list instead of a
-  tuple-keyed dict) and the unit name;
+  load and branch flags, the registers read, the register written and
+  the unit name.  Registers are flat integer *slots* (``x0..x31``,
+  then ``f0..f15``, then the flags register; see
+  :mod:`repro.isa.registers`), so the main core's scoreboard is a list
+  instead of a tuple-keyed dict, and a fault model reaches the written
+  register through
+  :meth:`~repro.isa.registers.RegisterFile.read_slot` and ``write_slot``;
 * which PCs hold a syscall whose effect escapes the rollback domain;
 * the compiled tier's regions, as one mapping rather than a list: for
   each PC where a block may start, its region's start and how many
   instructions a block entered there may run
   (:func:`repro.jit.superblock.region_blocks`).
 
-The write slot mirrors exactly what
-:class:`~repro.isa.executor.Executor` reports as each
-:class:`~repro.isa.executor.StepInfo`'s ``dest``, and the read slots
-are the operands each opcode reads by the ISA's definition (nothing
-reports them per step: they are static).  The test suite checks both,
-the read slots against a per-opcode rule of its own, and every other
-field of the row, for every PC any workload or fuzz profile retires.
+The read and write slots are the operands each opcode reads and the
+register it writes by the ISA's definition; the executor reports none
+of them per step, since they are static.  The test suite checks both
+against per-opcode rules of its own, and every other field of the
+row, for every PC any workload or fuzz profile retires, and checks
+after every retired step that the only register whose value changed
+is the write slot.  The one write the table leaves out is
+``GET_INSTRET``'s x1: no syscall records a write.
 
 Tables are cached per program object, like the compiled tier's code
 cache: ``Program`` is an unhashable dataclass, so the key is its
@@ -51,20 +55,13 @@ from .instructions import (
     Opcode,
 )
 from .program import Program
-from .registers import NUM_FP_REGS, NUM_INT_REGS
+from .registers import F_BASE, FLAGS_SLOT
 
 #: Every functional unit, in the order unit indices count them.
 UNITS: Tuple[FunctionalUnit, ...] = tuple(FunctionalUnit)
 #: Unit -> its index in :data:`UNITS` (and in per-unit count lists).
 UNIT_INDEX: Dict[FunctionalUnit, int] = {unit: i for i, unit in enumerate(UNITS)}
 
-#: First slot of the floating-point registers; integer register ``i``
-#: is slot ``i``.
-F_BASE = NUM_INT_REGS
-#: Slot of the flags register.
-FLAGS_SLOT = NUM_INT_REGS + NUM_FP_REGS
-#: Number of register slots (the scoreboard's length).
-SLOT_COUNT = FLAGS_SLOT + 1
 #: Write slot of an instruction that writes no register.
 NO_SLOT = -1
 
@@ -89,11 +86,8 @@ _F_F_TO_F = frozenset({Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV})
 
 
 def reads_write(instr: Instruction) -> Tuple[Tuple[int, ...], int]:
-    """The slots ``instr`` reads, in operand order, and the slot it writes.
-
-    The write slot is the :class:`~repro.isa.executor.Executor`
-    handler's ``dest`` tag as a slot.
-    """
+    """The slots ``instr`` reads, in operand order, and the slot it
+    writes (:data:`NO_SLOT` for none)."""
     op = instr.opcode
     d, a, b = instr.rd, instr.rs1, instr.rs2
     f = F_BASE

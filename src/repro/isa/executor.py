@@ -24,7 +24,7 @@ which the compiled tier's generated code calls too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol
 
 from .arith import fcvti, fdiv, flags_sub, sdiv, srem
 from .errors import HaltTrap, InvalidPcTrap
@@ -32,10 +32,6 @@ from .instructions import Instruction, Opcode, Syscall
 from .program import Program
 from .registers import MASK64, Flag, to_signed, to_unsigned
 from .state import ArchState
-
-#: A register tag: ("x"|"f"|"flags", index).
-RegTag = Tuple[str, int]
-
 
 class DataPort(Protocol):
     """Data-side memory interface of a core."""
@@ -51,21 +47,17 @@ class DataPort(Protocol):
 
 @dataclass
 class StepInfo:
-    """Everything the timing models need to know about one retired instruction."""
+    """What the run decided for one retired instruction.
 
-    __slots__ = (
-        "instruction",
-        "pc_before",
-        "pc_after",
-        "dest",
-        "address",
-        "taken",
-    )
+    Only the dynamic facts: the instruction, its unit and the register
+    it writes are functions of ``pc_before``, and every layer reads them
+    from the program's :class:`~repro.isa.decode.DecodeTable`.
+    """
 
-    instruction: Instruction
+    __slots__ = ("pc_before", "pc_after", "address", "taken")
+
     pc_before: int
     pc_after: int
-    dest: Optional[RegTag]
     address: Optional[int]
     taken: Optional[bool]
 
@@ -146,21 +138,19 @@ class Executor:
         port_cell = self._port_cell
 
         def advance(
-            instr: Instruction,
-            dest: Optional[RegTag],
             address: Optional[int] = None,
             next_pc: Optional[int] = None,
             taken: Optional[bool] = None,
         ) -> StepInfo:
             pc_before = state.pc
             state.pc = pc_before + 1 if next_pc is None else next_pc
-            return StepInfo(instr, pc_before, state.pc, dest, address, taken)
+            return StepInfo(pc_before, state.pc, address, taken)
 
         def binop(fn: Callable[[int, int], int]) -> Callable[[Instruction], StepInfo]:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.x[instr.rs1], regs.x[instr.rs2])
                 regs.write_x(instr.rd, value)
-                return advance(instr, ("x", instr.rd))
+                return advance()
 
             return execute
 
@@ -168,7 +158,7 @@ class Executor:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.x[instr.rs1], instr.imm)
                 regs.write_x(instr.rd, value)
-                return advance(instr, ("x", instr.rd))
+                return advance()
 
             return execute
 
@@ -176,7 +166,7 @@ class Executor:
             def execute(instr: Instruction) -> StepInfo:
                 value = fn(regs.read_f(instr.rs1), regs.read_f(instr.rs2))
                 regs.write_f(instr.rd, value)
-                return advance(instr, ("f", instr.rd))
+                return advance()
 
             return execute
 
@@ -207,19 +197,19 @@ class Executor:
         # -- individual handlers ---------------------------------------------------
         def exec_mov(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, regs.x[instr.rs1])
-            return advance(instr, ("x", instr.rd))
+            return advance()
 
         def exec_movi(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, to_unsigned(instr.imm))
-            return advance(instr, ("x", instr.rd))
+            return advance()
 
         def exec_cmp(instr: Instruction) -> StepInfo:
             regs.flags = flags_sub(regs.x[instr.rs1], regs.x[instr.rs2])
-            return advance(instr, ("flags", 0))
+            return advance()
 
         def exec_cmpi(instr: Instruction) -> StepInfo:
             regs.flags = flags_sub(regs.x[instr.rs1], to_unsigned(instr.imm))
-            return advance(instr, ("flags", 0))
+            return advance()
 
         def exec_fcmp(instr: Instruction) -> StepInfo:
             a, b = regs.read_f(instr.rs1), regs.read_f(instr.rs2)
@@ -227,34 +217,32 @@ class Executor:
                 regs.set_flags(False, False, True, True)
             else:
                 regs.set_flags(a < b, a == b, a >= b, False)
-            return advance(instr, ("flags", 0))
+            return advance()
 
         def exec_fmov(instr: Instruction) -> StepInfo:
             regs.write_f_bits(instr.rd, regs.read_f_bits(instr.rs1))
-            return advance(instr, ("f", instr.rd))
+            return advance()
 
         def exec_fmovi(instr: Instruction) -> StepInfo:
             regs.write_f(instr.rd, instr.fimm)
-            return advance(instr, ("f", instr.rd))
+            return advance()
 
         def exec_fcvt(instr: Instruction) -> StepInfo:
             regs.write_f(instr.rd, float(to_signed(regs.x[instr.rs1])))
-            return advance(instr, ("f", instr.rd))
+            return advance()
 
         def exec_fcvti(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, fcvti(regs.read_f(instr.rs1)))
-            return advance(instr, ("x", instr.rd))
+            return advance()
 
         def exec_load(instr: Instruction) -> StepInfo:
             address = (regs.x[instr.rs1] + instr.imm) & MASK64
             value = port_cell[0].load(address)
             if instr.opcode is Opcode.LDR:
                 regs.write_x(instr.rd, value)
-                dest: RegTag = ("x", instr.rd)
             else:
                 regs.write_f_bits(instr.rd, value)
-                dest = ("f", instr.rd)
-            return advance(instr, dest, address=address)
+            return advance(address)
 
         def exec_store(instr: Instruction) -> StepInfo:
             address = (regs.x[instr.rs1] + instr.imm) & MASK64
@@ -263,10 +251,10 @@ class Executor:
             else:
                 value = regs.read_f_bits(instr.rs2)
             port_cell[0].store(address, value)
-            return advance(instr, None, address=address)
+            return advance(address)
 
         def exec_b(instr: Instruction) -> StepInfo:
-            return advance(instr, None, next_pc=instr.target, taken=True)
+            return advance(next_pc=instr.target, taken=True)
 
         conditions = self._CONDITIONS
 
@@ -275,29 +263,29 @@ class Executor:
             c, v = regs.flag(Flag.C), regs.flag(Flag.V)
             taken = conditions[instr.opcode](n, z, c, v)
             next_pc = instr.target if taken else None
-            return advance(instr, None, next_pc=next_pc, taken=taken)
+            return advance(next_pc=next_pc, taken=taken)
 
         def exec_cb(instr: Instruction) -> StepInfo:
             value = regs.x[instr.rs1]
             taken = (value == 0) if instr.opcode is Opcode.CBZ else (value != 0)
             next_pc = instr.target if taken else None
-            return advance(instr, None, next_pc=next_pc, taken=taken)
+            return advance(next_pc=next_pc, taken=taken)
 
         def exec_jal(instr: Instruction) -> StepInfo:
             regs.write_x(instr.rd, state.pc + 1)
-            return advance(instr, ("x", instr.rd), next_pc=instr.target, taken=True)
+            return advance(next_pc=instr.target, taken=True)
 
         def exec_jalr(instr: Instruction) -> StepInfo:
             next_pc = regs.x[instr.rs1]
             regs.write_x(instr.rd, state.pc + 1)
-            return advance(instr, ("x", instr.rd), next_pc=next_pc, taken=True)
+            return advance(next_pc=next_pc, taken=True)
 
         def exec_nop(instr: Instruction) -> StepInfo:
-            return advance(instr, None)
+            return advance()
 
         def exec_halt(instr: Instruction) -> StepInfo:
             state.halted = True
-            return advance(instr, None)
+            return advance()
 
         def exec_syscall(instr: Instruction) -> StepInfo:
             number = instr.imm
@@ -318,7 +306,7 @@ class Executor:
                 # Unknown syscalls are NOPs; a corrupted syscall number on a
                 # checker therefore diverges through its (lack of) effects.
                 pass
-            return advance(instr, None)
+            return advance()
 
         d[Opcode.MOV] = exec_mov
         d[Opcode.MOVI] = exec_movi

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class FunctionalUnit(enum.Enum):
@@ -111,21 +111,6 @@ BRANCH_OPCODES = (
     | CONDITIONAL_REG_BRANCHES
     | frozenset({Opcode.B, Opcode.JAL, Opcode.JALR})
 )
-#: Opcodes whose destination is a floating-point register.
-FP_DEST_OPCODES = frozenset(
-    {
-        Opcode.FADD,
-        Opcode.FSUB,
-        Opcode.FMUL,
-        Opcode.FDIV,
-        Opcode.FMOV,
-        Opcode.FMOVI,
-        Opcode.FCVT,
-        Opcode.FLDR,
-    }
-)
-#: Opcodes that write the flags register instead of a data register.
-FLAG_DEST_OPCODES = frozenset({Opcode.CMP, Opcode.CMPI, Opcode.FCMP})
 #: Memory opcodes.
 MEMORY_OPCODES = frozenset({Opcode.LDR, Opcode.STR, Opcode.FLDR, Opcode.FSTR})
 
@@ -187,35 +172,6 @@ class Instruction:
     @property
     def is_load(self) -> bool:
         return self.opcode in (Opcode.LDR, Opcode.FLDR)
-
-    @property
-    def is_store(self) -> bool:
-        return self.opcode in (Opcode.STR, Opcode.FSTR)
-
-    def destination(self) -> Tuple[Optional[str], int]:
-        """Return ``(register file, index)`` written by this instruction.
-
-        The file is ``"x"``, ``"f"``, ``"flags"`` or ``None`` when the
-        instruction writes no register (stores, plain branches, NOP...).
-        Used by the combinational fault model, which corrupts "the
-        registers that have been modified by the concerned instructions".
-        """
-        op = self.opcode
-        if op in FLAG_DEST_OPCODES:
-            return ("flags", 0)
-        if op in FP_DEST_OPCODES:
-            return ("f", self.rd)
-        if op in (Opcode.STR, Opcode.FSTR, Opcode.B, Opcode.NOP, Opcode.HALT):
-            return (None, 0)
-        if op in CONDITIONAL_FLAG_BRANCHES or op in CONDITIONAL_REG_BRANCHES:
-            return (None, 0)
-        if op is Opcode.SYSCALL:
-            return (None, 0)
-        if op is Opcode.FCVTI:
-            return ("x", self.rd)
-        if op in (Opcode.JAL, Opcode.JALR):
-            return ("x", self.rd)
-        return ("x", self.rd)
 
     def __str__(self) -> str:
         parts = [self.opcode.mnemonic]

@@ -28,6 +28,15 @@ MASK64 = (1 << 64) - 1
 NUM_INT_REGS = 32
 NUM_FP_REGS = 16
 
+#: Register *slots* number every register once: integer register ``i``
+#: is slot ``i``, floating-point register ``i`` slot ``F_BASE + i``,
+#: and the flags register slot :data:`FLAGS_SLOT`.
+F_BASE = NUM_INT_REGS
+#: Slot of the flags register.
+FLAGS_SLOT = NUM_INT_REGS + NUM_FP_REGS
+#: Number of register slots.
+SLOT_COUNT = FLAGS_SLOT + 1
+
 #: Conventional role of a few integer registers, used by the program
 #: builder.  The architecture itself does not enforce these.
 REG_ZERO = 0
@@ -132,6 +141,25 @@ class RegisterFile:
         self.flags = (
             (int(n) << Flag.N) | (int(z) << Flag.Z) | (int(c) << Flag.C) | (int(v) << Flag.V)
         )
+
+    # -- register slots ------------------------------------------------------
+    def read_slot(self, slot: int) -> int:
+        """The raw bits of the register at ``slot``."""
+        if slot < F_BASE:
+            return self.x[slot]
+        if slot < FLAGS_SLOT:
+            return self.f[slot - F_BASE]
+        return self.flags
+
+    def write_slot(self, slot: int, bits: int) -> None:
+        """Set the register at ``slot`` to ``bits``; writes to ``x0`` are
+        discarded."""
+        if slot < F_BASE:
+            self.write_x(slot, bits)
+        elif slot < FLAGS_SLOT:
+            self.write_f_bits(slot - F_BASE, bits)
+        else:
+            self.flags = bits
 
     # -- snapshots -----------------------------------------------------------
     def snapshot(self) -> "RegisterFile":

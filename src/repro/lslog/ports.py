@@ -33,6 +33,10 @@ from .detection import (
 )
 from .segment import LogSegment, RollbackGranularity, SegmentFull
 
+#: Maps ``(operation index, logged address, logged value)`` to the value
+#: a checker sees.
+Corruptor = Callable[[int, int, int], int]
+
 
 class UncheckedConflictStall(Exception):
     """A store hit an L1 set whose ways all hold unchecked dirty lines."""
@@ -95,7 +99,9 @@ class CheckerReplayPort:
     ``load_corruptor`` / ``store_corruptor``, when given, model the
     paper's *memory fault* injection ("errors in the load-store log...
     flipping one bit of the data carried by a memory operation"): they map
-    ``(operation index, logged value) -> value seen by the checker``.
+    ``(operation index, logged address, logged value) -> value seen by
+    the checker``, so a fault model gets the logged operation it
+    corrupts from the port that replays it.
 
     :meth:`replay` re-points the port at another segment, so a replay
     context keeps one port, and compiled code bound to its ``load`` and
@@ -105,16 +111,16 @@ class CheckerReplayPort:
     def __init__(
         self,
         segment: Optional[LogSegment],
-        load_corruptor: Optional[Callable[[int, int], int]] = None,
-        store_corruptor: Optional[Callable[[int, int], int]] = None,
+        load_corruptor: Optional[Corruptor] = None,
+        store_corruptor: Optional[Corruptor] = None,
     ) -> None:
         self.replay(segment, load_corruptor, store_corruptor)
 
     def replay(
         self,
         segment: Optional[LogSegment],
-        load_corruptor: Optional[Callable[[int, int], int]] = None,
-        store_corruptor: Optional[Callable[[int, int], int]] = None,
+        load_corruptor: Optional[Corruptor] = None,
+        store_corruptor: Optional[Corruptor] = None,
     ) -> None:
         """Serve ``segment``'s log from its first operation (None: no
         segment, which lets the last one go)."""
@@ -139,7 +145,7 @@ class CheckerReplayPort:
                 f"{logged_address:#x}"
             )
         if self._load_corruptor is not None:
-            value = self._load_corruptor(index, value)
+            value = self._load_corruptor(index, logged_address, value)
         return value
 
     def store(self, address: int, value: int) -> None:
@@ -154,7 +160,7 @@ class CheckerReplayPort:
         logged_value = segment.store_values[index]
         self.store_index += 1
         if self._store_corruptor is not None:
-            logged_value = self._store_corruptor(index, logged_value)
+            logged_value = self._store_corruptor(index, logged_address, logged_value)
         if logged_address != address:
             raise StoreAddressMismatch(
                 f"store #{index}: checker address {address:#x} != logged "

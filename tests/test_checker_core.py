@@ -6,7 +6,7 @@ from repro.config import CacheConfig, CheckerConfig, table1_config
 from repro.cores import CheckerCore, icache_penalty, miss_probability
 from repro.cores.icache_model import L0_MISS_CYCLES
 from repro.isa import ArchState, Executor, MemoryImage, ProgramBuilder, assemble
-from repro.isa.decode import UNIT_INDEX
+from repro.isa.decode import NO_SLOT, decode_table
 from repro.lslog import (
     DetectionChannel,
     LogSegment,
@@ -33,10 +33,11 @@ def fill_segment(program, instructions=None):
     port.segment = segment
     executor = Executor(program, state, port)
     budget = instructions or 100_000
+    table = decode_table(program)
     while not state.halted and segment.instruction_count < budget:
-        info = executor.step()
+        pc = executor.step().pc_before
         segment.record_instruction(
-            UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
+            table.unit_index[pc], writes_register=table.writes_register[pc]
         )
     segment.close(state.snapshot(), SegmentCloseReason.PROGRAM_END)
     return segment
@@ -105,15 +106,15 @@ class _Corruptor:
         if self.at is not None and index == self.at:
             state.regs.x[2] ^= 0x10
 
-    def after_instruction(self, state, info, index):
+    def after_instruction(self, state, unit, slot, index):
         pass
 
-    def corrupt_load(self, op_index, value):
+    def corrupt_load(self, op_index, address, value):
         if self.load_flip is not None and op_index == self.load_flip:
             return value ^ 1
         return value
 
-    def corrupt_store(self, op_index, value):
+    def corrupt_store(self, op_index, address, value):
         if self.store_flip is not None and op_index == self.store_flip:
             return value ^ 1
         return value
@@ -198,10 +199,10 @@ class TestDetectionChannels:
 class _LogOnly:
     """A hook with neither instruction hook: it sees only the logs."""
 
-    def corrupt_load(self, op_index, value):
+    def corrupt_load(self, op_index, address, value):
         return value
 
-    def corrupt_store(self, op_index, value):
+    def corrupt_store(self, op_index, address, value):
         return value
 
 
@@ -266,13 +267,38 @@ class TestOptionalInstructionHooks:
         result = make_checker(program).check_segment(segment, hook)
         assert result.channel is DetectionChannel.STORE_COMPARISON
 
+    @pytest.mark.parametrize("path", ["interpreted", "stepped", "compiled"])
+    def test_after_hook_gets_the_table_unit_and_slot(self, path):
+        """Every replay path hands ``after_instruction`` the decode
+        table's unit index and write slot of the PC each step retired."""
+        program = assemble(LOOP)
+        segment = fill_segment(program)
+        state = ArchState()
+        executor = Executor(program, state, MemoryImage())
+        pcs = [executor.step().pc_before for _ in range(segment.instruction_count)]
+        table = decode_table(program)
+        hook = _LogOnly()
+        calls = []
+        hook.after_instruction = lambda state, *args: calls.append(args)
+        if path == "compiled":
+            # A zero clean budget: every instruction may fire, so
+            # compiled replay steps each one through the hooks.
+            hook.replay_budgets = lambda: [(None, 0, lambda n: None)]
+        checker = CheckerCore(table1_config().checker, program, jit=path != "interpreted")
+        assert not checker.check_segment(segment, hook).detected
+        assert calls == [
+            (table.unit_index[pc], table.main_rows[pc][4], index)
+            for index, pc in enumerate(pcs)
+        ]
+        assert NO_SLOT in {slot for _, slot, _ in calls}
+
     def test_after_hook_alone_corrupts(self):
         program = assemble(SIMPLE)
         segment = fill_segment(program)
         hook = _LogOnly()
 
-        def after_instruction(state, info, index):
-            if info.dest == ("x", 2):  # movi x2 retired: corrupt its result
+        def after_instruction(state, unit, slot, index):
+            if slot == 2:  # movi x2 retired: corrupt its result
                 state.regs.x[2] ^= 0x10
 
         hook.after_instruction = after_instruction

@@ -12,6 +12,7 @@ from repro.isa import (
     MemoryAlignmentTrap,
     MemoryImage,
     ProgramBuilder,
+    StepInfo,
     Syscall,
     assemble,
     to_signed,
@@ -339,18 +340,22 @@ class TestControlAndSystem:
 
 
 class TestStepInfo:
-    def test_reads_and_dest(self):
+    def test_only_run_facts(self):
+        assert StepInfo.__slots__ == ("pc_before", "pc_after", "address", "taken")
+
+    def test_reads_and_write_slot(self):
         program = assemble("movi x1, 1\nmovi x2, 2\nadd x3, x1, x2\nhalt")
         state = ArchState()
         executor = Executor(program, state, MemoryImage())
         executor.step()
         executor.step()
         info = executor.step()
-        assert info.dest == ("x", 3)
+        assert (info.pc_before, info.pc_after) == (2, 3)
         assert info.address is None
-        # The registers an instruction reads are static: the decode
-        # table's row for the PC holds them as slots.
-        assert decode_table(program).main_rows[info.pc_before][3] == (1, 2)
+        # The registers an instruction reads and writes are static: the
+        # decode table's row for the PC holds them as slots.
+        row = decode_table(program).main_rows[info.pc_before]
+        assert row[3] == (1, 2) and row[4] == 3
 
     def test_load_info_has_address(self):
         program = assemble("movi x1, 64\nldr x2, [x1, 8]\nhalt")
@@ -359,7 +364,7 @@ class TestStepInfo:
         executor.step()
         info = executor.step()
         assert info.address == 72
-        assert info.instruction.is_load
+        assert program.instructions[info.pc_before].is_load
 
     def test_branch_info_taken(self):
         program = assemble("movi x1, 0\ncbz x1, t\nnop\nt:\nhalt")

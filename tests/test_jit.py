@@ -48,7 +48,7 @@ from repro.isa import (
     Program,
     assemble,
 )
-from repro.isa.decode import UNIT_INDEX, decode_table
+from repro.isa.decode import decode_table
 from repro.isa.instructions import (
     BRANCH_OPCODES,
     CONDITIONAL_FLAG_BRANCHES,
@@ -278,6 +278,7 @@ class _Harness:
 
     def __init__(self, program, record):
         self.program = program
+        self.table = decode_table(program)
         self.config = table1_config()
         self.state = ArchState()
         self.port = _Port()
@@ -339,9 +340,10 @@ class _Harness:
         try:
             for _ in range(steps):
                 info = self.executor.step()
-                self._commit(info.pc_before, info.address, info.taken, info.pc_after)
+                pc = info.pc_before
+                self._commit(pc, info.address, info.taken, info.pc_after)
                 if self.record:
-                    self._rec(UNIT_INDEX[info.instruction.unit], info.dest is not None)
+                    self._rec(self.table.unit_index[pc], self.table.writes_register[pc])
                 ran += 1
         except _PortStop:
             ran = None

@@ -104,8 +104,16 @@ class TestCheckerReplayLoads:
 
     def test_load_corruptor_applied(self):
         segment = self.make_checked_segment()
-        replay = CheckerReplayPort(segment, load_corruptor=lambda i, v: v ^ 1)
+        seen = []
+
+        def flip(op_index, address, value):
+            seen.append((op_index, address, value))
+            return value ^ 1
+
+        replay = CheckerReplayPort(segment, load_corruptor=flip)
         assert replay.load(0) == 11
+        assert replay.load(8) == 21
+        assert seen == [(0, 0, 10), (1, 8, 20)]  # index, logged address, value
 
 
 class TestCheckerReplayStores:
@@ -137,9 +145,16 @@ class TestCheckerReplayStores:
 
     def test_store_corruptor_causes_mismatch(self):
         segment = self.make_segment_with_store()
-        replay = CheckerReplayPort(segment, store_corruptor=lambda i, v: v ^ 4)
+        seen = []
+
+        def flip(op_index, address, value):
+            seen.append((op_index, address, value))
+            return value ^ 4
+
+        replay = CheckerReplayPort(segment, store_corruptor=flip)
         with pytest.raises(StoreMismatch):
             replay.store(16, 30)  # the *reference* got corrupted
+        assert seen == [(0, 16, 30)]
 
     def test_not_fully_consumed_without_replay(self):
         replay = CheckerReplayPort(self.make_segment_with_store())

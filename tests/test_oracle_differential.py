@@ -12,7 +12,7 @@ from repro.config import table1_config
 from repro.cores.checker_core import CheckerCore
 from repro.cores.main_core import MainCoreTiming
 from repro.isa import ArchState, Executor, Opcode, ProgramBuilder, Syscall
-from repro.isa.decode import UNIT_INDEX
+from repro.isa.decode import decode_table
 from repro.lslog import (
     LogSegment,
     MainMemoryPort,
@@ -264,12 +264,13 @@ class TestGetInstretUnderReplay:
         )
         port.segment = segment
         syscalls_replayed = 0
+        table = decode_table(workload.program)
         for _ in range(30):
-            info = executor.step()
+            pc = executor.step().pc_before
             segment.record_instruction(
-                UNIT_INDEX[info.instruction.unit], writes_register=info.dest is not None
+                table.unit_index[pc], writes_register=table.writes_register[pc]
             )
-            if info.instruction.opcode is Opcode.SYSCALL:
+            if table.instructions[pc].opcode is Opcode.SYSCALL:
                 syscalls_replayed += 1
         assert syscalls_replayed > 0
         assert segment.start_state.instret == 25

@@ -20,6 +20,8 @@ from repro.faults import (
     StuckAtFaultModel,
 )
 from repro.isa import ArchState, FunctionalUnit
+from repro.isa.decode import UNIT_INDEX
+from repro.isa.registers import F_BASE, FLAGS_SLOT
 from repro.resilience import (
     CheckerHealthTracker,
     ForwardProgressFailure,
@@ -36,19 +38,12 @@ from repro.workloads import (
 )
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 
-def alu_write_info(dest_index=5, unit=FunctionalUnit.INT_ALU):
-    """Minimal StepInfo stand-in: an instruction on ``unit`` writing x<n>."""
-    return SimpleNamespace(
-        instruction=SimpleNamespace(unit=unit),
-        dest=("x", dest_index),
-        address=None,
-        taken=None,
-        pc_before=0,
-        pc_after=0,
-    )
+def alu_write(dest_index=5, unit=FunctionalUnit.INT_ALU):
+    """The unit index and write slot of an instruction on ``unit``
+    writing x<n>: the arguments of ``on_instruction``."""
+    return UNIT_INDEX[unit], dest_index
 
 
 def make_guard(dvfs=None, injector=None, **overrides):
@@ -218,7 +213,7 @@ class TestFaultModels:
         model = StuckAtFaultModel(rng, unit=FunctionalUnit.INT_ALU, bit=0)
         state = ArchState()
         state.regs.write_x(5, 0b1010)  # bit 0 clear
-        assert model.on_instruction(state, alu_write_info(5))
+        assert model.on_instruction(state, *alu_write(5))
         assert state.regs.read_x(5) == 0b1011
 
     def test_stuck_at_masked_when_bit_matches(self):
@@ -226,16 +221,28 @@ class TestFaultModels:
         model = StuckAtFaultModel(rng, unit=FunctionalUnit.INT_ALU, bit=1)
         state = ArchState()
         state.regs.write_x(5, 0b1010)  # bit 1 already set
-        assert not model.on_instruction(state, alu_write_info(5))
+        assert not model.on_instruction(state, *alu_write(5))
         assert state.regs.read_x(5) == 0b1010
 
     def test_stuck_at_ignores_other_units_and_x0(self):
         rng = np.random.default_rng(0)
         model = StuckAtFaultModel(rng, unit=FunctionalUnit.INT_ALU, bit=0)
         state = ArchState()
-        other = alu_write_info(5, unit=FunctionalUnit.INT_MUL)
-        assert not model.on_instruction(state, other)
-        assert not model.on_instruction(state, alu_write_info(0))  # x0
+        other = alu_write(5, unit=FunctionalUnit.INT_MUL)
+        assert not model.on_instruction(state, *other)
+        assert not model.on_instruction(state, *alu_write(0))  # x0
+
+    def test_stuck_at_reaches_fp_and_flag_registers(self):
+        rng = np.random.default_rng(0)
+        state = ArchState()
+        fp = StuckAtFaultModel(rng, unit=FunctionalUnit.FP_ALU, bit=6)
+        assert fp.on_instruction(state, UNIT_INDEX[FunctionalUnit.FP_ALU], F_BASE + 3)
+        assert state.regs.read_f_bits(3) == 1 << 6
+        # The flags register has four bits: bit 6 lands on bit 2.
+        flags = StuckAtFaultModel(rng, unit=FunctionalUnit.INT_ALU, bit=6)
+        assert flags.on_instruction(state, *alu_write(FLAGS_SLOT))
+        assert state.regs.flags == 1 << 2
+        assert not flags.on_instruction(state, *alu_write(FLAGS_SLOT))
 
     def test_stuck_at_is_permanent(self):
         rng = np.random.default_rng(0)
@@ -252,7 +259,7 @@ class TestFaultModels:
         state = ArchState()
         fired = 0
         for _ in range(2000):
-            if model.on_instruction(state, alu_write_info(5)):
+            if model.on_instruction(state, *alu_write(5)):
                 fired += 1
         assert model.bursts_entered > 0
         assert fired > 0
@@ -272,14 +279,14 @@ class TestInjectorRules:
         # Two always-firing models must not both corrupt one value: the
         # second flip can silently cancel the first.
         class AlwaysFlip(RegisterFaultModel):
-            def on_load(self, value):
+            def on_load(self, op_index, address, value):
                 return value ^ 1, True
 
         rng = np.random.default_rng(0)
         injector = FaultInjector(
             [AlwaysFlip(1.0, rng), AlwaysFlip(1.0, rng)], target="checker"
         )
-        corrupted = injector.corrupt_load(0, 0)
+        corrupted = injector.corrupt_load(0, 0x40, 0)
         assert corrupted == 1  # flipped exactly once
         assert injector.stats.load_faults == 1
 
@@ -291,12 +298,11 @@ class TestInjectorRules:
         injector = FaultInjector([model], target="checker")
         state = ArchState()
         state.regs.write_x(5, 0b1010)
-        info = alu_write_info(5)
         injector.begin_check(1)
-        injector.after_instruction(state, info, 0)
+        injector.after_instruction(state, *alu_write(5), 0)
         assert injector.stats.instruction_faults == 0
         injector.begin_check(2)
-        injector.after_instruction(state, info, 0)
+        injector.after_instruction(state, *alu_write(5), 0)
         assert injector.stats.instruction_faults == 1
 
 

@@ -15,7 +15,8 @@ from repro.faults import (
     sram_injector,
 )
 from repro.isa import FunctionalUnit
-from repro.isa.decode import UNIT_INDEX
+from repro.isa.decode import NO_SLOT, UNIT_INDEX
+from repro.isa.registers import F_BASE, NUM_FP_REGS, SLOT_COUNT
 from repro.isa.state import ArchState as State
 from repro.lslog import LogSegment, RollbackGranularity
 from repro.resilience.campaign import execute_run
@@ -154,7 +155,7 @@ class TestDeterministicCorruption:
             )
             model.begin_check(0)
             outcomes.append(
-                [model.on_load_at(i, i * 8, 0xDEADBEEF) for i in range(64)]
+                [model.on_load(i, i * 8, 0xDEADBEEF) for i in range(64)]
             )
         assert outcomes[0] == outcomes[1]
         assert any(fired for _, fired in outcomes[0])
@@ -162,8 +163,34 @@ class TestDeterministicCorruption:
     def test_repeated_access_fails_identically(self):
         chip = generate_chip_map(5, checkers=4, config=DENSE)
         model = SramFaultModel(chip, SramStructure.CACHE_DATA, voltage=0.85)
-        results = {model.on_load_at(0, 4096, 77) for _ in range(10)}
+        results = {model.on_load(0, 4096, 77) for _ in range(10)}
         assert len(results) == 1  # persistent: no per-access randomness
+
+    def test_regfile_rows_are_register_slots(self):
+        """Row ``r`` of a checker's register file holds register slot
+        ``r``: x1-x31 and f0-f15.  x0 is hard-wired, the flags live in
+        latches, and an instruction that writes no register hits none."""
+        chip = generate_chip_map(5, checkers=4, config=DENSE)
+        model = SramFaultModel(chip, SramStructure.CHECKER_REGFILE, voltage=0.85)
+        model.begin_check(2)
+        weak = {
+            cell.row
+            for cell in chip.structures[SramStructure.CHECKER_REGFILE, 2].cells
+            if cell.vmin > 0.85
+        }
+        state = State()
+        fired = {
+            slot
+            for slot in (NO_SLOT, *range(SLOT_COUNT))
+            if model.on_instruction(state, UNIT_INDEX[FunctionalUnit.INT_ALU], slot)
+        }
+        assert fired and fired == {row for row in weak if 0 < row < SLOT_COUNT - 1}
+        regs = state.regs
+        assert {i for i in range(32) if regs.x[i]} == {s for s in fired if s < F_BASE}
+        assert {F_BASE + i for i in range(NUM_FP_REGS) if regs.f[i]} == {
+            s for s in fired if s >= F_BASE
+        }
+        assert regs.flags == 0
 
     def test_instance_routing_follows_begin_check(self):
         chip = generate_chip_map(5, checkers=4, config=DENSE)
@@ -172,12 +199,12 @@ class TestDeterministicCorruption:
         for core_id in range(4):
             model.begin_check(core_id)
             per_checker.append(
-                tuple(model.on_load_at(i, i * 8, 0) for i in range(64))
+                tuple(model.on_load(i, i * 8, 0) for i in range(64))
             )
         assert len(set(per_checker)) > 1  # each checker has its own map
         model.begin_check(None)  # main core: checker structures inert
         assert all(
-            not fired for _, fired in (model.on_load_at(i, i * 8, 0) for i in range(64))
+            not fired for _, fired in (model.on_load(i, i * 8, 0) for i in range(64))
         )
 
 
@@ -205,10 +232,10 @@ class TestFastPathVeto:
             # operation must corrupt nothing.
             for model in injector.models:
                 for i in range(loads):
-                    _, fired = model.on_load_at(i, segment.loads[i][0], 0)
+                    _, fired = model.on_load(i, segment.loads[i][0], 0)
                     assert not fired
                 for j in range(stores):
-                    _, fired = model.on_store_at(j, segment.store_addrs[j], 0)
+                    _, fired = model.on_store(j, segment.store_addrs[j], 0)
                     assert not fired
             injector.skip_segment(segment)  # must not raise
 
