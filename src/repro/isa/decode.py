@@ -32,8 +32,7 @@ of them per step, since they are static.  The test suite checks both
 against per-opcode rules of its own, and every other field of the
 row, for every PC any workload or fuzz profile retires, and checks
 after every retired step that the only register whose value changed
-is the write slot.  The one write the table leaves out is
-``GET_INSTRET``'s x1: no syscall records a write.
+is the write slot.
 
 Tables are cached per program object, like the compiled tier's code
 cache: ``Program`` is an unhashable dataclass, so the key is its
@@ -53,6 +52,7 @@ from .instructions import (
     FunctionalUnit,
     Instruction,
     Opcode,
+    Syscall,
 )
 from .program import Program
 from .registers import F_BASE, FLAGS_SLOT
@@ -130,7 +130,8 @@ def reads_write(instr: Instruction) -> Tuple[Tuple[int, ...], int]:
     if op is Opcode.JALR:
         return (a,), d
     if op is Opcode.SYSCALL:
-        return (1,), NO_SLOT
+        # Every syscall takes its argument in x1; GET_INSTRET writes it.
+        return (1,), 1 if instr.imm == Syscall.GET_INSTRET else NO_SLOT
     if op is Opcode.B or op is Opcode.NOP or op is Opcode.HALT:
         return (), NO_SLOT
     raise ValueError(f"no decode rule for {op}")

@@ -84,13 +84,13 @@ _WRITES = {
         "fadd", "fsub", "fmul", "fdiv", "fmov", "fmovi", "fcvt", "fldr",
     ),
     **_group(lambda i: FLAGS_SLOT, "cmp", "cmpi", "fcmp"),
-    # GET_INSTRET writes x1, but no syscall records a write: see
-    # test_get_instret_writes_x1_unrecorded.
     **_group(
         lambda i: NO_SLOT,
         "str", "fstr", "b", "beq", "bne", "blt", "bge", "bgt", "ble",
-        "cbz", "cbnz", "nop", "halt", "syscall",
+        "cbz", "cbnz", "nop", "halt",
     ),
+    # Of the syscalls, only GET_INSTRET writes a register: x1.
+    **_group(lambda i: 1 if i.imm == Syscall.GET_INSTRET else NO_SLOT, "syscall"),
 }  # fmt: skip
 
 
@@ -120,16 +120,22 @@ def test_every_opcode_writes_what_the_isa_says():
         assert reads_write(instr)[1] == expected_write(instr), op
 
 
-def test_get_instret_writes_x1_unrecorded():
-    """The one write the table does not record: ``GET_INSTRET`` sets x1,
-    yet its syscall row, like every syscall's, writes no slot."""
-    program = assemble(f"movi x1, 7\nsyscall {int(Syscall.GET_INSTRET)}\nhalt\n")
+def test_get_instret_writes_x1():
+    """``GET_INSTRET`` sets x1, and its row records the write: the
+    scoreboard marks x1 pending and the fault models see slot 1.  Every
+    other syscall writes no slot."""
+    program = assemble(
+        f"movi x1, 7\nsyscall {int(Syscall.GET_INSTRET)}\n"
+        f"syscall {int(Syscall.PRINT_INT)}\nhalt\n"
+    )
     state = ArchState()
     executor = Executor(program, state, None)
     executor.step()
     executor.step()
     assert state.regs.x[1] == 1
-    assert decode_table(program).main_rows[1][4] == NO_SLOT
+    table = decode_table(program)
+    assert table.main_rows[1][4] == 1 and table.writes_register[1]
+    assert table.main_rows[2][4] == NO_SLOT and not table.writes_register[2]
 
 
 def _changed_slots(before: RegisterFile, after: RegisterFile) -> set:
@@ -157,11 +163,7 @@ def _check_every_retired_pc(workload, budget: int = 200_000) -> int:
         instr = program.instructions[pc]
         where = f"{workload.name} pc {pc} ({instr})"
         if regs != before:
-            changed = _changed_slots(before, regs)
-            if instr.opcode is Opcode.SYSCALL and instr.imm == Syscall.GET_INSTRET:
-                assert changed == {1}, where
-            else:
-                assert changed == {table.main_rows[pc][4]}, where
+            assert _changed_slots(before, regs) == {table.main_rows[pc][4]}, where
         if pc in seen:
             continue
         seen.add(pc)
