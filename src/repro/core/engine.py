@@ -544,7 +544,7 @@ class SimulationEngine:
         checker_targeted = injector is not None and injector.target == "checker"
         main_targeted = injector is not None and injector.target == "main"
         if injector is not None:
-            injector.begin_check(core_id, segment)
+            injector.begin_check(core_id)
         try:
             if not main_targeted and self.options.fastpath:
                 if injector is None or not injector.fires_within_segment(segment):

@@ -28,8 +28,9 @@ instruction that may fire, by the budgets the hook's
 and the clean ones before it are handed to the fault models in bulk
 before every such step and at every exit (clean end, mid-block
 detection, trap).  A hook that cannot bound its models' next fire (a
-stuck-at, burst or SRAM model applies) keeps the per-instruction loop,
-as does a checker built with ``jit=False``.
+stuck-at or SRAM register-file model, or a burst model that may fire,
+applies) keeps the per-instruction loop, as does a checker built with
+``jit=False``.
 """
 
 from __future__ import annotations
@@ -102,8 +103,11 @@ class SegmentFaultHook(Protocol):
         operations (every instruction for ``unit`` None, else the
         register-writing instructions of unit index ``unit``) cannot
         fire and ``advance(n)`` consumes ``n`` of them; None when some
-        process cannot say.  A hook without it, or answering None, has
-        every instruction stepped through the two instruction hooks.
+        process cannot say.  Processes that fire only through
+        ``corrupt_load`` and ``corrupt_store`` need no entry: the replay
+        port calls those on every path.  A hook without it, or
+        answering None, has every instruction stepped through the two
+        instruction hooks.
         """
         ...
 

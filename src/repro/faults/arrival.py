@@ -78,10 +78,6 @@ class GeometricArrival:
             self._remaining = int(self._rng.geometric(self._rate))
 
     # -- queries --------------------------------------------------------------------
-    def fires_within(self, count: int) -> bool:
-        """Would any of the next ``count`` operations fault?  (No state change.)"""
-        return self._remaining is not None and self._remaining <= count
-
     def clean_operations(self) -> float:
         """How many next operations cannot fault: the countdown less the
         one that does, or ``math.inf`` when the process never fires."""

@@ -12,11 +12,12 @@ address, from the replay port.
 The engine's fast path asks :meth:`fires_within_segment` before replaying
 a segment; when no model can fire within the segment's operation counts
 the injector *consumes* those counts (:meth:`skip_segment`) and the
-replay is skipped — statistically identical to replaying it, since a
-correct checker replaying a correct segment cannot fail.  A replayed
-segment gets the same treatment per instruction:
-:meth:`replay_budgets` tells the checker how many instructions each
-model lets it run compiled, without the hooks, before one may fire.
+replay is skipped — exactly as if it had replayed, since a correct
+checker replaying a correct segment cannot fail.  A replayed segment
+gets the same treatment per instruction: :meth:`replay_budgets` tells
+the checker how many instructions each model lets it run compiled,
+without the hooks, before one may fire.  Both shortcuts derive from
+each model's one answer, :meth:`FaultModel.clean_operations`.
 
 Injection can target the checker cores (the paper's setup: "we choose to
 restrict error injection to the checker cores only", which is sound
@@ -39,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from ..isa.state import ArchState
 from ..lslog.segment import LogSegment
 from .models import FaultDomain, FaultModel
+
+#: Domains the replay port serves on every replay path.
+_PORT_DOMAINS = (FaultDomain.LOADS, FaultDomain.STORES)
 
 
 @dataclass
@@ -144,19 +148,16 @@ class FaultInjector:
         """Describe every permanent defect, for failure diagnostics."""
         return [model.describe() for model in self.models if model.persistent]
 
-    def begin_check(
-        self, core_id: "int | None", segment: "LogSegment | None" = None
-    ) -> None:
-        """Note which checker core is about to replay which segment.
+    def begin_check(self, core_id: "int | None") -> None:
+        """Note which checker core is about to replay a segment.
 
-        Called with ``(core_id, segment)`` before the fast-path query
-        and with ``(None, None)`` when the check window closes, so
-        core-bound models always know whose hardware they are
-        corrupting.
+        Called with the core before the fast-path query and with None
+        when the check window closes, so core-bound models always know
+        whose hardware they are corrupting.
         """
         self.current_checker_id = core_id
         for model in self.models:
-            model.begin_check(core_id, segment)
+            model.begin_check(core_id)
 
     def _applies(self, model: FaultModel) -> bool:
         return (
@@ -174,15 +175,16 @@ class FaultInjector:
             return segment.store_count
         # UNIT_INSTRUCTIONS: only instructions of the unit that write a
         # register count (a no-effect instruction injects nothing).
-        return segment.unit_dest_counts[model.unit_index]  # type: ignore[attr-defined]
+        return segment.unit_dest_counts[model.unit_index]  # type: ignore[index]
 
     def fires_within_segment(self, segment: LogSegment) -> bool:
         """Could any model fire while checking ``segment``?  Non-consuming.
 
-        Persistent address-correlated models veto the skip through
-        :meth:`FaultModel.may_fire_in_segment`, which inspects the
-        actual rows/addresses the replay would touch — a segment is
-        only ever skipped when *no* model could possibly fire in it.
+        Each applicable model answers :meth:`FaultModel.may_fire_in_segment`
+        with its domain's count: from its clean operations, or, for the
+        address-correlated SRAM models, from the rows and addresses the
+        replay would touch.  A segment is only ever skipped when *no*
+        model could possibly fire in it.
         """
         return any(
             model.may_fire_in_segment(segment, self._domain_count(model, segment))
@@ -207,33 +209,28 @@ class FaultInjector:
     ) -> "List[Tuple[Optional[int], float, Callable[[int], None]]] | None":
         """The per-instruction form of :meth:`fires_within_segment`.
 
-        One ``(unit, clean, advance)`` per applicable model that replayed
-        instructions step: it counts every instruction (``unit`` None)
-        or the register-writing instructions of the unit with index
-        ``unit``; the next ``clean`` of them cannot fire; ``advance(n)``
-        consumes ``n`` of them (its :meth:`FaultModel.advance_clean`).
-        Compiled replay runs such clean instructions without the hooks.
-        A model that fires only through the replay port (memory faults)
-        needs no entry.  None when an applicable model cannot bound its
-        next fire (stuck-at, burst, SRAM): that check steps every
-        instruction through the hooks.  Non-consuming.
+        One ``(unit, clean, advance)`` per applicable model whose
+        :meth:`FaultModel.clean_operations` is finite: it counts every
+        instruction (``unit`` None) or the register-writing instructions
+        of the unit with index ``unit``; the next ``clean`` of them
+        cannot fire; ``advance(n)`` consumes ``n`` of them (its
+        :meth:`FaultModel.advance_clean`).  Compiled replay runs such
+        clean instructions without the hooks.  Load- and store-domain
+        models are not asked: the replay port serves them on every
+        path, compiled code included.  None when an applicable model
+        answers None (stuck-at, SRAM register file, a burst model that
+        may fire): that check steps every instruction through the
+        hooks.  Non-consuming.
         """
         budgets = []
         for model in self.models:
-            if not self._applies(model):
+            if model.domain in _PORT_DOMAINS or not self._applies(model):
                 continue
             clean = model.clean_operations()
             if clean is None:
                 return None
-            if clean == math.inf:
-                continue
-            if model.domain is FaultDomain.INSTRUCTIONS:
-                unit = None
-            elif model.domain is FaultDomain.UNIT_INSTRUCTIONS:
-                unit = model.unit_index  # type: ignore[attr-defined]
-            else:  # pragma: no cover - a finite budget of loads or stores
-                return None
-            budgets.append((unit, clean, model.advance_clean))
+            if clean != math.inf:
+                budgets.append((model.unit_index, clean, model.advance_clean))
         return budgets
 
     # -- SegmentFaultHook protocol ----------------------------------------------------------

@@ -41,21 +41,10 @@ import numpy as np
 
 from ..isa import FunctionalUnit
 from ..isa.decode import NO_SLOT, UNIT_INDEX
-from ..isa.registers import FLAGS_SLOT, NUM_FP_REGS, NUM_INT_REGS, REG_ZERO
-from ..isa.registers import RegisterCategory
+from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, REG_ZERO
+from ..isa.registers import RegisterCategory, slot_bit
 from ..isa.state import ArchState
 from .arrival import GeometricArrival
-
-
-def _mask(slot: int, bit: int) -> int:
-    """Bit ``bit`` of the register at ``slot`` as a mask; the flags
-    register has four bits, so it takes ``bit`` modulo 4."""
-    return 1 << (bit % 4 if slot == FLAGS_SLOT else bit)
-
-
-def _flip(state: ArchState, slot: int, bit: int) -> None:
-    """Flip bit ``bit`` of the register at ``slot``."""
-    state.regs.write_slot(slot, state.regs.read_slot(slot) ^ _mask(slot, bit))
 
 
 def _choice_cdf(weights: np.ndarray) -> Tuple[float, ...]:
@@ -80,9 +69,14 @@ class FaultModel:
 
     Each corruption hook gets the one fact the modelled hardware
     corrupts: a retired instruction's unit and written register slot,
-    or a replayed memory operation's index and logged address."""
+    or a replayed memory operation's index and logged address.  Its one
+    budget answer, :meth:`clean_operations`, decides both the segment
+    skip and how far compiled replay may run without the hooks."""
 
     domain: FaultDomain
+    #: The unit a ``UNIT_INSTRUCTIONS`` model counts the register writes
+    #: of, as a :data:`~repro.isa.decode.UNIT_INDEX` value.
+    unit_index: Optional[int] = None
     #: Permanent defects survive voltage escalation; the forward-progress
     #: guard names them in its failure diagnostics.
     persistent: bool = False
@@ -120,19 +114,27 @@ class FaultModel:
         return None
 
     # -- fast-path support ------------------------------------------------------
-    def may_fire_within(self, count: int) -> bool:
-        """Could this model fire within the next ``count`` domain operations?"""
-        return self.arrival.fires_within(count)
+    def clean_operations(self) -> Optional[float]:
+        """How many more operations of this model's domain cannot fire:
+        the one budget question.  No state change.
+
+        ``math.inf`` means the model never fires; None means it cannot
+        say (a stuck-at or SRAM model, or a burst model that may enter
+        or is in a burst).  None is the default, so a new model opts in.
+        """
+        return None
 
     def may_fire_in_segment(self, segment, count: int) -> bool:
-        """Segment-aware fast-path veto.
+        """Could this model fire while ``segment`` replays, ``count``
+        operations of its domain?  False lets the engine skip the replay.
 
-        Address-correlated models override this to inspect the actual
-        rows/addresses the replay would touch; everything else falls
-        back to the count-only check.  Returning False asserts the
-        replay *cannot* fault and may be skipped.
+        Derived from :meth:`clean_operations`: any operation may fire
+        when the model cannot say, else only one past the clean ones.
+        Address-correlated models (SRAM) override it to inspect the
+        rows and addresses the replay would touch.
         """
-        return self.may_fire_within(count)
+        clean = self.clean_operations()
+        return count > 0 if clean is None else clean < count
 
     def advance_clean(self, count: int) -> None:
         """Consume ``count`` operations known (by the caller) to be clean."""
@@ -140,25 +142,9 @@ class FaultModel:
         if fired is not None:  # pragma: no cover - guarded by caller
             raise RuntimeError("advance_clean consumed a firing arrival")
 
-    def clean_operations(self) -> Optional[float]:
-        """How many more operations of this model's domain cannot fire.
-
-        The per-instruction form of :meth:`may_fire_in_segment`: compiled
-        checker replay runs that many without calling
-        :meth:`on_instruction`, then hands them to :meth:`advance_clean`.
-        ``math.inf`` means the model never fires through
-        :meth:`on_instruction`; None means it cannot say (a stuck-at,
-        burst or SRAM model), and a check it applies to steps every
-        instruction through the hooks.  None is the default, so a new
-        model opts in.
-        """
-        return None
-
     # Subclasses implement the hooks relevant to their domain; the rest
     # stay no-ops so an injector can drive a heterogeneous model list.
-    def begin_check(
-        self, core_id: Optional[int], segment=None
-    ) -> None:
+    def begin_check(self, core_id: Optional[int]) -> None:
         """Called before a segment is replayed (or skipped); ``core_id``
         is the replaying checker, None when the check window closes."""
 
@@ -249,7 +235,7 @@ class FunctionalUnitFaultModel(FaultModel):
             return False
         if not self.arrival.step():
             return False
-        _flip(state, slot, int(self.rng.integers(64)))
+        state.regs.flip_slot(slot, int(self.rng.integers(64)))
         return True
 
 
@@ -266,9 +252,7 @@ class MemoryFaultModel(FaultModel):
         self.domain = FaultDomain.LOADS if target == "load" else FaultDomain.STORES
 
     def clean_operations(self) -> float:
-        """Unbounded: it fires by operation index through the replay
-        port, which compiled replay calls too."""
-        return math.inf
+        return self.arrival.clean_operations()
 
     def on_load(self, op_index: int, address: int, value: int) -> "tuple[int, bool]":
         if self.target != "load" or not self.arrival.step():
@@ -330,19 +314,13 @@ class StuckAtFaultModel(FaultModel):
     def set_rate(self, rate: float) -> None:
         """Permanent defects do not follow the voltage-dependent rate."""
 
-    def may_fire_within(self, count: int) -> bool:
-        return count > 0
-
-    def advance_clean(self, count: int) -> None:
-        """A skipped segment has no affected instructions; nothing to do."""
-
     def on_instruction(self, state: ArchState, unit: int, slot: int) -> bool:
         # x0 is hard-wired; a stuck bit there lands nowhere.
         if unit != self.unit_index or slot == NO_SLOT or slot == REG_ZERO:
             return False
         regs = state.regs
         value = regs.read_slot(slot)
-        mask = _mask(slot, self.bit)
+        mask = slot_bit(slot, self.bit)
         forced = (value | mask) if self.stuck_value else (value & ~mask)
         if forced == value:
             return False  # the bit already held the stuck value: masked
@@ -403,13 +381,12 @@ class BurstFaultModel(FaultModel):
             f"burst rate {self.burst_rate:.2e})"
         )
 
-    def may_fire_within(self, count: int) -> bool:
-        if count <= 0:
-            return False
-        return self.in_burst or self.entry_probability > 0
-
-    def advance_clean(self, count: int) -> None:
-        """Only reachable when the model cannot fire at all; stay quiet."""
+    def clean_operations(self) -> Optional[float]:
+        """Unbounded while quiet with no way in, since the chain then
+        draws nothing; otherwise it cannot say."""
+        if self.in_burst or self.entry_probability > 0:
+            return None
+        return math.inf
 
     def _step_chain(self) -> bool:
         """Advance one operation; True if this operation faults."""
@@ -433,5 +410,5 @@ class BurstFaultModel(FaultModel):
         if slot == NO_SLOT:
             # Integer register ``i`` is slot ``i``.
             slot = int(self.rng.integers(NUM_INT_REGS))
-        _flip(state, slot, bit)
+        state.regs.flip_slot(slot, bit)
         return True

@@ -399,9 +399,7 @@ class SramFaultModel(FaultModel):
         return mask
 
     # -- injector plumbing ------------------------------------------------------
-    def begin_check(
-        self, core_id: Optional[int], segment: Optional[LogSegment] = None
-    ) -> None:
+    def begin_check(self, core_id: Optional[int]) -> None:
         if self.structure is not SramStructure.CACHE_DATA:
             self._instance = core_id
 
@@ -437,9 +435,6 @@ class SramFaultModel(FaultModel):
             if entry is not None and self._window_mask(address, entry[1]):
                 return True
         return False
-
-    def advance_clean(self, count: int) -> None:
-        """No arrival process to advance; a vetoed skip consumed nothing."""
 
     # -- fire hooks -------------------------------------------------------------
     def on_instruction(self, state: ArchState, unit: int, slot: int) -> bool:

@@ -97,12 +97,20 @@ def to_unsigned(value: int) -> int:
     return value & MASK64
 
 
+def slot_bit(slot: int, bit: int) -> int:
+    """Bit ``bit`` of the register at ``slot`` as a mask: modulo 64, or
+    modulo 4 for the four-bit flags register."""
+    return 1 << (bit % 4 if slot == FLAGS_SLOT else bit % 64)
+
+
 class RegisterFile:
     """Integer, floating-point and flags registers for one core.
 
     Mutable by design: both main-core and checker-core execution update a
     register file in place, and checkpoints snapshot it with
-    :meth:`snapshot`.
+    :meth:`snapshot`.  The fault models address registers by slot only:
+    :meth:`read_slot` and :meth:`write_slot` reach the register an
+    instruction wrote, and :meth:`flip_slot` is the one bit flip.
     """
 
     __slots__ = ("x", "f", "flags")
@@ -161,6 +169,13 @@ class RegisterFile:
         else:
             self.flags = bits
 
+    def flip_slot(self, slot: int, bit: int) -> None:
+        """Flip bit ``bit`` (see :func:`slot_bit`) of the register at
+        ``slot``, the one register-corruption path of the fault models.
+        A flip of ``x0`` is discarded, like a flip that lands in
+        hard-wired logic."""
+        self.write_slot(slot, self.read_slot(slot) ^ slot_bit(slot, bit))
+
     # -- snapshots -----------------------------------------------------------
     def snapshot(self) -> "RegisterFile":
         """Return an independent copy (used for checkpoints)."""
@@ -185,21 +200,3 @@ class RegisterFile:
         nonzero = {f"x{i}": v for i, v in enumerate(self.x) if v}
         nonzero.update({f"f{i}": bits_to_float(v) for i, v in enumerate(self.f) if v})
         return f"RegisterFile({nonzero}, flags={self.flags:04b})"
-
-    # -- fault-injection support ----------------------------------------------
-    def flip_bit(self, category: RegisterCategory, index: int, bit: int) -> None:
-        """Flip one bit of one register, the paper's register fault model.
-
-        ``index`` selects the register within the category; for
-        :attr:`RegisterCategory.FLAGS` it is ignored.  Writes to ``x0``
-        are discarded, mirroring a flip that lands in hard-wired logic.
-        """
-        if category is RegisterCategory.INT:
-            if index != REG_ZERO:
-                self.x[index] ^= 1 << (bit % 64)
-        elif category is RegisterCategory.FLOAT:
-            self.f[index] ^= 1 << (bit % 64)
-        elif category is RegisterCategory.FLAGS:
-            self.flags ^= 1 << (bit % 4)
-        else:
-            raise ValueError(f"cannot flip {category} on a register file")

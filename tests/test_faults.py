@@ -1,5 +1,7 @@
 """Fault models, arrival process, injector fast path, voltage model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,7 +51,7 @@ class TestGeometricArrival:
         arrival = GeometricArrival(MIN_RATE / 10, np.random.default_rng(2))
         assert arrival.clamped
         assert arrival.clamp_events == 1  # the construction-time resample
-        assert not arrival.fires_within(10**12)
+        assert arrival.clean_operations() == math.inf
         assert arrival.advance(10**12) is None
         assert not any(arrival.step() for _ in range(1000))
         # Stepping a clamped process never resamples (no fire, no clamp).
@@ -67,7 +69,7 @@ class TestGeometricArrival:
         assert arrival.clamped and arrival.clamp_events == 1
         arrival.set_rate(0.5)
         assert not arrival.clamped
-        assert arrival.fires_within(10**6)
+        assert arrival.clean_operations() < 10**6
 
     def test_mean_gap_close_to_inverse_rate(self):
         arrival = GeometricArrival(0.01, np.random.default_rng(2))
@@ -86,10 +88,10 @@ class TestGeometricArrival:
             assert arrival.advance(remaining_before - 1) is None
             assert arrival._remaining == 1
 
-    def test_fires_within_is_pure(self):
+    def test_clean_operations_is_pure(self):
         arrival = GeometricArrival(0.1, np.random.default_rng(5))
         snapshot = arrival._remaining
-        arrival.fires_within(1000)
+        assert arrival.clean_operations() == snapshot - 1
         assert arrival._remaining == snapshot
 
     def test_invalid_rate_rejected(self):
@@ -228,7 +230,7 @@ class TestInjectorFastPath:
             segment.record_store(i * 8, 1, 0)
         return segment
 
-    def test_zero_rate_never_fires_within(self):
+    def test_zero_rate_never_fires_within_a_segment(self):
         injector = default_injector(0.0)
         assert not injector.fires_within_segment(self.make_segment())
 

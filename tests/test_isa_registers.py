@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.isa import (
     MASK64,
+    ArchState,
     NUM_FP_REGS,
     NUM_INT_REGS,
     Flag,
@@ -15,6 +16,7 @@ from repro.isa import (
     to_signed,
     to_unsigned,
 )
+from repro.isa.registers import F_BASE, FLAGS_SLOT, SLOT_COUNT, slot_bit
 
 
 class TestIntRegisters:
@@ -135,49 +137,77 @@ class TestSnapshot:
 
 
 class TestFlipBit:
+    """The one register flip, :meth:`RegisterFile.flip_slot`."""
+
     def test_flip_int(self):
         regs = RegisterFile()
-        regs.flip_bit(RegisterCategory.INT, 2, 5)
+        regs.flip_slot(2, 5)
         assert regs.read_x(2) == 32
-        regs.flip_bit(RegisterCategory.INT, 2, 5)
+        regs.flip_slot(2, 5)
         assert regs.read_x(2) == 0
 
     def test_flip_x0_discarded(self):
         regs = RegisterFile()
-        regs.flip_bit(RegisterCategory.INT, 0, 3)
+        regs.flip_slot(0, 3)
         assert regs.read_x(0) == 0
 
     def test_flip_float(self):
         regs = RegisterFile()
         regs.write_f(1, 1.0)
-        regs.flip_bit(RegisterCategory.FLOAT, 1, 63)
+        regs.flip_slot(F_BASE + 1, 63)
         assert regs.read_f(1) == -1.0
 
     def test_flip_flags(self):
         regs = RegisterFile()
-        regs.flip_bit(RegisterCategory.FLAGS, 0, int(Flag.Z))
+        regs.flip_slot(FLAGS_SLOT, int(Flag.Z))
         assert regs.flag(Flag.Z)
 
-    def test_flip_misc_rejected_on_register_file(self):
+    def test_flags_take_the_bit_modulo_4(self):
         regs = RegisterFile()
-        with pytest.raises(ValueError):
-            regs.flip_bit(RegisterCategory.MISC, 0, 0)
+        regs.flip_slot(FLAGS_SLOT, 4 + int(Flag.C))
+        assert regs.flags == slot_bit(FLAGS_SLOT, int(Flag.C)) == 1 << Flag.C
 
     def test_flip_bit_wraps_modulo_64(self):
         regs = RegisterFile()
-        regs.flip_bit(RegisterCategory.INT, 1, 64)  # == bit 0
+        regs.flip_slot(1, 64)  # == bit 0
         assert regs.read_x(1) == 1
 
     @given(
-        st.integers(min_value=1, max_value=NUM_INT_REGS - 1),
-        st.integers(min_value=0, max_value=63),
+        st.integers(min_value=1, max_value=SLOT_COUNT - 1),
+        st.integers(min_value=0, max_value=127),
     )
-    def test_double_flip_is_identity(self, reg, bit):
+    def test_double_flip_is_identity(self, slot, bit):
         regs = RegisterFile()
-        regs.write_x(reg, 0xDEADBEEF)
-        regs.flip_bit(RegisterCategory.INT, reg, bit)
-        regs.flip_bit(RegisterCategory.INT, reg, bit)
-        assert regs.read_x(reg) == 0xDEADBEEF
+        regs.write_slot(slot, 0b1010)
+        before = regs.snapshot()
+        regs.flip_slot(slot, bit)
+        assert regs != before
+        regs.flip_slot(slot, bit)
+        assert regs == before
+
+
+class TestArchStateFlipBit:
+    @pytest.mark.parametrize(
+        "category, index, slot",
+        [
+            (RegisterCategory.INT, 7, 7),
+            (RegisterCategory.FLOAT, 3, F_BASE + 3),
+            (RegisterCategory.FLAGS, 0, FLAGS_SLOT),
+        ],
+    )
+    def test_register_categories_flip_their_slot(self, category, index, slot):
+        state = ArchState()
+        state.flip_bit(category, index, 6)
+        expected = RegisterFile()
+        expected.flip_slot(slot, 6)
+        assert state.regs == expected
+        assert state.pc == 0
+
+    def test_misc_flips_the_pc(self):
+        state = ArchState()
+        state.flip_bit(RegisterCategory.MISC, 0, 17)  # bit modulo 16
+        assert state.pc == 1 << 1
+        assert state.regs == RegisterFile()
 
 
 class TestSignConversions:

@@ -6,6 +6,8 @@ its scheduler integration, the permanent and intermittent fault models,
 and the injector's one-fault-per-operation rule.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,8 +251,9 @@ class TestFaultModels:
         model = StuckAtFaultModel(rng, unit=FunctionalUnit.INT_MUL, bit=3)
         assert model.persistent
         model.set_rate(0.0)  # a broken wire does not heal
-        assert model.may_fire_within(1)
-        assert not model.may_fire_within(0)
+        assert model.clean_operations() is None
+        assert model.may_fire_in_segment(None, 1)
+        assert not model.may_fire_in_segment(None, 0)
         assert "int_mul" in model.describe()
 
     def test_burst_model_markov_chain(self):
@@ -268,10 +271,14 @@ class TestFaultModels:
         rng = np.random.default_rng(0)
         model = BurstFaultModel(1e-4, rng, entry_scale=10.0)
         assert model.entry_probability == pytest.approx(1e-3)
+        assert model.clean_operations() is None  # quiet, but may enter
         model.set_rate(0.0)
         assert model.entry_probability == 0.0
+        assert model.clean_operations() == math.inf  # quiet with no way in
+        assert not model.may_fire_in_segment(None, 5)
         model.in_burst = True
-        assert model.may_fire_within(5)  # an in-flight burst keeps firing
+        assert model.clean_operations() is None
+        assert model.may_fire_in_segment(None, 5)  # an in-flight burst keeps firing
 
 
 class TestInjectorRules:

@@ -226,7 +226,7 @@ class TestFastPathVeto:
             chip_seed, checkers=4, voltage=voltage, config=DENSE
         )
         segment = make_segment(instructions=10, loads=loads, stores=stores)
-        injector.begin_check(0, segment)
+        injector.begin_check(0)
         if not injector.fires_within_segment(segment):
             # The veto said "cannot fire": replaying every logged
             # operation must corrupt nothing.
@@ -243,7 +243,7 @@ class TestFastPathVeto:
         injector = default_injector(0.0, models=("stuckat",))
         assert isinstance(injector.models[0], StuckAtFaultModel)
         segment = make_segment(instructions=10, loads=0, stores=0)
-        injector.begin_check(0, segment)
+        injector.begin_check(0)
         assert injector.fires_within_segment(segment)
         # A segment with no register-writing INT_ALU instructions is
         # skippable even for a permanent defect.
@@ -254,7 +254,7 @@ class TestFastPathVeto:
             start_state=State(),
         )
         empty.record_instruction(UNIT_INDEX[FunctionalUnit.LOAD], writes_register=False)
-        injector.begin_check(0, empty)
+        injector.begin_check(0)
         assert not injector.fires_within_segment(empty)
 
     def test_clean_structures_keep_the_fast_path(self):
@@ -262,7 +262,7 @@ class TestFastPathVeto:
         the sram models must not cost the fast path anything."""
         injector = sram_injector(3, checkers=4, voltage=1.1, config=DENSE)
         segment = make_segment()
-        injector.begin_check(0, segment)
+        injector.begin_check(0)
         assert not injector.fires_within_segment(segment)
         injector.skip_segment(segment)
         assert injector.stats.segments_skipped == 1
