@@ -22,9 +22,16 @@ from repro.core import ParaDoxSystem
 from repro.cores.checker_core import CheckerCore
 from repro.faults.injector import FaultInjector, default_injector
 from repro.faults.models import (
+    BurstFaultModel,
     FunctionalUnitFaultModel,
     MemoryFaultModel,
     RegisterFaultModel,
+)
+from repro.faults.sram import (
+    SramFaultModel,
+    SramMapConfig,
+    SramStructure,
+    generate_chip_map,
 )
 from repro.isa import FunctionalUnit
 from repro.isa.decode import UNIT_INDEX
@@ -46,16 +53,37 @@ def _alu_injector(rate: float, seed: int) -> FaultInjector:
     )
 
 
+def _quiet_burst_injector(seed: int) -> FaultInjector:
+    """A register model beside a burst model that cannot enter a burst."""
+    rng = np.random.default_rng(seed)
+    return FaultInjector([RegisterFaultModel(1e-2, rng), BurstFaultModel(0.0, rng)])
+
+
+def _lslog_injector(seed: int) -> FaultInjector:
+    """A register model beside a dense, undervolted load-store-log map,
+    which fires through the replay port on every replay path."""
+    chip = generate_chip_map(seed, config=SramMapConfig(weak_cell_rate=3e-3))
+    return FaultInjector(
+        [
+            RegisterFaultModel(1e-2, np.random.default_rng(seed)),
+            SramFaultModel(chip, SramStructure.LOAD_STORE_LOG, voltage=0.85),
+        ]
+    )
+
+
 #: Injector set-ups by name: rate 0 (nothing may fire), the paper's
 #: composite mix at a moderate and an error-seeking rate, injection into
-#: the main core (every check replays, with no hook), and a unit model
-#: on the integer ALU.
+#: the main core (every check replays, with no hook), a unit model on
+#: the integer ALU, and a register model beside a burst model at rate 0
+#: or beside an SRAM load-store-log map.
 INJECTORS = {
     "rate0": lambda seed: default_injector(0.0, seed=seed),
     "rate1e-3": lambda seed: default_injector(1e-3, seed=seed),
     "rate5e-2": lambda seed: default_injector(5e-2, seed=seed),
     "main": lambda seed: default_injector(1e-3, seed=seed, target="main"),
     "alu5e-2": lambda seed: _alu_injector(5e-2, seed),
+    "quiet-burst": _quiet_burst_injector,
+    "lslog": _lslog_injector,
 }
 
 
@@ -67,7 +95,6 @@ def _checks(workload, injector: FaultInjector, compiled: bool):
         engine.config.checker, workload.program, jit=compiled
     )
     check_segment = checker.check_segment
-    rng = injector.models[0].rng
     after = []
 
     def check(segment, hook=None):
@@ -83,7 +110,7 @@ def _checks(workload, injector: FaultInjector, compiled: bool):
                 result.checker_cycles,
                 dataclasses.astuple(injector.stats),
                 [model.arrival._remaining for model in injector.models],
-                repr(rng.bit_generator.state),
+                [repr(model.rng.bit_generator.state) for model in injector.models],
             )
         )
         return result
@@ -118,7 +145,7 @@ class TestSameAsPerInstructionReplay:
         else:
             workload = build_spec_workload(name, iterations=2)
         checks, _ = _assert_same_checks(workload, INJECTORS[injector])
-        if injector in ("rate5e-2", "main", "alu5e-2"):
+        if injector in ("rate5e-2", "main", "alu5e-2", "lslog"):
             # The error-seeking set-ups replay and detect.
             assert any(check[1] is not None for check in checks)
 
@@ -127,6 +154,17 @@ class TestCoverage:
     def test_bitcount_replays_compiled(self):
         workload = build_bitcount(values=60)
         checks, checker = _checks(workload, default_injector(1e-3, seed=5), True)
+        replayed = sum(check[2] for check in checks)
+        assert replayed > 0
+        assert checker.jit.stats.instructions >= 0.9 * replayed
+
+    @pytest.mark.parametrize("injector", ["quiet-burst", "lslog"])
+    def test_contract_opens_compiled_replay(self, injector):
+        """A burst model that cannot enter a burst answers ``math.inf``,
+        and load-store-log faults are the replay port's: neither stops
+        the register model's checks from replaying compiled."""
+        workload = build_bitcount(values=60)
+        checks, checker = _checks(workload, INJECTORS[injector](5), True)
         replayed = sum(check[2] for check in checks)
         assert replayed > 0
         assert checker.jit.stats.instructions >= 0.9 * replayed

@@ -14,6 +14,8 @@ from repro.core import (
     ParaDoxSystem,
     ParaMedicSystem,
 )
+from repro.core.engine import EngineOptions, SimulationEngine
+from repro.cores.checker_core import CheckerCore
 from repro.faults import (
     FaultInjector,
     FunctionalUnitFaultModel,
@@ -23,6 +25,8 @@ from repro.faults import (
 )
 from repro.isa import FunctionalUnit
 from repro.lslog import SegmentCloseReason
+from repro.resilience import ResilienceConfig
+from repro.resilience.campaign import MODEL_MIXES, _build_injector
 from repro.stats import RunOutcome, RunResult
 from repro.workloads import (
     WorkloadProfile,
@@ -311,22 +315,60 @@ class TestDeterminism:
 
 
 class TestFastPathEquivalence:
-    def test_fastpath_matches_full_replay(self, bitcount_small):
-        """Skipping provably-clean segments must not change any result."""
-        config = table1_config().with_error_rate(5e-4)
+    @pytest.mark.parametrize("rate", [0.0, 1e-3])
+    @pytest.mark.parametrize("mix", MODEL_MIXES)
+    def test_fastpath_matches_full_replay(self, bitcount_small, mix, rate):
+        """Every model's one budget answer, checked exactly: skipping the
+        segments no model can fire in, and compiling the replay no model
+        can fire in, must give what replaying every instruction of every
+        segment through the hooks gives.  Each run is a campaign cell of
+        ``mix`` (DVS on, rate pinned, resilience on)."""
+        config = table1_config()
+        config = dataclasses.replace(
+            config, dvfs=dataclasses.replace(config.dvfs, initial_difference=0.15)
+        )
+        payload = {
+            "seed": 9, "rate": rate, "model": mix, "chip_seed": 0,
+            "dvs": True, "initial_margin": 0.15,
+        }  # fmt: skip
 
         def run(fastpath):
-            system = ParaDoxSystem(config=config)
-            engine = system.engine(bitcount_small, seed=9)
-            engine.options.fastpath = fastpath
-            return engine.run(bitcount_small.max_instructions)
+            injector = _build_injector(payload, config.checker.count)
+            options = EngineOptions(
+                dvs=True,
+                resilience=ResilienceConfig(),
+                fastpath=fastpath,
+            )
+            engine = SimulationEngine(
+                bitcount_small.program,
+                config,
+                options,
+                injector=injector,
+                memory=bitcount_small.create_memory(),
+                rng=np.random.default_rng(9),
+            )
+            for model in injector.models:
+                if model.bound_checker_id is not None:
+                    model.bound_checker_id = engine.pool.candidates[0][0]
+            if not fastpath:
+                # The reference: every instruction through the hooks.
+                engine.checker = CheckerCore(
+                    config.checker, bitcount_small.program, jit=False
+                )
+            result = engine.run(bitcount_small.max_instructions)
+            return (
+                repr(result.wall_ns),
+                result.instructions_executed,
+                result.segments,
+                result.recoveries,
+                result.faults_injected,
+                result.outcome,
+                result.stalls,
+                result.checker_wake_rates,
+                [repr(model.rng.bit_generator.state) for model in injector.models],
+            )
 
-        fast = run(True)
-        slow = run(False)
-        assert fast.errors_detected == slow.errors_detected
-        assert fast.faults_injected == slow.faults_injected
-        assert fast.wall_ns == pytest.approx(slow.wall_ns)
-        assert fast.program_output == slow.program_output
+        assert run(True) == run(False)
 
 
 class TestSchedulingIntegration:
